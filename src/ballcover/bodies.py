@@ -33,8 +33,10 @@ def make_body(coeffs: Iterable[tuple[int, int, float]]) -> RadialBody:
     seen = set()
     for l, m, a in coeffs:
         l, m, a = int(l), int(m), float(a)
-        assert l >= 0 and abs(m) <= l, "bad harmonic index"
-        assert (l, m) not in seen, "duplicate harmonic index"
+        if l < 0 or abs(m) > l:
+            raise ValueError(f"bad harmonic index ({l}, {m})")
+        if (l, m) in seen:
+            raise ValueError(f"duplicate harmonic index ({l}, {m})")
         seen.add((l, m))
         if a != 0.0:
             cleaned.append((l, m, a))
@@ -96,10 +98,6 @@ def real_sph_harm(l: int, m: int, xyz: Sequence[float]) -> float:
 
 def rho(body: RadialBody, xyz: Sequence[float]) -> float:
     return sum(a * real_sph_harm(l, m, xyz) for l, m, a in body.coeffs)
-
-
-def radial(body: RadialBody, xyz: Sequence[float]) -> float:
-    return 1.0 + rho(body, xyz)
 
 
 def volume_ratio(body: RadialBody) -> float:

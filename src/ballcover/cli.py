@@ -106,7 +106,6 @@ def _finish(text: str, out: str | None, ok: bool, failures: list[str]) -> int:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    sys.stdout.write(text)
     if not ok:
         for msg in failures:
             print(f"verification failure: {msg}", file=sys.stderr)
@@ -117,6 +116,7 @@ def _finish(text: str, out: str | None, ok: bool, failures: list[str]) -> int:
 def _emit_json(cert: dict, out: str | None) -> int:
     text = dump_json(cert)
     ok, failures = verify_certificate(json.loads(text))
+    sys.stdout.write(text)
     return _finish(text, out, ok, failures)
 
 
@@ -127,14 +127,7 @@ def cmd_ball_class(args) -> int:
     print(f"conclusion: {cert['conclusion']}")
     text = dump_json(cert)
     ok, failures = verify_certificate(json.loads(text))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    if not ok:
-        for msg in failures:
-            print(f"verification failure: {msg}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+    return _finish(text, args.out, ok, failures)
 
 
 def cmd_anstar(args) -> int:
@@ -174,6 +167,7 @@ def cmd_witness(args) -> int:
 def cmd_cl_certify(args) -> int:
     text = cl_csv(certify_c_range(args.lmax))
     ok, failures = verify_cl_csv(text)
+    sys.stdout.write(text)
     return _finish(text, args.out, ok, failures)
 
 

@@ -58,7 +58,6 @@ class EutaxyMap:
 
     form: MatQ
     cr2: Rat
-    source_index: int
 
 
 def map_inner(gram_inv: MatQ, a: MatQ, b: MatQ) -> Rat:
@@ -77,7 +76,7 @@ def map_matrix(gram_inv: MatQ, form: MatQ) -> MatQ:
     return mat_mul(gram_inv, form)
 
 
-def q_map(simplex: PrimitiveSimplex, gram: MatQ, index: int = -1) -> EutaxyMap:
+def q_map(simplex: PrimitiveSimplex, gram: MatQ) -> EutaxyMap:
     n = len(gram)
     form = zeros(n, n)
     for a, x in zip(simplex.alpha, simplex.x):
@@ -86,7 +85,7 @@ def q_map(simplex: PrimitiveSimplex, gram: MatQ, index: int = -1) -> EutaxyMap:
     form = mat_scale(1 / simplex.cr2, form)
     assert is_symmetric(form)
     assert map_trace(mat_inv(gram), form) == 1
-    return EutaxyMap(form=form, cr2=simplex.cr2, source_index=index)
+    return EutaxyMap(form=form, cr2=simplex.cr2)
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,8 @@ def classify_lattice(lat: LatticeModel) -> LatticeEutaxy:
     pairs = negative_pairs(simplices)
     reps = []
     for idx, (i, j) in enumerate(pairs):
-        mi = q_map(simplices[i], lat.gram, index=i)
-        mj = q_map(simplices[j], lat.gram, index=j)
+        mi = q_map(simplices[i], lat.gram)
+        mj = q_map(simplices[j], lat.gram)
         assert mi.form == mj.form, "negative pair with distinct maps"
         reps.append(mi)
     report = classify(reps, lat.gram)
@@ -240,7 +239,7 @@ def eutaxy_coefficients_a3(lat: LatticeModel) -> tuple[Rat, ...]:
     _, simplices = covering_radius(lat)
     assert len(simplices) == 6
     pairs = negative_pairs(simplices)
-    reps = [q_map(simplices[i], lat.gram, index=i) for i, _ in pairs]
+    reps = [q_map(simplices[i], lat.gram) for i, _ in pairs]
     coords = [(i, j) for i in range(3) for j in range(i, 3)]
     stacked = mat([[m.form[i][j] for m in reps] for (i, j) in coords])
     rhs = vec([lat.gram[i][j] for (i, j) in coords])

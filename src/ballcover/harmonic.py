@@ -15,35 +15,19 @@ which is periodic in l with period 8 and never zero.
 
 The rescaled polynomials Q_l(t) = 5^l l! P_l(t) satisfy the integer
 recurrence Q_{l+1} = (2l+1)(5t) Q_l - 25 l^2 Q_{l-1}, so at t = k/5 they
-take integer values computable exactly or modulo 16.
+take integer values, which are computed here modulo 16.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import MatQ, Rat, VecQ, gram_dot
 
 # per-sign weights of the cosine nodes k/5, k = 5..0
 NODE_WEIGHTS = ((5, 1), (4, 3), (3, 1), (2, 4), (1, 2), (0, 1))
-
-
-def rescaled_q(l: int, k: int) -> int:
-    """Integer Q_l(k/5) = 5^l l! P_l(k/5) for 0 <= k <= 5."""
-    assert l >= 0 and 0 <= k <= 5
-    prev, cur = 1, k
-    if l == 0:
-        return 1
-    for j in range(1, l):
-        prev, cur = cur, (2 * j + 1) * k * cur - 25 * j * j * prev
-    return cur
-
-
-def rescaled_q_mod16(l: int, k: int) -> int:
-    return rescaled_q_sequence_mod16(l, k)[l]
 
 
 def rescaled_q_sequence_mod16(lmax: int, k: int) -> list[int]:
@@ -96,15 +80,6 @@ def legendre_rational(l: int, t: Rat) -> Rat:
     return cur
 
 
-def legendre_float(l: int, t: float) -> float:
-    if l == 0:
-        return 1.0
-    prev, cur = 1.0, t
-    for k in range(1, l):
-        prev, cur = cur, ((2 * k + 1) * t * cur - k * prev) / (k + 1)
-    return cur
-
-
 def c_l(l: int) -> Rat:
     """Exact multiplier: weighted Legendre sum over the cosine nodes."""
     return sum(
@@ -114,7 +89,7 @@ def c_l(l: int) -> Rat:
 
 def c_l_scaled_residue(l: int) -> int:
     """Residue of the integer 5^l l! c_l modulo 16."""
-    return sum(w * rescaled_q_mod16(l, k) for k, w in NODE_WEIGHTS) % 16
+    return sum(w * rescaled_q_sequence_mod16(l, k)[l] for k, w in NODE_WEIGHTS) % 16
 
 
 @dataclass(frozen=True)
@@ -159,46 +134,6 @@ def certify_c_range(lmax: int, exact_limit: int = 200) -> list[CLCertificate]:
 
 
 @dataclass(frozen=True)
-class EnvelopeReport:
-    """Decay envelope |P_l(t)| <= C / sqrt(l sqrt(1 - t^2)) at the nodes.
-
-    The classical constant sqrt(2/pi) is compared with the empirical
-    maximum of |P_l(t)| sqrt(l sqrt(1 - t^2)) over interior nodes; the node
-    t = 1 is excluded (P_l(1) = 1, no decay).
-    """
-
-    lmax: int
-    nodes: tuple[float, ...]
-    empirical_constant: float
-    formula_constant: float
-    per_node_max: tuple[float, ...]
-    all_below_formula: bool
-
-
-def bernstein_envelope(lmax: int) -> EnvelopeReport:
-    nodes = [k / 5 for k, _ in NODE_WEIGHTS if k != 5]
-    per_node = []
-    for t in nodes:
-        worst = 0.0
-        prev, cur = 1.0, t
-        for l in range(1, lmax + 1):
-            scaled = abs(cur) * math.sqrt(l * math.sqrt(1 - t * t))
-            worst = max(worst, scaled)
-            prev, cur = cur, ((2 * l + 1) * t * cur - l * prev) / (l + 1)
-        per_node.append(worst)
-    formula = math.sqrt(2 / math.pi)
-    emp = max(per_node)
-    return EnvelopeReport(
-        lmax=lmax,
-        nodes=tuple(nodes),
-        empirical_constant=emp,
-        formula_constant=formula,
-        per_node_max=tuple(per_node),
-        all_below_formula=emp <= formula,
-    )
-
-
-@dataclass(frozen=True)
 class MultiplierSpectrum:
     """Multipliers of convolution with the normalized vertex measure."""
 
@@ -236,43 +171,3 @@ def zonal_spectrum(
         cosine_counts=tuple(sorted(counts.items())),
         mass=multipliers[0],
     )
-
-
-def phi_transform(
-    coeffs: Mapping[tuple[int, int], Rat], allow_degree2: bool = False
-) -> dict[tuple[int, int], Rat]:
-    """Apply the multiplier transform: coefficient of degree l scales by c_l.
-
-    Input must be an even expansion (no odd degrees).  Degree 2 is outside
-    the invertible domain; it is rejected unless allow_degree2 is set, in
-    which case it maps to zero since c_2 = 0.
-    """
-    out = {}
-    cache: dict[int, Rat] = {}
-    for (l, m), a in coeffs.items():
-        assert l >= 0 and abs(m) <= l
-        if l % 2 == 1:
-            raise ValueError("multiplier transform is defined on even expansions")
-        if l == 2 and not allow_degree2:
-            raise ValueError("degree 2 lies in the kernel; refusing silently")
-        if l not in cache:
-            cache[l] = c_l(l)
-        out[(l, m)] = cache[l] * a
-    return out
-
-
-def phi_inverse(
-    coeffs: Mapping[tuple[int, int], Rat]
-) -> dict[tuple[int, int], Rat]:
-    """Invert the multiplier transform; degree 2 is never invertible."""
-    out = {}
-    cache: dict[int, Rat] = {}
-    for (l, m), a in coeffs.items():
-        if l % 2 == 1:
-            raise ValueError("multiplier transform is defined on even expansions")
-        if l == 2:
-            raise ValueError("degree 2 lies in the kernel; not invertible")
-        if l not in cache:
-            cache[l] = c_l(l)
-        out[(l, m)] = a / cache[l]
-    return out

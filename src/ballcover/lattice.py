@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .linalg import (
     MatQ,
@@ -142,14 +142,13 @@ def _translation_key(vertices: tuple[VecQ, ...]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def build_anstar(n: int, validate: bool = True) -> LatticeModel:
+def build_anstar(n: int) -> LatticeModel:
     """Dual lattice of A_n with its n! Delone simplex classes.
 
     Each class is the walk 0, g_{pi(1)}, g_{pi(1)}+g_{pi(2)}, ... over a
     permutation pi of n of the n+1 generators (the omitted generator closes
     the cycle, so cyclic rotations give the same class and are not
-    repeated).  With validate=True every class is checked against the
-    empty-sphere oracle.
+    repeated).  Every class is checked against the empty-sphere oracle.
     """
     assert 2 <= n <= 8, "dimension out of supported range"
     gens, gram, embedding = _anstar_generators(n)
@@ -173,8 +172,8 @@ def build_anstar(n: int, validate: bool = True) -> LatticeModel:
     model = LatticeModel(
         n=n, gram=gram, embedding=embedding, delone_classes=tuple(classes)
     )
-    if validate:
-        assert genericity_check(model), "Delone classes fail the sphere oracle"
+    if not genericity_check(model):
+        raise RuntimeError("Delone classes fail the sphere oracle")
     return model
 
 
@@ -248,18 +247,6 @@ def _candidate_points(lat: LatticeModel, mu2: Rat) -> tuple[VecQ, ...]:
     return tuple(
         vec(u) for u in lattice_points_within(lat.gram, 4 * Fraction(mu2))
     )
-
-
-def verify_empty_sphere(lat: LatticeModel, simplex: DeloneSimplex) -> bool:
-    """No lattice point lies strictly inside the circumsphere of the simplex."""
-    center, _, cr2 = circumcenter(simplex.vertices, lat.gram)
-    prims = [primitive_simplex(s, lat.gram) for s in lat.delone_classes]
-    mu2 = max(p.cr2 for p in prims)
-    for u in _candidate_points(lat, max(mu2, cr2)):
-        d = vec_sub(u, center)
-        if gram_dot(lat.gram, d, d) < cr2:
-            return False
-    return True
 
 
 def genericity_check(lat: LatticeModel) -> bool:

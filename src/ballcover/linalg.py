@@ -81,10 +81,6 @@ def mat_add(a: MatQ, b: MatQ) -> MatQ:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a: MatQ, b: MatQ) -> MatQ:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(c: Rat, a: MatQ) -> MatQ:
     return tuple(tuple(c * x for x in row) for row in a)
 

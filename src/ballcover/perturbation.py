@@ -329,14 +329,12 @@ class CoverEngine:
         if not body.eps <= 0.1:
             raise ValueError("asphericity above threshold 1/10")
 
-        def rho_fn(d: tuple[float, float, float]) -> float:
-            if rotation is not None:
-                d = _apply_transposed(rotation, d)
-            return body_rho(body, d)
-
         value: dict[VecQ, Rat] = {}
         for p, q in self.rep_pairs:
-            v = Fraction(rho_fn(self.direction[p]))
+            d = self.direction[p]
+            if rotation is not None:
+                d = _apply_transposed(rotation, d)
+            v = Fraction(body_rho(body, d))
             value[p] = v
             value[q] = v
         # Re-target the per-vertex equations by the measured radial excess a
@@ -354,9 +352,7 @@ class CoverEngine:
                 for j, x in enumerate(s.x):
                     y = vec_add(vec_add(x, mat_vec(m_mat, x)), sol.translations[i])
                     norm2 = gram_dot(self.gram, y, y)
-                    ey = [float(c) for c in mat_vec(self.lat.embedding, y)]
-                    ny = math.sqrt(sum(c * c for c in ey))
-                    r_val = 1.0 + rho_fn((ey[0] / ny, ey[1] / ny, ey[2] / ny))
+                    r_val, ny = radial_value(body, rotation, self.lat.embedding, y)
                     records.append((i, j, x, y, norm2, r_val, ny))
                     delta_float = max(delta_float, 1.0 - self.mu * r_val / ny)
                     p = self.rep_of[x]
@@ -449,10 +445,27 @@ def _engine() -> CoverEngine:
 def build_cover(
     body: RadialBody,
     rotation: Optional[tuple[tuple[float, ...], ...]] = None,
-    lat: Optional[LatticeModel] = None,
 ) -> CoverConstruction:
-    engine = _engine() if lat is None else CoverEngine(lat)
-    return engine.construct(body, rotation=rotation)
+    return _engine().construct(body, rotation=rotation)
+
+
+def radial_value(
+    body: RadialBody,
+    rotation: Optional[Sequence[Sequence[float]]],
+    embedding: MatQ,
+    y: VecQ,
+) -> tuple[float, float]:
+    """Float r_K = 1 + rho of the rotated body toward lattice point y, and |y|.
+
+    Shared by the covering construction and the verifier, so a stored
+    radial value is re-derived from the certificate's body, rotation and y.
+    """
+    e = [float(c) for c in mat_vec(embedding, y)]
+    ny = math.sqrt(sum(c * c for c in e))
+    d = (e[0] / ny, e[1] / ny, e[2] / ny)
+    if rotation is not None:
+        d = _apply_transposed(rotation, d)
+    return 1.0 + body_rho(body, d), ny
 
 
 def _apply_transposed(

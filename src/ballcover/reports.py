@@ -9,11 +9,12 @@ verify_certificate re-checks the exact algebraic claims of a certificate
 without re-running the optimization or search that produced it.  Fixed
 ambient context (the A_n* geometry, which is deterministic given the
 dimension) is rebuilt when a certificate refers to it.  Float-valued
-entries (harmonic evaluations, densities) are treated as tagged inputs:
-exact-domain claims built on them (for instance membership inequalities
-against an exactly squared stored float) are re-verified in rational
-arithmetic, while the floats themselves are only checked for internal
-consistency.
+entries are treated as tagged inputs: exact-domain claims built on them
+(for instance membership inequalities against an exactly squared stored
+float) are re-verified in rational arithmetic.  Stored radial values are
+re-evaluated from the certificate's body, rotation and deformed vertex
+and must agree within FLOAT_TOLERANCE; the other floats (densities,
+bounds) are only checked for internal consistency.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .linalg import (
     mat_inv,
     mat_vec,
     trace,
-    trace_product,
     vec,
     vec_add,
     vec_scale,
@@ -60,7 +60,11 @@ from .perturbation import (
     AugmentedBall,
     exact_cr_after,
     member_augmented_ball,
+    radial_value,
 )
+
+# Largest gap allowed between a stored radial value and its re-evaluation.
+FLOAT_TOLERANCE = 1e-12
 
 
 def rat_str(x: Rat) -> str:
@@ -132,7 +136,7 @@ def cover_certificate(body: RadialBody, c: CoverConstruction) -> dict:
             }
             for k in c.checks
         ],
-        "float_tolerance": 1e-12,
+        "float_tolerance": FLOAT_TOLERANCE,
     }
 
 
@@ -350,6 +354,8 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
     det_ratio = parse_rat(data["det_ratio"])
     if det_ratio != (1 - delta) ** 3 * det(mat_add(identity(3), m_matrix)):
         bad.append("determinant ratio mismatched")
+    if data["float_tolerance"] != FLOAT_TOLERANCE:
+        bad.append(f"float tolerance must be {FLOAT_TOLERANCE!r}")
     checks = data["checks"]
     if len(checks) != sum(len(s.x) for s in simplices):
         bad.append("membership log incomplete")
@@ -363,8 +369,12 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
         norm2 = gram_dot(gram, y, y)
         if norm2 != parse_rat(k["norm2"]):
             bad.append(f"vertex norm mismatch at ({i}, {j})")
+        r_val = float(k["radial_value"])
+        recomputed, _ = radial_value(body, data["rotation"], lat.embedding, y)
+        if abs(r_val - recomputed) > FLOAT_TOLERANCE:
+            bad.append(f"radial value does not match the body at ({i}, {j})")
         lhs = shrink2 * norm2
-        rhs = mu2 * Fraction(float(k["radial_value"])) ** 2
+        rhs = mu2 * Fraction(r_val) ** 2
         if lhs != parse_rat(k["lhs"]) or rhs != parse_rat(k["rhs"]):
             bad.append(f"membership sides mismatched at ({i}, {j})")
         if lhs > rhs:
@@ -373,7 +383,9 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
 
 def _verify_scan(data: dict, bad: list[str]) -> None:
     _verify_cover(data["best"], bad)
-    ball = (4.0 * math.pi / 3.0) * float(Fraction(5, 4)) ** 1.5 / 4.0
+    lat = build_anstar(3)
+    mu2, _ = covering_radius(lat)
+    ball = (4.0 * math.pi / 3.0) * float(mu2) ** 1.5 / math.sqrt(det(lat.gram))
     if abs(data["ball_density"] - ball) > 1e-12:
         bad.append("ball density off its exact-formula value")
     det_ratio = float(parse_rat(data["best"]["det_ratio"]))
@@ -525,26 +537,31 @@ def verify_cl_csv(text: str) -> tuple[bool, list[str]]:
             bad.append(f"row {idx}: wrong field count")
             continue
         l_str, value, residue_str, status = parts
-        if int(l_str) != idx:
+        try:
+            l, residue = int(l_str), int(residue_str)
+            exact = parse_rat(value) if value else None
+        except (ValueError, ZeroDivisionError) as e:
+            bad.append(f"row {idx}: malformed field: {e}")
+            continue
+        if l != idx:
             bad.append(f"row {idx}: degrees must be consecutive from 0")
             continue
-        residue = int(residue_str)
         if residue != sum(w * seqs[k][idx] for k, w in NODE_WEIGHTS) % 16:
             bad.append(f"row {idx}: residue does not satisfy the recurrence")
         if status == "zero":
-            if idx != 2 or (value and parse_rat(value) != 0):
+            if idx != 2 or (exact is not None and exact != 0):
                 bad.append(f"row {idx}: only degree 2 vanishes")
         elif status == "nonzero-exact":
-            if not value:
+            if exact is None:
                 bad.append(f"row {idx}: exact status without a value")
-            elif parse_rat(value) != c_l(idx):
+            elif exact != c_l(idx):
                 bad.append(f"row {idx}: stored value wrong")
-            elif parse_rat(value) == 0:
+            elif exact == 0:
                 bad.append(f"row {idx}: zero value marked nonzero")
         elif status == "nonzero-mod16":
             if residue % 16 == 0:
                 bad.append(f"row {idx}: vanishing residue cannot certify")
-            if value:
+            if exact is not None:
                 bad.append(f"row {idx}: mod-16 rows carry no exact value")
         else:
             bad.append(f"row {idx}: unknown status {status!r}")

@@ -12,7 +12,6 @@ from ballcover.bodies import (
     is_normalized,
     load_body,
     make_body,
-    radial,
     real_sph_harm,
     rho,
     save_body,
@@ -79,7 +78,7 @@ def test_volume_ratio_ball_and_consistency():
     got = volume_ratio(body)
     assert abs(got - (1.0 + 3.0 * 0.01**2)) < 1e-5
     pts, wts = sphere_quadrature(20)
-    brute = sum(w * radial(body, p) ** 3 for p, w in zip(pts, wts))
+    brute = sum(w * (1.0 + rho(body, p)) ** 3 for p, w in zip(pts, wts))
     assert abs(got - brute) < 1e-13
 
 

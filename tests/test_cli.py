@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ballcover
 from ballcover.bodies import make_body, save_body
 from ballcover.cli import main
-from ballcover.reports import parse_rat
+from ballcover.perturbation import build_cover, rotation_grid
+from ballcover.reports import cover_certificate, dump_json, parse_rat, verify_certificate
 
 
 def run(capsys, *argv):
@@ -15,11 +21,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_ball_class_headlines(capsys):
-    code, out, _ = run(capsys, "ball-class", "--dim", "3")
+def test_ball_class_headlines(capsys, tmp_path):
+    cert = tmp_path / "class3.json"
+    code, out, _ = run(capsys, "ball-class", "--dim", "3", "--out", str(cert))
     assert code == 0
-    assert "classification: critically-semi-eutactic" in out
-    assert "conclusion: ball inextensible; relatively worst covering candidate" in out
+    assert out.splitlines() == [
+        "dimension: 3",
+        "classification: critically-semi-eutactic",
+        "conclusion: ball inextensible; relatively worst covering candidate",
+    ]
+    assert json.loads(cert.read_text())["classification"] == "critically-semi-eutactic"
+    code, out, _ = run(capsys, "verify", "--certificate", str(cert))
+    assert code == 0
+    assert out.strip() == "verified"
     code, out, _ = run(capsys, "ball-class", "--dim", "4")
     assert code == 0
     assert "classification: redundantly-semi-eutactic" in out
@@ -77,6 +91,25 @@ def test_construct_rejects_bad_bodies(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "construct", "--body", str(missing), "--grid", "4")
     assert code == 2
+    duplicate = tmp_path / "duplicate.json"
+    duplicate.write_text('{"harmonics": [[4, 0, 0.005], [4, 0, 0.001]]}')
+    code, _, err = run(capsys, "construct", "--body", str(duplicate), "--grid", "4")
+    assert code == 2
+    assert "duplicate harmonic index" in err
+    bad_order = tmp_path / "bad_order.json"
+    bad_order.write_text('{"harmonics": [[4, 5, 0.005]]}')
+    code, _, err = run(capsys, "construct", "--body", str(bad_order), "--grid", "4")
+    assert code == 2
+    assert "bad harmonic index" in err
+    # The index checks must survive python -O, which strips asserts.
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ballcover.cli", "construct",
+         "--body", str(duplicate), "--grid", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_witness_roundtrip_and_redundant_branch(capsys, tmp_path):
@@ -150,3 +183,29 @@ def test_verify_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--certificate", str(unknown))
     assert code == 1
     assert "unknown certificate kind" in err
+    for name, row in (("degree", "x,1,1,zero"), ("residue", "0,12,y,nonzero-exact")):
+        table = tmp_path / f"{name}.csv"
+        table.write_text(f"l,c_l,residue_mod16,status\n{row}\n")
+        code, out, err = run(capsys, "verify", "--certificate", str(table))
+        assert code == 1
+        assert out == ""
+        assert "row 0: malformed field" in err
+
+
+def test_verify_ties_radial_values_to_the_body():
+    body = make_body([(4, 0, 0.02 / 3)])
+    cert = json.loads(dump_json(cover_certificate(body, build_cover(body, rotation_grid(8)[5]))))
+    assert verify_certificate(cert) == (True, [])
+    forged = json.loads(json.dumps(cert))
+    for k in forged["checks"]:
+        k["radial_value"] = 5.0
+        k["rhs"] = "125/4"  # mu2 * 5^2, so the membership sides still match
+    ok, bad = verify_certificate(forged)
+    assert not ok
+    assert len(bad) == len(cert["checks"])
+    assert all("radial value does not match the body" in m for m in bad)
+    loose = json.loads(json.dumps(cert))
+    loose["float_tolerance"] = 10.0
+    ok, bad = verify_certificate(loose)
+    assert not ok
+    assert bad == ["float tolerance must be 1e-12"]

@@ -3,8 +3,6 @@
 import time
 from fractions import Fraction
 
-import pytest
-
 from ballcover.eutaxy import (
     EutaxyClass,
     EutaxyMap,
@@ -122,7 +120,7 @@ def test_classification_invariant_under_basis_change():
 
 def test_classify_synthetic_not_semi_eutactic():
     e11 = mat([[1, 0], [0, 0]])
-    maps = [EutaxyMap(form=e11, cr2=Fraction(1), source_index=0)]
+    maps = [EutaxyMap(form=e11, cr2=Fraction(1))]
     rep = classify(maps, identity(2))
     assert rep.classification is EutaxyClass.NOT_SEMI_EUTACTIC
     y = rep.farkas_form
@@ -133,7 +131,7 @@ def test_classify_synthetic_single_positive_pair():
     # one map proportional to the identity: unique positive combination,
     # and removing the only pair is infeasible
     half = mat_scale(Fraction(1, 2), identity(2))
-    maps = [EutaxyMap(form=half, cr2=Fraction(1), source_index=0)]
+    maps = [EutaxyMap(form=half, cr2=Fraction(1))]
     rep = classify(maps, identity(2))
     assert rep.classification is EutaxyClass.CRITICALLY_SEMI_EUTACTIC
     assert rep.coefficients == (Fraction(2),)

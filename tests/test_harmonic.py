@@ -1,22 +1,14 @@
-"""Legendre sums, residue certificates, and the multiplier transform."""
+"""Exact Legendre sums, multipliers c_l, mod-16 residue certificates, zonal spectra."""
 
 import math
 from fractions import Fraction
 
-import pytest
-
 from ballcover.harmonic import (
-    bernstein_envelope,
     c_l,
     c_l_scaled_residue,
     certify_c_range,
-    legendre_float,
     legendre_rational,
-    phi_inverse,
-    phi_transform,
     raw_residue_row,
-    rescaled_q,
-    rescaled_q_mod16,
     rescaled_q_sequence_mod16,
     weighted_residue_rows,
     zonal_spectrum,
@@ -26,16 +18,18 @@ from ballcover.lattice import build_anstar, covering_radius, voronoi_vertices
 
 def test_rescaled_q_base_cases():
     for k in range(6):
-        assert rescaled_q(0, k) == 1
-        assert rescaled_q(1, k) == k
+        seq = rescaled_q_sequence_mod16(1, k)
+        assert seq[0] == 1
+        assert seq[1] == k
 
 
 def test_rescaled_q_matches_legendre():
-    for l in range(12):
-        for k in range(6):
-            assert Fraction(rescaled_q(l, k)) == (
-                5**l * math.factorial(l) * legendre_rational(l, Fraction(k, 5))
-            )
+    for k in range(6):
+        seq = rescaled_q_sequence_mod16(11, k)
+        for l in range(12):
+            scaled = 5**l * math.factorial(l) * legendre_rational(l, Fraction(k, 5))
+            assert scaled.denominator == 1
+            assert seq[l] == scaled.numerator % 16
 
 
 def test_legendre_exact_values():
@@ -112,19 +106,6 @@ def test_certified_residues_follow_period_eight():
             assert cert.residue_mod16 == expected_cycle[cert.l % 8]
 
 
-def test_bernstein_envelope():
-    rep = bernstein_envelope(400)
-    assert rep.all_below_formula
-    assert 0 < rep.empirical_constant <= rep.formula_constant
-    # the classical constant is essentially attained along the node family
-    assert rep.empirical_constant > 0.5
-    t = 0.6
-    for l in (10, 50):
-        assert abs(legendre_float(l, t)) < math.sqrt(
-            2 / (math.pi * l * math.sqrt(1 - t * t))
-        )
-
-
 def test_zonal_spectrum_on_voronoi_vertices():
     lat = build_anstar(3)
     pts = voronoi_vertices(lat)
@@ -151,28 +132,3 @@ def test_zonal_spectrum_on_voronoi_vertices():
             assert spec.multipliers[l] == c_l(l)
         else:
             assert spec.multipliers[l] == 0
-
-
-def test_phi_transform_roundtrip_exact():
-    coeffs = {
-        (4, 0): Fraction(3, 7),
-        (4, -3): Fraction(-2, 5),
-        (6, 2): Fraction(11, 13),
-        (0, 0): Fraction(1),
-    }
-    image = phi_transform(coeffs)
-    assert image[(4, 0)] == Fraction(3, 7) * Fraction(7, 25)
-    back = phi_inverse(image)
-    assert back == coeffs
-
-
-def test_phi_transform_degree_two_rejected():
-    with pytest.raises(ValueError):
-        phi_transform({(2, 1): Fraction(1)})
-    assert phi_transform({(2, 1): Fraction(1)}, allow_degree2=True) == {
-        (2, 1): Fraction(0)
-    }
-    with pytest.raises(ValueError):
-        phi_inverse({(2, 0): Fraction(1)})
-    with pytest.raises(ValueError):
-        phi_transform({(3, 0): Fraction(1)})

@@ -18,7 +18,6 @@ from ballcover.lattice import (
     negative_pairs,
     primitive_simplex,
     to_euclidean,
-    verify_empty_sphere,
     voronoi_vertices,
 )
 from ballcover.linalg import det, gram_dot, identity, mat, vec, vec_sub
@@ -106,20 +105,16 @@ def test_degenerate_simplex_rejected():
         circumcenter((v[0], v[1], v[1]), lat.gram)
 
 
-def test_empty_sphere_oracle_accepts_real_classes():
-    for n in (2, 3):
-        lat = build_anstar(n)
-        for s in lat.delone_classes:
-            assert verify_empty_sphere(lat, s)
-
-
 def test_empty_sphere_oracle_rejects_inflated_simplex():
     lat = build_anstar(3)
     doubled = DeloneSimplex(
         vertices=tuple(vec([2 * c for c in v]) for v in lat.delone_classes[0].vertices),
         label=(9, 9, 9, 9),
     )
-    assert not verify_empty_sphere(lat, doubled)
+    inflated = LatticeModel(
+        n=3, gram=lat.gram, embedding=lat.embedding, delone_classes=(doubled,)
+    )
+    assert not genericity_check(inflated)
 
 
 def test_genericity_true_for_anstar():
@@ -137,7 +132,6 @@ def test_genericity_false_for_cubic_lattice():
         n=3, gram=identity(3), embedding=identity(3), delone_classes=(corner,)
     )
     assert not genericity_check(cubic)
-    assert verify_empty_sphere(cubic, corner)
 
 
 def test_lattice_points_enumerator():
