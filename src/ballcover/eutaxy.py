@@ -257,6 +257,15 @@ def eutaxy_coefficients_a3(lat: LatticeModel) -> tuple[Rat, ...]:
     return tuple(out)
 
 
+def ball_conclusion(cls: EutaxyClass) -> str:
+    """What a classification says about the ball: it is inextensible exactly
+    when the maximal simplices are critically semi-eutactic, that is, when
+    no +/- pair can be removed from the identity resolution."""
+    if cls is EutaxyClass.CRITICALLY_SEMI_EUTACTIC:
+        return "ball inextensible; relatively worst covering candidate"
+    return "ball extensible; not relatively worst covering"
+
+
 def classification_certificate(lat: LatticeModel) -> dict:
     """Plain-data certificate for the lattice classification (values exact)."""
     ctx = classify_lattice(lat)
@@ -275,10 +284,6 @@ def classification_certificate(lat: LatticeModel) -> dict:
                 else [list(row) for row in r.farkas_form],
             }
         )
-    if lat.n in (2, 3):
-        conclusion = "ball inextensible; relatively worst covering candidate"
-    else:
-        conclusion = "ball extensible; not relatively worst covering"
     return {
         "kind": "eutaxy-classification",
         "dimension": lat.n,
@@ -299,6 +304,6 @@ def classification_certificate(lat: LatticeModel) -> dict:
         if rep.farkas_form is None
         else [list(row) for row in rep.farkas_form],
         "removals": removals,
-        "conclusion": conclusion,
+        "conclusion": ball_conclusion(rep.classification),
         "normalization": "maps scaled by 1/cr2 so each has unit trace",
     }

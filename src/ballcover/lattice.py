@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .linalg import (
@@ -57,10 +57,10 @@ class DeloneSimplex:
 class PrimitiveSimplex:
     """A Delone simplex recentered at its circumcenter.
 
-    x[j] = circumcenter - vertex[j]; these points lie on the sphere of
-    squared radius cr2 about the origin and are vertices of the Voronoi
-    cell when the simplex is maximal.  alpha[j] are the barycentric
-    coordinates of the circumcenter, so sum(alpha) = 1 and
+    x[j] = center - vertex[j], center the circumcenter; these points lie on
+    the sphere of squared radius cr2 about the origin and are vertices of
+    the Voronoi cell when the simplex is maximal.  alpha[j] are the
+    barycentric coordinates of the circumcenter, so sum(alpha) = 1 and
     sum(alpha[j] * x[j]) = 0.
     """
 
@@ -68,6 +68,7 @@ class PrimitiveSimplex:
     alpha: tuple[Rat, ...]
     cr2: Rat
     source: DeloneSimplex
+    center: VecQ
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,12 @@ class LatticeModel:
     gram: MatQ
     embedding: Optional[MatQ]
     delone_classes: tuple[DeloneSimplex, ...]
+
+    # Not a field, so equality, hashing and caches keyed on models ignore it.
+    @cached_property
+    def simplices(self) -> tuple[PrimitiveSimplex, ...]:
+        """primitive_simplex of every Delone class, in class order."""
+        return tuple(primitive_simplex(s, self.gram) for s in self.delone_classes)
 
 
 # bcc at scale 2: generators g with <g_i, g_j> = 4 delta_ij - 1, sum g = 0.
@@ -118,7 +125,7 @@ def circumcenter(vertices: tuple[VecQ, ...], gram: MatQ) -> tuple[VecQ, VecQ, Ra
 def primitive_simplex(simplex: DeloneSimplex, gram: MatQ) -> PrimitiveSimplex:
     center, alpha, cr2 = circumcenter(simplex.vertices, gram)
     x = tuple(vec_sub(center, v) for v in simplex.vertices)
-    return PrimitiveSimplex(x=x, alpha=alpha, cr2=cr2, source=simplex)
+    return PrimitiveSimplex(x=x, alpha=alpha, cr2=cr2, source=simplex, center=center)
 
 
 def _anstar_generators(n: int) -> tuple[tuple[VecQ, ...], MatQ, Optional[MatQ]]:
@@ -179,9 +186,8 @@ def build_anstar(n: int) -> LatticeModel:
 
 def covering_radius(lat: LatticeModel) -> tuple[Rat, tuple[PrimitiveSimplex, ...]]:
     """Squared covering radius and the maximal primitive simplices attaining it."""
-    prims = [primitive_simplex(s, lat.gram) for s in lat.delone_classes]
-    mu2 = max(p.cr2 for p in prims)
-    return mu2, tuple(p for p in prims if p.cr2 == mu2)
+    mu2 = max(p.cr2 for p in lat.simplices)
+    return mu2, tuple(p for p in lat.simplices if p.cr2 == mu2)
 
 
 def negative_pairs(simplices: tuple[PrimitiveSimplex, ...]) -> tuple[tuple[int, int], ...]:
@@ -202,12 +208,7 @@ def negative_pairs(simplices: tuple[PrimitiveSimplex, ...]) -> tuple[tuple[int, 
 
 def voronoi_vertices(lat: LatticeModel) -> tuple[VecQ, ...]:
     """Vertices of the Voronoi cell at the origin, in lattice coordinates."""
-    points = set()
-    for s in lat.delone_classes:
-        center, _, _ = circumcenter(s.vertices, lat.gram)
-        for v in s.vertices:
-            points.add(vec_sub(center, v))
-    return tuple(sorted(points))
+    return tuple(sorted({x for p in lat.simplices for x in p.x}))
 
 
 def to_euclidean(lat: LatticeModel, point: VecQ) -> VecQ:
@@ -242,32 +243,21 @@ def lattice_points_within(gram: MatQ, r2: Rat) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _candidate_points(lat: LatticeModel, mu2: Rat) -> tuple[VecQ, ...]:
-    # any point inside some circumsphere satisfies |u| <= |c| + cr <= 2 mu
-    return tuple(
-        vec(u) for u in lattice_points_within(lat.gram, 4 * Fraction(mu2))
-    )
-
-
 def genericity_check(lat: LatticeModel) -> bool:
     """Every class circumsphere is empty and touches exactly its n+1 vertices."""
-    data = []
-    mu2 = Fraction(0)
-    for s in lat.delone_classes:
-        center, _, cr2 = circumcenter(s.vertices, lat.gram)
-        data.append((s, center, cr2))
-        mu2 = max(mu2, cr2)
-    candidates = _candidate_points(lat, mu2)
-    for s, center, cr2 in data:
+    # any point inside some circumsphere satisfies |u| <= |c| + cr <= 2 mu
+    mu2 = max(p.cr2 for p in lat.simplices)
+    candidates = [vec(u) for u in lattice_points_within(lat.gram, 4 * mu2)]
+    for p in lat.simplices:
         on_sphere = set()
         for u in candidates:
-            d = vec_sub(u, center)
+            d = vec_sub(u, p.center)
             q = gram_dot(lat.gram, d, d)
-            if q < cr2:
+            if q < p.cr2:
                 return False
-            if q == cr2:
+            if q == p.cr2:
                 on_sphere.add(u)
-        if on_sphere != set(s.vertices):
+        if on_sphere != set(p.source.vertices):
             return False
     return True
 
@@ -292,18 +282,16 @@ def change_basis(lat: LatticeModel, u: MatQ) -> LatticeModel:
 def lattice_report(lat: LatticeModel) -> dict:
     """Plain-data summary used by the CLI export (values still exact)."""
     mu2, maximal = covering_radius(lat)
-    classes = []
-    for s in lat.delone_classes:
-        center, alpha, cr2 = circumcenter(s.vertices, lat.gram)
-        classes.append(
-            {
-                "label": list(s.label),
-                "vertices": [list(v) for v in s.vertices],
-                "circumcenter": list(center),
-                "alpha": list(alpha),
-                "cr2": cr2,
-            }
-        )
+    classes = [
+        {
+            "label": list(p.source.label),
+            "vertices": [list(v) for v in p.source.vertices],
+            "circumcenter": list(p.center),
+            "alpha": list(p.alpha),
+            "cr2": p.cr2,
+        }
+        for p in lat.simplices
+    ]
     return {
         "kind": "lattice-report",
         "dimension": lat.n,

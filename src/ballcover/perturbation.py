@@ -115,21 +115,32 @@ class TreqnSolution:
     translations: tuple[VecQ, ...]
 
 
-def _pair_vertex_map(a: PrimitiveSimplex, b: PrimitiveSimplex) -> tuple[int, ...]:
-    """Index map sigma with b.x[sigma[j]] = -a.x[j]."""
-    lookup = {x: j for j, x in enumerate(b.x)}
-    return tuple(lookup[vec_scale(Fraction(-1), x)] for x in a.x)
+def _antipodal_index(
+    simplices: Sequence[PrimitiveSimplex],
+) -> tuple[tuple[int, ...], ...]:
+    """Number k of the {x, -x} pair of every vertex x = simplices[i].x[j].
+
+    Pairs are numbered in the sorted order of their smaller vertex.  Raises
+    ValueError when the vertices are not closed under negation.
+    """
+    points = {x for s in simplices for x in s.x}
+    if any(vec_scale(-1, x) not in points for x in points):
+        raise ValueError("vertex set not closed under negation")
+    smaller = sorted({min(x, vec_scale(-1, x)) for x in points})
+    number = {y: k for k, x in enumerate(smaller) for y in (x, vec_scale(-1, x))}
+    return tuple(tuple(number[x] for x in s.x) for s in simplices)
 
 
-def _check_symmetric(
-    rho: Sequence[Sequence[Rat]],
-    pair_maps: Sequence[tuple[int, int, tuple[int, ...]]],
-) -> None:
-    """Reject a table that differs across a +/- pair (i, j, sigma)."""
-    for i, j, sigma in pair_maps:
-        for a, sa in enumerate(sigma):
-            if Fraction(rho[j][sa]) != Fraction(rho[i][a]):
+def _pair_values(
+    rho: Sequence[Sequence[Rat]], index: Sequence[Sequence[int]]
+) -> list[Rat]:
+    """rho's value on each {x, -x} pair; ValueError if a pair disagrees."""
+    values: dict[int, Rat] = {}
+    for row, keys in zip(rho, index, strict=True):
+        for r, k in zip(row, keys, strict=True):
+            if values.setdefault(k, Fraction(r)) != Fraction(r):
                 raise ValueError("rho breaks the +/- vertex symmetry")
+    return [values[k] for k in range(len(values))]
 
 
 def _check_trace_identity(
@@ -167,12 +178,9 @@ def solve_treqn(
     trace M = sum ups_i alpha_ij rho_ij is checked.
     """
     ginv = mat_inv(gram)
-    pairs = negative_pairs(tuple(simplices))
-    _check_symmetric(
-        rho, [(i, j, _pair_vertex_map(simplices[i], simplices[j])) for i, j in pairs]
-    )
+    _pair_values(rho, _antipodal_index(simplices))
     constraints = []
-    for i, _ in pairs:
+    for i, _ in negative_pairs(tuple(simplices)):
         s = simplices[i]
         mean = sum(a * Fraction(r) for a, r in zip(s.alpha, rho[i]))
         constraints.append((q_map(s, gram).form, Fraction(mean)))
@@ -232,33 +240,33 @@ class CoverEngine:
     """Shared exact data for repeated covering constructions on one model.
 
     The per-vertex equations are linear in the rho table, and a table with
-    the +/- symmetry has 12 free values, rho[i][a] for the first simplex i
-    of each +/- pair.  Setup runs the reference solver solve_treqn once per
-    unit table to get the 12 basis solutions; `solve` then forms (M, t) as
+    the +/- symmetry has 12 free values, one per {x, -x} pair of the 24
+    vertices (numbered by `index`).  Setup runs the reference solver
+    solve_treqn once per pair's unit table to get the 12 basis solutions,
+    and keeps each pair's direction; `solve` then forms (M, t) as
     exact rational combinations of them, which equals solve_treqn's answer
     Fraction for Fraction.  Per rotation no Gram inversion, normal equation
     or translation system is solved.
     """
 
     def __init__(self, lat: LatticeModel):
-        assert lat.n == 3 and lat.embedding is not None
+        if lat.n != 3 or lat.embedding is None:
+            raise ValueError("the cover engine needs the embedded 3-dimensional model")
         self.lat = lat
         self.gram = lat.gram
         self.ginv = mat_inv(lat.gram)
         self.mu2, self.simplices = covering_radius(lat)
         self.upsilon = eutaxy_coefficients_a3(lat)
         self.mu = math.sqrt(float(self.mu2))
-        self.pair_maps = tuple(
-            (i, j, _pair_vertex_map(self.simplices[i], self.simplices[j]))
-            for i, j in negative_pairs(self.simplices)
-        )
+        self.index = _antipodal_index(self.simplices)
+        # Pair k's direction is its smaller vertex, as in _antipodal_index.
+        smaller = sorted({min(x, vec_scale(-1, x)) for s in self.simplices for x in s.x})
+        self.directions = tuple(_unit_direction(lat.embedding, p)[0] for p in smaller)
         basis = []
-        for i, j, sigma in self.pair_maps:
-            for a, sa in enumerate(sigma):
-                unit = [[Fraction(0)] * len(s.x) for s in self.simplices]
-                unit[i][a] = unit[j][sa] = Fraction(1)
-                # solve_treqn checks each basis solution's trace identity.
-                basis.append(solve_treqn(unit, self.simplices, self.upsilon, self.gram))
+        for k in range(len(smaller)):
+            unit = [[Fraction(int(c == k)) for c in keys] for keys in self.index]
+            # solve_treqn checks each basis solution's trace identity.
+            basis.append(solve_treqn(unit, self.simplices, self.upsilon, self.gram))
         self.m_operator = tuple(
             tuple(tuple(b.m_form[r][c] for b in basis) for c in range(3))
             for r in range(3)
@@ -267,31 +275,6 @@ class CoverEngine:
             tuple(tuple(b.translations[i][k] for b in basis) for k in range(3))
             for i in range(len(self.simplices))
         )
-        self.slots: dict[VecQ, list[tuple[int, int]]] = {}
-        for i, s in enumerate(self.simplices):
-            for j, x in enumerate(s.x):
-                self.slots.setdefault(x, []).append((i, j))
-        reps = []
-        seen = set()
-        for p in sorted(self.slots):
-            if p in seen:
-                continue
-            q = vec_scale(Fraction(-1), p)
-            assert q in self.slots, "vertex set not symmetric"
-            seen.add(p)
-            seen.add(q)
-            reps.append((p, q))
-        self.rep_pairs = tuple(reps)
-        self.rep_of = {}
-        for p, q in self.rep_pairs:
-            self.rep_of[p] = p
-            self.rep_of[q] = p
-        self.direction = {p: self._unit_direction(p) for p in self.slots}
-
-    def _unit_direction(self, p: VecQ) -> tuple[float, float, float]:
-        e = [float(c) for c in mat_vec(self.lat.embedding, p)]
-        norm = math.sqrt(sum(c * c for c in e))
-        return (e[0] / norm, e[1] / norm, e[2] / norm)
 
     def solve(self, rho: Sequence[Sequence[Rat]]) -> TreqnSolution:
         """solve_treqn(rho, simplices, upsilon, gram) by the precomputed operator.
@@ -299,12 +282,7 @@ class CoverEngine:
         Raises ValueError for a table that breaks the +/- vertex symmetry
         and RuntimeError if the trace identity fails, as solve_treqn does.
         """
-        _check_symmetric(rho, self.pair_maps)
-        values = [
-            Fraction(rho[i][a])
-            for i, _, sigma in self.pair_maps
-            for a in range(len(sigma))
-        ]
+        values = _pair_values(rho, self.index)
 
         def combine(coeffs: tuple[Rat, ...]) -> Rat:
             return sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
@@ -329,25 +307,21 @@ class CoverEngine:
         if not body.eps <= 0.1:
             raise ValueError("asphericity above threshold 1/10")
 
-        value: dict[VecQ, Rat] = {}
-        for p, q in self.rep_pairs:
-            d = self.direction[p]
-            if rotation is not None:
-                d = _apply_transposed(rotation, d)
-            v = Fraction(body_rho(body, d))
-            value[p] = v
-            value[q] = v
+        directions = self.directions
+        if rotation is not None:
+            directions = [_apply_transposed(rotation, d) for d in directions]
+        values = [Fraction(body_rho(body, d)) for d in directions]
         # Re-target the per-vertex equations by the measured radial excess a
         # few times: the leftover contraction is then higher order in the
-        # amplitude instead of quadratic.  Updates go through one
-        # representative per antipodal pair, keeping the +/- symmetry exact.
+        # amplitude instead of quadratic.  Updates go through one value per
+        # antipodal pair, keeping the +/- symmetry exact.
         for _ in range(4):
-            table = tuple(tuple(value[x] for x in s.x) for s in self.simplices)
+            table = tuple(tuple(values[k] for k in keys) for keys in self.index)
             sol = self.solve(table)
             m_mat = map_matrix(self.ginv, sol.m_form)
             records = []
             delta_float = 0.0
-            excess: dict[VecQ, float] = {}
+            excess: dict[int, float] = {}
             for i, s in enumerate(self.simplices):
                 for j, x in enumerate(s.x):
                     y = vec_add(vec_add(x, mat_vec(m_mat, x)), sol.translations[i])
@@ -355,15 +329,13 @@ class CoverEngine:
                     r_val, ny = radial_value(body, rotation, self.lat.embedding, y)
                     records.append((i, j, x, y, norm2, r_val, ny))
                     delta_float = max(delta_float, 1.0 - self.mu * r_val / ny)
-                    p = self.rep_of[x]
+                    k = self.index[i][j]
                     o = ny / (self.mu * r_val) - 1.0
-                    if p not in excess or abs(o) > abs(excess[p]):
-                        excess[p] = o
+                    if k not in excess or abs(o) > abs(excess[k]):
+                        excess[k] = o
             if max(abs(o) for o in excess.values()) <= 2.0**-34:
                 break
-            for p, q in self.rep_pairs:
-                value[p] = value[p] - Fraction(excess[p])
-                value[q] = value[p]
+            values = [v - Fraction(excess[k]) for k, v in enumerate(values)]
         trace_m = trace(m_mat)
         sum_abs = sum(abs(r) for row in table for r in row)
         delta = self._certify_delta(delta_float, records)
@@ -373,7 +345,8 @@ class CoverEngine:
         for i, j, x, y, norm2, r_val, ny in records:
             lhs = shrink2 * norm2
             rhs = self.mu2 * Fraction(r_val) ** 2
-            assert lhs <= rhs
+            if lhs > rhs:
+                raise RuntimeError(f"certified contraction fails at ({i}, {j})")
             checks.append(
                 VertexCheck(
                     simplex=i,
@@ -426,7 +399,8 @@ class CoverEngine:
         if delta_float > 0:
             delta = Fraction(math.ceil(delta_float * 2**40) + 1, 2**40)
         for _ in range(128):
-            assert delta < 1
+            if delta >= 1:
+                raise RuntimeError("contraction reached 1")
             ok = all(
                 (1 - delta) ** 2 * norm2 <= self.mu2 * Fraction(r_val) ** 2
                 for _, _, _, _, norm2, r_val, _ in records
@@ -434,7 +408,7 @@ class CoverEngine:
             if ok:
                 return delta
             delta += grain
-        raise AssertionError("contraction certification did not settle")
+        raise RuntimeError("contraction certification did not settle")
 
 
 @lru_cache(maxsize=1)
@@ -460,12 +434,17 @@ def radial_value(
     Shared by the covering construction and the verifier, so a stored
     radial value is re-derived from the certificate's body, rotation and y.
     """
-    e = [float(c) for c in mat_vec(embedding, y)]
-    ny = math.sqrt(sum(c * c for c in e))
-    d = (e[0] / ny, e[1] / ny, e[2] / ny)
+    d, ny = _unit_direction(embedding, y)
     if rotation is not None:
         d = _apply_transposed(rotation, d)
     return 1.0 + body_rho(body, d), ny
+
+
+def _unit_direction(embedding: MatQ, y: VecQ) -> tuple[tuple[float, ...], float]:
+    """Float unit vector toward lattice point y, and |y|."""
+    e = [float(c) for c in mat_vec(embedding, y)]
+    ny = math.sqrt(sum(c * c for c in e))
+    return (e[0] / ny, e[1] / ny, e[2] / ny), ny
 
 
 def _apply_transposed(
@@ -622,7 +601,8 @@ def member_augmented_ball(q: VecQ, ball: AugmentedBall) -> bool:
         z = vec_scale(sgn * (1 + Fraction(ball.eps)), ball.pole)
         zz = gram_dot(g, z, z)
         a2 = zz - r2
-        assert a2 > 0
+        if a2 <= 0:
+            raise ValueError("augmented ball needs eps > 0")
         qz = gram_dot(g, q, z)
         lam = (qz - r2) / a2
         lam = min(max(lam, Fraction(0)), Fraction(1))
@@ -670,7 +650,8 @@ def extension_witness(
     WitnessSearchError when no scale above the cutoff passes.
     """
     eps = Fraction(eps)
-    assert eps > 0
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     ctx = _classified(lat)
     if pair_index < 0 or pair_index >= len(ctx.pairs):
         raise ValueError("pair index out of range")

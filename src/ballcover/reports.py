@@ -25,7 +25,15 @@ from fractions import Fraction
 from typing import Callable
 
 from .bodies import RadialBody, body_from_dict, body_to_dict, is_normalized
-from .eutaxy import eutaxy_coefficients_a3, map_inner, map_matrix, map_trace, q_map
+from .eutaxy import (
+    EutaxyClass,
+    ball_conclusion,
+    eutaxy_coefficients_a3,
+    map_inner,
+    map_matrix,
+    map_trace,
+    q_map,
+)
 from .harmonic import (
     CLCertificate,
     MultiplierSpectrum,
@@ -46,12 +54,14 @@ from .linalg import (
     mat,
     mat_add,
     mat_inv,
+    mat_scale,
     mat_vec,
     trace,
     vec,
     vec_add,
     vec_scale,
     vec_sub,
+    zeros,
 )
 from .perturbation import (
     CoverConstruction,
@@ -194,8 +204,26 @@ def cl_csv(certs: list[CLCertificate]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _resolves_identity(coeffs: list[Rat], forms: list[MatQ], gram: MatQ) -> bool:
+    """Whether the weights give sum coeffs[k] forms[k] = the identity form."""
+    if len(coeffs) != len(forms):
+        return False
+    combo = zeros(len(gram), len(gram))
+    for c, f in zip(coeffs, forms):
+        combo = mat_add(combo, mat_scale(c, f))
+    return combo == gram
+
+
+def _check_conclusion(data: dict, derived: str, bad: list[str]) -> None:
+    """Apply eutaxy's rule to the class re-derived from the evidence."""
+    if data["conclusion"] != ball_conclusion(EutaxyClass(derived)):
+        bad.append("conclusion does not match the classification rule")
+
+
 def _verify_classification(data: dict, bad: list[str]) -> None:
     gram = _parse_mat(data["gram"])
+    if data["dimension"] != len(gram):
+        bad.append("dimension does not match the gram matrix")
     ginv = mat_inv(gram)
     pairs = [tuple(p) for p in data["pairs"]]
     forms = [_parse_mat(m) for m in data["maps"]]
@@ -218,6 +246,7 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
         for k, f in enumerate(forms):
             if map_inner(ginv, y, f) >= 0:
                 bad.append(f"separating map not strict against map {k}")
+        _check_conclusion(data, cls, bad)
         return
     if coeffs is None:
         bad.append("feasible classification without coefficients")
@@ -225,10 +254,7 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     cs = [parse_rat(c) for c in coeffs]
     if any(c < 0 for c in cs):
         bad.append("negative coefficient in identity resolution")
-    combo = mat([[Fraction(0)] * len(gram) for _ in gram])
-    for c, f in zip(cs, forms):
-        combo = mat_add(combo, mat([[c * x for x in row] for row in f]))
-    if combo != gram:
+    if not _resolves_identity(cs, forms, gram):
         bad.append("coefficients do not resolve the identity form")
     removable = []
     for r in data["removals"]:
@@ -240,10 +266,7 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
             if len(rcs) != len(kept) or any(c < 0 for c in rcs):
                 bad.append(f"removal {k}: bad coefficient vector")
                 continue
-            combo = mat([[Fraction(0)] * len(gram) for _ in gram])
-            for c, f in zip(rcs, kept):
-                combo = mat_add(combo, mat([[c * x for x in row] for row in f]))
-            if combo != gram:
+            if not _resolves_identity(rcs, kept, gram):
                 bad.append(f"removal {k}: coefficients do not resolve identity")
         else:
             removable.append(False)
@@ -265,13 +288,7 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
         expected = "semi-eutactic"
     if cls != expected:
         bad.append(f"classification {cls!r} but evidence says {expected!r}")
-    dim = data["dimension"]
-    if dim in (2, 3):
-        want = "ball inextensible; relatively worst covering candidate"
-    else:
-        want = "ball extensible; not relatively worst covering"
-    if data["conclusion"] != want:
-        bad.append("conclusion does not match the classification rule")
+    _check_conclusion(data, expected, bad)
 
 
 def _verify_lattice_report(data: dict, bad: list[str]) -> None:
@@ -467,6 +484,9 @@ def _verify_witness(data: dict, bad: list[str]) -> None:
     if pole != s0.x[0]:
         bad.append("pole is not the first vertex of the removed simplex")
     eps = parse_rat(data["eps"])
+    if eps <= 0:
+        bad.append("eps must be positive")
+        return
     tau = parse_rat(data["tau"])
     ball = AugmentedBall(eps=eps, pole=pole, gram=gram)
     pts = [_parse_vec(p) for p in data["translated_points"]]

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -21,6 +22,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def sha256(path):
+    # Golden bytes of an exact-only output (no floats, so the same on every
+    # platform).  A change that alters the bytes on purpose updates the hash.
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_optimized(*argv):
+    # python -O strips asserts; a usage error must not depend on them.
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "ballcover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_ball_class_headlines(capsys, tmp_path):
     cert = tmp_path / "class3.json"
     code, out, _ = run(capsys, "ball-class", "--dim", "3", "--out", str(cert))
@@ -31,6 +47,7 @@ def test_ball_class_headlines(capsys, tmp_path):
         "conclusion: ball inextensible; relatively worst covering candidate",
     ]
     assert json.loads(cert.read_text())["classification"] == "critically-semi-eutactic"
+    assert sha256(cert) == "644180d33e700bfcddd0405dddd7e795ed1f3299c29d4c032c247e851453acea"
     code, out, _ = run(capsys, "verify", "--certificate", str(cert))
     assert code == 0
     assert out.strip() == "verified"
@@ -52,6 +69,7 @@ def test_anstar_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "anstar", "--dim", "3", "--out", str(out_file))
     assert code == 0
     assert out_file.read_text() == out
+    assert sha256(out_file) == "3879c14d583773ee22f6a5802c4f4dba05d212ebeb32b55365cfdecb929038ad"
     data = json.loads(out)
     assert data["kind"] == "lattice-report"
     assert parse_rat(data["mu2"]) == parse_rat("5/4")
@@ -101,13 +119,7 @@ def test_construct_rejects_bad_bodies(capsys, tmp_path):
     code, _, err = run(capsys, "construct", "--body", str(bad_order), "--grid", "4")
     assert code == 2
     assert "bad harmonic index" in err
-    # The index checks must survive python -O, which strips asserts.
-    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "ballcover.cli", "construct",
-         "--body", str(duplicate), "--grid", "4"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_optimized("construct", "--body", str(duplicate), "--grid", "4")
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
 
@@ -119,6 +131,7 @@ def test_witness_roundtrip_and_redundant_branch(capsys, tmp_path):
         "--out", str(cert),
     )
     assert code == 0
+    assert sha256(cert) == "c921d0fc3d3cbceea46956b9108393917360d844f890f6491a8b01370dd62922"
     data = json.loads(out)
     assert data["kind"] == "extension-witness"
     assert parse_rat(data["det_t"]) > 1
@@ -129,12 +142,22 @@ def test_witness_roundtrip_and_redundant_branch(capsys, tmp_path):
     assert "redundancy" in err
     code, _, err = run(capsys, "witness", "--dim", "3", "--pair", "9")
     assert code == 2
+    for eps in ("0", "-1/100"):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--dim", "3", "--pair", "0", f"--eps={eps}"])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+    proc = run_optimized("witness", "--dim", "3", "--pair", "0", "--eps", "0")
+    assert proc.returncode == 2, proc.stderr
+    assert "must be positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cl_certify_csv(capsys, tmp_path):
     cert = tmp_path / "cl.csv"
     code, out, _ = run(capsys, "cl-certify", "--lmax", "220", "--out", str(cert))
     assert code == 0
+    assert sha256(cert) == "c7d4adbb7da81c4757f04e683cfd0924a3ecd228d443345900330576cd740e17"
     lines = out.strip().split("\n")
     assert lines[0] == "l,c_l,residue_mod16,status"
     assert len(lines) == 222
@@ -150,6 +173,7 @@ def test_zonal_roundtrip(capsys, tmp_path):
     cert = tmp_path / "zonal.json"
     code, out, _ = run(capsys, "zonal", "--lmax", "8", "--out", str(cert))
     assert code == 0
+    assert sha256(cert) == "f98fd9daa0a0c518b7dac4627465e106ecfa58f25ef2d7c8e049a9a89f58eb00"
     data = json.loads(out)
     assert parse_rat(data["multipliers"][4]) == parse_rat("7/25")
     assert parse_rat(data["multipliers"][2]) == 0
@@ -164,11 +188,38 @@ def test_verify_detects_tampering(capsys, tmp_path):
     )
     assert code == 0
     data = json.loads(cert.read_text())
+    for eps in ("0", "-1/100"):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(dict(data, eps=eps)))
+        code, _, err = run(capsys, "verify", "--certificate", str(flat))
+        assert code == 1
+        assert err == "verification failure: eps must be positive\n"
     data["det_t"] = "2"
     cert.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 1
     assert "disagrees" in err
+
+
+def test_verify_derives_the_conclusion(capsys, tmp_path):
+    certs = {}
+    for dim in (3, 4):
+        certs[dim] = tmp_path / f"class{dim}.json"
+        code, _, _ = run(capsys, "ball-class", "--dim", str(dim), "--out", str(certs[dim]))
+        assert code == 0
+    swapped = json.loads(certs[4].read_text())
+    swapped["conclusion"] = json.loads(certs[3].read_text())["conclusion"]
+    relabelled = dict(json.loads(certs[3].read_text()), dimension=4)
+    for data, message in (
+        (swapped, "conclusion does not match the classification rule"),
+        (relabelled, "dimension does not match the gram matrix"),
+    ):
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--certificate", str(tampered))
+        assert code == 1
+        assert out == ""
+        assert err == f"verification failure: {message}\n"
 
 
 def test_verify_usage_errors(capsys, tmp_path):

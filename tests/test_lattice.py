@@ -15,6 +15,7 @@ from ballcover.lattice import (
     covering_radius,
     genericity_check,
     lattice_points_within,
+    lattice_report,
     negative_pairs,
     primitive_simplex,
     to_euclidean,
@@ -151,6 +152,33 @@ def test_change_basis_preserves_geometry():
     assert covering_radius(moved)[0] == covering_radius(lat)[0]
     assert genericity_check(moved)
     assert det(moved.gram) == det(lat.gram)
+
+
+def test_delone_geometry_solved_once_per_model(monkeypatch):
+    import ballcover.lattice
+
+    u = mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    moved = change_basis(build_anstar(3), u)
+    calls = []
+    solve = ballcover.lattice.circumcenter
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ballcover.lattice, "circumcenter", counting)
+    covering_radius(moved)
+    voronoi_vertices(moved)
+    genericity_check(moved)
+    report = lattice_report(moved)
+    # One solve per Delone class, shared by all four readers.
+    assert len(calls) == len(moved.delone_classes) == 6
+    assert [c["circumcenter"] for c in report["classes"]] == [
+        list(p.center) for p in moved.simplices
+    ]
+    # The cached simplices are not a field: a model without them is equal.
+    fresh = change_basis(build_anstar(3), u)
+    assert fresh == moved and hash(fresh) == hash(moved)
 
 
 def test_alpha_translation_invariance():

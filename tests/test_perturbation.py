@@ -28,6 +28,7 @@ from ballcover.perturbation import (
     AugmentedBall,
     CoverEngine,
     WitnessUnavailableError,
+    _antipodal_index,
     build_cover,
     exact_cr_after,
     extension_witness,
@@ -114,10 +115,6 @@ def test_first_order_bound_and_quadratic_error():
                 assert Fraction(7, 2) <= e1 / e2 <= Fraction(9, 2)
 
 
-def _rho_table_from(engine, value):
-    return tuple(tuple(value[x] for x in s.x) for s in engine.simplices)
-
-
 def test_solve_treqn_recovers_planted_solution():
     rng = random.Random(23)
     engine = CoverEngine(build_anstar(3))
@@ -186,10 +183,11 @@ def test_engine_operator_matches_reference_solver():
         engine.construct(body, rotation=u).rho for u in rotation_grid(1000)[::250]
     ]
     for _ in range(4):
-        value = {}
-        for p, q in engine.rep_pairs:
-            value[p] = value[q] = Fraction(rng.randint(-99, 99), rng.randint(1, 2**20))
-        tables.append(_rho_table_from(engine, value))
+        values = [
+            Fraction(rng.randint(-99, 99), rng.randint(1, 2**20))
+            for _ in engine.directions
+        ]
+        tables.append(tuple(tuple(values[k] for k in keys) for keys in engine.index))
     for table in tables:
         ref = solve_treqn(table, engine.simplices, engine.upsilon, engine.gram)
         sol = engine.solve(table)
@@ -222,6 +220,15 @@ def test_construct_solves_no_system_per_rotation(monkeypatch):
     assert all(chk.lhs <= chk.rhs for chk in c.checks)
 
 
+def test_engine_rejects_other_models():
+    with pytest.raises(ValueError, match="3-dimensional"):
+        CoverEngine(build_anstar(2))
+    # One simplex's vertices are not closed under negation.
+    _, simplices = covering_radius(build_anstar(3))
+    with pytest.raises(ValueError, match="negation"):
+        _antipodal_index(simplices[:1])
+
+
 def test_member_augmented_ball():
     ball = AugmentedBall(
         eps=Fraction(1, 10), pole=vec([1, 0, 0]), gram=identity(3)
@@ -237,6 +244,12 @@ def test_member_augmented_ball():
     assert not member_augmented_ball(vec([Fraction(23, 20), 0, 0]), ball)
     assert not member_augmented_ball(vec([0, Fraction(21, 20), 0]), ball)
     assert not member_augmented_ball(vec([1, Fraction(1, 2), 0]), ball)
+    # Without a cap there is no apex outside the ball; raise, not assert.
+    flat = AugmentedBall(eps=Fraction(0), pole=vec([1, 0, 0]), gram=identity(3))
+    with pytest.raises(ValueError, match="eps"):
+        member_augmented_ball(vec([2, 0, 0]), flat)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        extension_witness(build_anstar(3), 0, eps=Fraction(-1, 100))
 
 
 def test_build_cover_ball_is_exact_identity():
