@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .lattice import LatticeModel, PrimitiveSimplex, covering_radius, negative_pairs
@@ -76,6 +77,12 @@ def map_matrix(gram_inv: MatQ, form: MatQ) -> MatQ:
     return mat_mul(gram_inv, form)
 
 
+@lru_cache(maxsize=8)
+def _gram_inverse(gram: MatQ) -> MatQ:
+    """G^-1, computed once per Gram matrix for the unit-trace check."""
+    return mat_inv(gram)
+
+
 def q_map(simplex: PrimitiveSimplex, gram: MatQ) -> EutaxyMap:
     n = len(gram)
     form = zeros(n, n)
@@ -83,8 +90,10 @@ def q_map(simplex: PrimitiveSimplex, gram: MatQ) -> EutaxyMap:
         w = mat_vec(gram, x)
         form = mat_add(form, mat_scale(a, outer(w, w)))
     form = mat_scale(1 / simplex.cr2, form)
-    assert is_symmetric(form)
-    assert map_trace(mat_inv(gram), form) == 1
+    if not is_symmetric(form):
+        raise RuntimeError("simplex map form is not symmetric")
+    if map_trace(_gram_inverse(gram), form) != 1:
+        raise RuntimeError("simplex map does not have unit trace")
     return EutaxyMap(form=form, cr2=simplex.cr2)
 
 
@@ -131,7 +140,8 @@ def classify(maps: Sequence[EutaxyMap], gram: MatQ) -> EutaxyReport:
     run, and the kernel test cross-checks the LP outcomes: removals are all
     infeasible exactly when the full combination is unique and positive.
     """
-    assert maps, "no maps to classify"
+    if not maps:
+        raise ValueError("no maps to classify")
     forms = [m.form for m in maps]
     target = gram
     full = lp_feasible_nonneg(forms, target)
@@ -169,7 +179,8 @@ def classify(maps: Sequence[EutaxyMap], gram: MatQ) -> EutaxyReport:
     none_removable = all(not r.feasible for r in removals)
     all_removable = all(r.feasible for r in removals)
     if none_removable:
-        assert unique and all(c > 0 for c in full.coefficients)
+        if not (unique and all(c > 0 for c in full.coefficients)):
+            raise RuntimeError("no pair removable, yet weights not unique and positive")
         cls = EutaxyClass.CRITICALLY_SEMI_EUTACTIC
     elif all_removable:
         cls = EutaxyClass.REDUNDANTLY_SEMI_EUTACTIC
@@ -215,7 +226,8 @@ def classify_lattice(lat: LatticeModel) -> LatticeEutaxy:
     for idx, (i, j) in enumerate(pairs):
         mi = q_map(simplices[i], lat.gram)
         mj = q_map(simplices[j], lat.gram)
-        assert mi.form == mj.form, "negative pair with distinct maps"
+        if mi.form != mj.form:
+            raise RuntimeError("negative pair with distinct maps")
         reps.append(mi)
     report = classify(reps, lat.gram)
     return LatticeEutaxy(
@@ -235,9 +247,11 @@ def eutaxy_coefficients_a3(lat: LatticeModel) -> tuple[Rat, ...]:
     Solves the linear system sum_k w_k form_k = gram directly and fails
     loudly when the solution is not unique or not nonnegative.
     """
-    assert lat.n == 3
+    if lat.n != 3:
+        raise ValueError("the model must be 3-dimensional")
     _, simplices = covering_radius(lat)
-    assert len(simplices) == 6
+    if len(simplices) != 6:
+        raise ValueError("the model must have six Delone simplex classes")
     pairs = negative_pairs(simplices)
     reps = [q_map(simplices[i], lat.gram) for i, _ in pairs]
     coords = [(i, j) for i in range(3) for j in range(i, 3)]
@@ -253,7 +267,8 @@ def eutaxy_coefficients_a3(lat: LatticeModel) -> tuple[Rat, ...]:
     for wk, (i, j) in zip(w, pairs):
         out[i] = wk / 2
         out[j] = wk / 2
-    assert sum(out) == 3
+    if sum(out) != 3:
+        raise RuntimeError("simplex weights do not sum to the dimension")
     return tuple(out)
 
 

@@ -9,6 +9,7 @@ exactly before returning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -35,63 +36,82 @@ class Infeasible:
 
 
 def _phase1(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> Optional[list[Rat]]:
-    """Find x >= 0 with A x = b, or None.  Bland's rule, exact pivots."""
+    """Find x >= 0 with A x = b, or None.  Bland's rule, exact pivots.
+
+    Rows with a negative rhs are negated and [A | b] is scaled by the lcm L of
+    its denominators, so the tableau starts in integers; the artificial
+    columns stay unit vectors.  That rescales every artificial variable by L
+    and every phase-1 cost by the same positive factor, so each reduced-cost
+    sign and each ratio comparison, hence each pivot, is the one the rational
+    tableau would make.  Pivots are integer-preserving (Edmonds 1967, Bareiss
+    1968): the tableau is T / d with d the determinant of the basis, and the
+    update (T[i][j] p - T[i][c] T[r][j]) / d divides exactly.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
         return [Fraction(0)] * n
-    tab: list[list[Rat]] = []
+    signed: list[list[Rat]] = []
     for i in range(m):
-        row = [Fraction(x) for x in rows[i]]
-        r = Fraction(rhs[i])
-        if r < 0:
+        row = [Fraction(x) for x in rows[i]] + [Fraction(rhs[i])]
+        if row[n] < 0:
             row = [-x for x in row]
-            r = -r
-        art = [Fraction(1 if j == i else 0) for j in range(m)]
-        tab.append(row + art + [r])
+        signed.append(row)
+    scale = math.lcm(*(x.denominator for row in signed for x in row))
     total = n + m
+    tab: list[list[int]] = []
+    for i, row in enumerate(signed):
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        tab.append(ints[:n] + [1 if j == i else 0 for j in range(m)] + [ints[n]])
     basis = list(range(n, total))
-    in_basis = [False] * total
-    for j in basis:
-        in_basis[j] = True
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
+    in_basis = [False] * n + [True] * m
+    d = 1
     while True:
-        y = [cost[basis[i]] for i in range(m)]
+        # d * (reduced cost of column j) = d c_j - sum of the column over the
+        # rows whose basic variable is artificial (cost 1; structurals cost 0)
+        art = [tab[i] for i in range(m) if basis[i] >= n]
         enter = -1
         for j in range(total):
             if in_basis[j]:
                 continue
-            rj = cost[j] - sum(y[i] * tab[i][j] for i in range(m) if tab[i][j])
-            if rj < 0:
+            if (d if j >= n else 0) - sum(r[j] for r in art) < 0:
                 enter = j
                 break
         if enter < 0:
-            objective = sum(y[i] * tab[i][total] for i in range(m))
-            if objective != 0:
+            if sum(r[total] for r in art) != 0:
                 return None
             x = [Fraction(0)] * n
             for i in range(m):
                 if basis[i] < n:
-                    x[basis[i]] = tab[i][total]
+                    x[basis[i]] = Fraction(tab[i][total], d)
             return x
+        # ratio test by cross-multiplication (pivot entries are positive)
         leave = -1
-        best: Optional[Rat] = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
                     leave = i
-        # phase-1 objective is bounded below by zero, so a pivot always exists
-        assert leave >= 0, "unbounded phase-1 objective"
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+                    continue
+                lhs = tab[i][total] * tab[leave][enter]
+                rhs_best = tab[leave][total] * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            # phase-1 objective is bounded below by zero, so a pivot always exists
+            raise RuntimeError("unbounded phase-1 objective")
+        p = tab[leave][enter]
+        prow = tab[leave]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * z for x, z in zip(tab[i], tab[leave])]
+            if i == leave:
+                continue
+            row = tab[i]
+            f = row[enter]
+            if f:
+                tab[i] = [(x * p - f * z) // d for x, z in zip(row, prow)]
+            elif p != d:
+                tab[i] = [x * p // d for x in row]
+        d = p
         in_basis[basis[leave]] = False
         in_basis[enter] = True
         basis[leave] = enter
@@ -103,7 +123,8 @@ def _upper_indices(n: int) -> list[tuple[int, int]]:
 
 def _normalized(y: MatQ) -> MatQ:
     top = max(abs(x) for row in y for x in row)
-    assert top > 0
+    if top == 0:
+        raise RuntimeError("separating certificate is zero")
     return mat_scale(1 / top, y)
 
 
@@ -117,19 +138,23 @@ def lp_feasible_nonneg(
     StrongAlternativeError when a strict Y does not exist either.
     """
     n = len(target)
-    assert is_symmetric(target), "target must be symmetric"
-    for s in maps:
-        assert is_symmetric(s), "maps must be symmetric"
-        assert len(s) == n
+    if not is_symmetric(target):
+        raise ValueError("target must be a symmetric square matrix")
+    if any(len(s) != n or not is_symmetric(s) for s in maps):
+        raise ValueError("maps must be symmetric and of the target's size")
     coords = _upper_indices(n)
     rows = [[s[i][j] for s in maps] for (i, j) in coords]
     rhs = [target[i][j] for (i, j) in coords]
     x = _phase1(rows, rhs)
     if x is not None:
         w = tuple(x)
-        for (i, j) in coords:
-            assert sum(w[k] * maps[k][i][j] for k in range(len(maps))) == target[i][j]
-        assert all(c >= 0 for c in w)
+        if len(w) != len(maps) or any(
+            sum(w[k] * maps[k][i][j] for k in range(len(maps))) != target[i][j]
+            for (i, j) in coords
+        ):
+            raise RuntimeError("phase-1 weights do not re-sum to the target")
+        if any(c < 0 for c in w):
+            raise RuntimeError("phase-1 weights are not nonnegative")
         return Feasible(coefficients=w)
 
     # Strict separation: <Y, S_k> <= -1 for all k and <Y, target> >= 1, with
@@ -163,7 +188,6 @@ def lp_feasible_nonneg(
         entries[i][j] = v
         entries[j][i] = v
     y = _normalized(tuple(tuple(r) for r in entries))
-    for s in maps:
-        assert trace_product(y, s) < 0
-    assert trace_product(y, target) > 0
+    if any(trace_product(y, s) >= 0 for s in maps) or trace_product(y, target) <= 0:
+        raise RuntimeError("certificate does not separate strictly")
     return Infeasible(certificate=y)

@@ -55,6 +55,19 @@ def test_ball_class_headlines(capsys, tmp_path):
     assert code == 0
     assert "classification: redundantly-semi-eutactic" in out
     assert "conclusion: ball extensible; not relatively worst covering" in out
+    golden = {
+        2: "3812c508899224e0b491093cc07f582f1fff2b7842501cea4f1ec06a713bc941",
+        4: "90d0fd67424bcb4cce635a72bce43ed4c84c48f69da90434d09a2f1a9f913e53",
+        5: "bfe96221df9bd280cf18c0519d84813eede986f6c9cdc1ef73bea021171ea344",
+    }
+    for dim, digest in golden.items():
+        cert = tmp_path / f"class{dim}.json"
+        code, _, _ = run(capsys, "ball-class", "--dim", str(dim), "--out", str(cert))
+        assert code == 0
+        assert sha256(cert) == digest
+        code, out, _ = run(capsys, "verify", "--certificate", str(cert))
+        assert code == 0
+        assert out.strip() == "verified"
 
 
 def test_dim_out_of_range_is_usage_error(capsys):

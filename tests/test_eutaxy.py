@@ -1,8 +1,18 @@
 """Eutaxy classification of the A_n* families and synthetic map sets."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import ballcover
+from ballcover import eutaxy
 from ballcover.eutaxy import (
     EutaxyClass,
     EutaxyMap,
@@ -40,6 +50,35 @@ def test_q_map_unit_trace_and_symmetry():
         for s in simplices[:6]:
             m = q_map(s, lat.gram)
             assert map_trace(ginv, m.form) == 1
+
+
+def test_q_map_rejects_a_wrong_simplex_radius():
+    lat = build_anstar(3)
+    _, simplices = covering_radius(lat)
+    inflated = dataclasses.replace(simplices[0], cr2=2 * simplices[0].cr2)
+    with pytest.raises(RuntimeError, match="unit trace"):
+        q_map(inflated, lat.gram)
+    # python -O strips asserts; the check must not depend on them.
+    script = textwrap.dedent(
+        """
+        import dataclasses
+        from ballcover.eutaxy import q_map
+        from ballcover.lattice import build_anstar, covering_radius
+        lat = build_anstar(3)
+        s = covering_radius(lat)[1][0]
+        try:
+            q_map(dataclasses.replace(s, cr2=2 * s.cr2), lat.gram)
+        except RuntimeError as exc:
+            print(exc)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "simplex map does not have unit trace"
 
 
 def test_q_map_of_regular_triangle_is_half_identity():
@@ -135,6 +174,21 @@ def test_classify_synthetic_single_positive_pair():
     rep = classify(maps, identity(2))
     assert rep.classification is EutaxyClass.CRITICALLY_SEMI_EUTACTIC
     assert rep.coefficients == (Fraction(2),)
+
+
+def test_classify_rejects_empty_and_inconsistent_outcomes(monkeypatch):
+    with pytest.raises(ValueError):
+        classify([], identity(2))
+    # A3*'s pairs are all irremovable, so the kernel test must find the
+    # combination unique; a contradicting kernel test is an internal error.
+    monkeypatch.setattr(eutaxy, "_forms_kernel_trivial", lambda forms: False)
+    with pytest.raises(RuntimeError, match="not unique and positive"):
+        classify_lattice(build_anstar(3))
+
+
+def test_a3_coefficients_reject_other_dimensions():
+    with pytest.raises(ValueError):
+        eutaxy_coefficients_a3(build_anstar(2))
 
 
 def test_five_dimensional_classification_runtime():
