@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -220,7 +221,17 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush
+        # at interpreter exit cannot raise again (the SIGPIPE idiom of the
+        # Python docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

@@ -15,14 +15,16 @@ which is periodic in l with period 8 and never zero.
 
 The rescaled polynomials Q_l(t) = 5^l l! P_l(t) satisfy the integer
 recurrence Q_{l+1} = (2l+1)(5t) Q_l - 25 l^2 Q_{l-1}, so at t = k/5 they
-take integer values, which are computed here modulo 16.
+take integer values.  They are computed here exactly, one pass per node for
+all degrees at once (the exact c_l table), and modulo 16 (the residues).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import count, islice
+from typing import Iterator, Optional, Sequence
 
 from .linalg import MatQ, Rat, VecQ, gram_dot
 
@@ -31,15 +33,23 @@ NODE_WEIGHTS = ((5, 1), (4, 3), (3, 1), (2, 4), (1, 2), (0, 1))
 
 
 def rescaled_q_sequence_mod16(lmax: int, k: int) -> list[int]:
-    """Residues of Q_l(k/5) mod 16 for l = 0..lmax."""
-    out = [1 % 16]
-    if lmax == 0:
-        return out
-    out.append(k % 16)
+    """Residues of Q_l(k/5) mod 16 for l = 0..lmax.
+
+    Mod 16 the step from (Q_{j-1}, Q_j) to Q_{j+1} depends on j only through
+    j mod 8, so once a state (j mod 8, Q_{j-1}, Q_j) recurs, the residues
+    repeat from there with the distance between the two visits as period.
+    """
+    out = [1, k % 16]
+    first_visit: dict[tuple[int, int, int], int] = {}
     for j in range(1, lmax):
-        nxt = ((2 * j + 1) * k * out[j] - 9 * (j * j) * out[j - 1]) % 16
-        out.append(nxt)
-    return out
+        state = (j % 8, out[j - 1], out[j])
+        if state in first_visit:
+            period = j - first_visit[state]
+            out += out[-period:] * ((lmax + 1 - len(out)) // period + 1)
+            break
+        first_visit[state] = j
+        out.append(((2 * j + 1) * k * out[j] - 9 * (j * j) * out[j - 1]) % 16)
+    return out[: lmax + 1]
 
 
 def raw_residue_row(k: int) -> tuple[int, ...]:
@@ -48,10 +58,12 @@ def raw_residue_row(k: int) -> tuple[int, ...]:
     Odd k is rejected: those residues vanish identically from l = 6 on
     instead of cycling.
     """
-    assert k in (0, 2, 4)
+    if k not in (0, 2, 4):
+        raise ValueError(f"residue rows cycle only for k in (0, 2, 4), not {k}")
     seq = rescaled_q_sequence_mod16(32, k)
     row = tuple(seq[:8])
-    assert seq[8:16] == list(row) and seq[16:24] == list(row)
+    if seq[8:16] != list(row) or seq[16:24] != list(row):
+        raise RuntimeError(f"residues of Q_l({k}/5) mod 16 are not 8-periodic")
     return row
 
 
@@ -69,27 +81,77 @@ def weighted_residue_rows() -> dict[int, tuple[int, ...]]:
     }
 
 
-def legendre_rational(l: int, t: Rat) -> Rat:
-    """Exact P_l(t) by the three-term recurrence."""
+def scaled_legendre_values(p: int, q: int) -> Iterator[int]:
+    """The integers R_l = q^l l! P_l(p/q) for l = 0, 1, 2, ...
+
+    They follow from the three-term recurrence for P_l in one pass:
+    R_{l+1} = (2l+1) p R_l - l^2 q^2 R_{l-1}.
+    """
+    prev, cur = 0, 1
+    for l in count():
+        yield cur
+        prev, cur = cur, (2 * l + 1) * p * cur - l * l * q * q * prev
+
+
+def legendre_values(t: Rat) -> Iterator[Rat]:
+    """Exact P_0(t), P_1(t), P_2(t), ..."""
     t = Fraction(t)
-    if l == 0:
-        return Fraction(1)
-    prev, cur = Fraction(1), t
-    for k in range(1, l):
-        prev, cur = cur, ((2 * k + 1) * t * cur - k * prev) / (k + 1)
-    return cur
+    den = 1
+    for l, r in enumerate(scaled_legendre_values(t.numerator, t.denominator)):
+        yield Fraction(r, den)
+        den *= (l + 1) * t.denominator
+
+
+def legendre_table(lmax: int, t: Rat) -> list[Rat]:
+    """Exact [P_0(t), ..., P_lmax(t)]."""
+    return list(islice(legendre_values(t), lmax + 1))
+
+
+def legendre_rational(l: int, t: Rat) -> Rat:
+    """Exact P_l(t)."""
+    return next(islice(legendre_values(t), l, None))
+
+
+def scaled_c_l_values() -> Iterator[int]:
+    """The integers 5^l l! c_l for l = 0, 1, 2, ...: one pass per node.
+
+    Every node is k/5, so 5^l l! c_l = sum_k w_k R_l(k) with R_l as in
+    scaled_legendre_values.
+    """
+    nodes = [(w, scaled_legendre_values(k, 5)) for k, w in NODE_WEIGHTS]
+    while True:
+        yield sum(w * next(r) for w, r in nodes)
+
+
+def c_l_values() -> Iterator[Rat]:
+    """Exact multipliers c_0, c_1, c_2, ..."""
+    den = 1
+    for l, scaled in enumerate(scaled_c_l_values()):
+        yield Fraction(scaled, den)
+        den *= 5 * (l + 1)
+
+
+def c_l_table(lmax: int) -> list[Rat]:
+    """Exact multipliers [c_0, ..., c_lmax]."""
+    return list(islice(c_l_values(), lmax + 1))
 
 
 def c_l(l: int) -> Rat:
     """Exact multiplier: weighted Legendre sum over the cosine nodes."""
-    return sum(
-        w * legendre_rational(l, Fraction(k, 5)) for k, w in NODE_WEIGHTS
-    )
+    return next(islice(c_l_values(), l, None))
+
+
+def c_l_residues(lmax: int) -> list[int]:
+    """Residues of the integers 5^l l! c_l modulo 16, l = 0..lmax."""
+    weighted = [
+        [w * r for r in rescaled_q_sequence_mod16(lmax, k)] for k, w in NODE_WEIGHTS
+    ]
+    return [sum(column) % 16 for column in zip(*weighted)]
 
 
 def c_l_scaled_residue(l: int) -> int:
     """Residue of the integer 5^l l! c_l modulo 16."""
-    return sum(w * rescaled_q_sequence_mod16(l, k)[l] for k, w in NODE_WEIGHTS) % 16
+    return c_l_residues(l)[l]
 
 
 @dataclass(frozen=True)
@@ -109,23 +171,26 @@ def certify_c_range(lmax: int, exact_limit: int = 200) -> list[CLCertificate]:
     certificate is the nonzero residue of 5^l l! c_l mod 16.  Raises if any
     certificate fails, which would falsify the nonvanishing claim.
     """
-    seqs = {k: rescaled_q_sequence_mod16(lmax, k) for k, _ in NODE_WEIGHTS}
+    residues = c_l_residues(lmax)
+    # the first degrees are always decided exactly; the residue argument
+    # only takes over once the odd-node contributions have vanished
+    exact = c_l_table(min(lmax, max(exact_limit, 5)))
     out = []
-    for l in range(lmax + 1):
-        residue = sum(w * seqs[k][l] for k, w in NODE_WEIGHTS) % 16
-        # the first degrees are always decided exactly; the residue argument
-        # only takes over once the odd-node contributions have vanished
-        value = c_l(l) if l <= max(exact_limit, 5) else None
+    for l, residue in enumerate(residues):
+        value = exact[l] if l < len(exact) else None
         if l == 2:
-            assert value == 0
+            if value != 0:
+                raise RuntimeError(f"c_2 = {value}, expected 0")
             status = "zero"
         elif value is not None:
-            assert value != 0, f"exact c_{l} vanished unexpectedly"
+            if value == 0:
+                raise RuntimeError(f"exact c_{l} vanished unexpectedly")
             status = "nonzero-exact"
-            if l >= 6:
-                assert residue != 0
+            if l >= 6 and residue == 0:
+                raise RuntimeError(f"mod-16 residue of exact c_{l} vanished")
         else:
-            assert residue != 0, f"mod-16 certificate failed at l = {l}"
+            if residue == 0:
+                raise RuntimeError(f"mod-16 certificate failed at l = {l}")
             status = "nonzero-mod16"
         out.append(
             CLCertificate(l=l, status=status, value=value, residue_mod16=residue)
@@ -152,19 +217,18 @@ def zonal_spectrum(
     sphere of squared radius mu2 = <pole, pole>, and pole one of them.
     """
     mu2 = gram_dot(gram, pole, pole)
-    cosines = []
-    for x in points:
-        assert gram_dot(gram, x, x) == mu2, "point off the vertex sphere"
-        cosines.append(gram_dot(gram, pole, x) / mu2)
-    assert tuple(pole) in {tuple(p) for p in points}
     counts: dict[Rat, int] = {}
-    for c in cosines:
+    for x in points:
+        if gram_dot(gram, x, x) != mu2:
+            raise ValueError("point off the vertex sphere")
+        c = gram_dot(gram, pole, x) / mu2
         counts[c] = counts.get(c, 0) + 1
-    multipliers = []
-    for l in range(lmax + 1):
-        m = sum(legendre_rational(l, c) for c in cosines) / 2
-        multipliers.append(m)
-    assert multipliers[0] == Fraction(len(points), 2)
+    if tuple(pole) not in {tuple(p) for p in points}:
+        raise ValueError("pole is not one of the points")
+    series = [(n, legendre_values(c)) for c, n in counts.items()]
+    multipliers = [sum(n * next(p) for n, p in series) / 2 for _ in range(lmax + 1)]
+    if multipliers[0] != Fraction(len(points), 2):
+        raise RuntimeError("multiplier 0 is not half the vertex count")
     return MultiplierSpectrum(
         lmax=lmax,
         multipliers=tuple(multipliers),

@@ -37,10 +37,10 @@ from .eutaxy import (
 from .harmonic import (
     CLCertificate,
     MultiplierSpectrum,
-    c_l,
-    legendre_rational,
-    rescaled_q_sequence_mod16,
-    NODE_WEIGHTS,
+    c_l_residues,
+    c_l_values,
+    legendre_values,
+    scaled_c_l_values,
 )
 from .lattice import build_anstar, covering_radius, negative_pairs
 from .linalg import (
@@ -506,13 +506,14 @@ def _verify_spectrum(data: dict, bad: list[str]) -> None:
     multipliers = [parse_rat(m) for m in data["multipliers"]]
     if len(multipliers) != data["lmax"] + 1:
         bad.append("multiplier list length off")
-    for l, m in enumerate(multipliers):
-        from_counts = sum(n * legendre_rational(l, c) for c, n in counts) / 2
+    series = [(n, legendre_values(c)) for c, n in counts]
+    for (l, m), c in zip(enumerate(multipliers), c_l_values()):
+        from_counts = sum(n * next(p) for n, p in series) / 2
         if m != from_counts:
             bad.append(f"multiplier {l} disagrees with the cosine data")
         if l % 2 == 1 and m != 0:
             bad.append(f"odd multiplier {l} nonzero")
-        if l % 2 == 0 and m != c_l(l):
+        if l % 2 == 0 and m != c:
             bad.append(f"even multiplier {l} differs from c_{l}")
 
 
@@ -541,7 +542,11 @@ def verify_certificate(data: dict) -> tuple[bool, list[str]]:
 
 
 def verify_cl_csv(text: str) -> tuple[bool, list[str]]:
-    """Re-check a c_l table by rerunning the cheap modular recurrences."""
+    """Re-check a c_l table by rerunning the cheap modular recurrences.
+
+    Stored exact values are checked against the integers 5^l l! c_l, which
+    are stepped one degree at a time up to the last row claiming a value.
+    """
     bad: list[str] = []
     lines = text.strip().split("\n")
     if not lines or lines[0] != "l,c_l,residue_mod16,status":
@@ -550,7 +555,9 @@ def verify_cl_csv(text: str) -> tuple[bool, list[str]]:
     lmax = len(rows) - 1
     if lmax < 0:
         return False, ["empty table"]
-    seqs = {k: rescaled_q_sequence_mod16(lmax, k) for k, _ in NODE_WEIGHTS}
+    residues = c_l_residues(lmax)
+    scaled = scaled_c_l_values()
+    at, scaled_c, den = 0, next(scaled), 1  # 5^at at! c_at and 5^at at!
     for idx, line in enumerate(rows):
         parts = line.split(",")
         if len(parts) != 4:
@@ -566,7 +573,7 @@ def verify_cl_csv(text: str) -> tuple[bool, list[str]]:
         if l != idx:
             bad.append(f"row {idx}: degrees must be consecutive from 0")
             continue
-        if residue != sum(w * seqs[k][idx] for k, w in NODE_WEIGHTS) % 16:
+        if residue != residues[idx]:
             bad.append(f"row {idx}: residue does not satisfy the recurrence")
         if status == "zero":
             if idx != 2 or (exact is not None and exact != 0):
@@ -574,7 +581,10 @@ def verify_cl_csv(text: str) -> tuple[bool, list[str]]:
         elif status == "nonzero-exact":
             if exact is None:
                 bad.append(f"row {idx}: exact status without a value")
-            elif exact != c_l(idx):
+                continue
+            while at < idx:
+                at, scaled_c, den = at + 1, next(scaled), den * 5 * (at + 1)
+            if exact.numerator * den != scaled_c * exact.denominator:
                 bad.append(f"row {idx}: stored value wrong")
             elif exact == 0:
                 bad.append(f"row {idx}: zero value marked nonzero")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -26,6 +27,20 @@ def sha256(path):
     # Golden bytes of an exact-only output (no floats, so the same on every
     # platform).  A change that alters the bytes on purpose updates the hash.
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_closed_pipe(*argv):
+    # stdout is a pipe whose reader is gone before the command starts
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "ballcover.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
 
 
 def run_optimized(*argv):
@@ -180,6 +195,50 @@ def test_cl_certify_csv(capsys, tmp_path):
     assert lines[221].split(",")[3] == "nonzero-mod16"
     code, out, _ = run(capsys, "verify", "--certificate", str(cert))
     assert code == 0
+
+
+def test_workload_sized_outputs_are_pinned(capsys, tmp_path):
+    golden = {
+        ("cl-certify", "10000"): "2329f3f769828e82de17a90d1fd51ebf6906e977e39106781e10ec99ae9f0cc0",
+        ("zonal", "20"): "b01408a8cbb7c926be5431e83e46da341c63f2abb0591a127c7390998015d119",
+    }
+    for (command, lmax), digest in golden.items():
+        cert = tmp_path / f"{command}.out"
+        code, out, _ = run(capsys, command, "--lmax", lmax, "--out", str(cert))
+        assert code == 0
+        assert out == cert.read_text()
+        assert sha256(cert) == digest
+        code, out, _ = run(capsys, "verify", "--certificate", str(cert))
+        assert code == 0
+        assert out.strip() == "verified"
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    body_file = tmp_path / "body.json"
+    save_body(make_body([(4, 0, 0.005)]), str(body_file))
+    for argv in (
+        ("cl-certify", "--lmax", "300"),
+        ("construct", "--body", str(body_file), "--grid", "1"),
+    ):
+        proc = run_closed_pipe(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+
+def test_traced_names_resolve():
+    # perfbench/trace_cli.py wraps these names and fails on a missing one
+    path = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
+    spec = importlib.util.spec_from_file_location("trace_cli", path)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    for mod_name, funcs in trace_cli.TRACED.items():
+        mod = importlib.import_module(f"ballcover.{mod_name}")
+        for func in funcs:
+            if "." in func:
+                cls_name, meth = func.split(".")
+                assert meth in vars(getattr(mod, cls_name)), f"{mod_name}.{func}"
+            else:
+                assert callable(getattr(mod, func, None)), f"{mod_name}.{func}"
 
 
 def test_zonal_roundtrip(capsys, tmp_path):

@@ -1,19 +1,41 @@
 """Exact Legendre sums, multipliers c_l, mod-16 residue certificates, zonal spectra."""
 
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import ballcover
+from ballcover import harmonic, reports
 from ballcover.harmonic import (
+    NODE_WEIGHTS,
     c_l,
     c_l_scaled_residue,
+    c_l_table,
     certify_c_range,
     legendre_rational,
+    legendre_table,
     raw_residue_row,
     rescaled_q_sequence_mod16,
     weighted_residue_rows,
     zonal_spectrum,
 )
 from ballcover.lattice import build_anstar, covering_radius, voronoi_vertices
+from ballcover.reports import cl_csv, verify_cl_csv
+
+
+def legendre_closed_form(l, t):
+    # P_l(t) = 2^-l sum_k (-1)^k C(l, k) C(2l - 2k, l) t^(l - 2k), no recurrence
+    return sum(
+        (-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l) * Fraction(t) ** (l - 2 * k)
+        for k in range(l // 2 + 1)
+    ) / 2**l
 
 
 def test_rescaled_q_base_cases():
@@ -30,6 +52,16 @@ def test_rescaled_q_matches_legendre():
             scaled = 5**l * math.factorial(l) * legendre_rational(l, Fraction(k, 5))
             assert scaled.denominator == 1
             assert seq[l] == scaled.numerator % 16
+
+
+def test_residue_sequences_match_the_plain_recurrence():
+    # the sequences stop stepping once a state recurs; compare every step
+    for k in range(-20, 21):
+        plain = [1, k % 16]
+        for j in range(1, 2000):
+            plain.append(((2 * j + 1) * k * plain[j] - 9 * j * j * plain[j - 1]) % 16)
+        for lmax in (*range(40), 1999):
+            assert rescaled_q_sequence_mod16(lmax, k) == plain[: lmax + 1]
 
 
 def test_legendre_exact_values():
@@ -50,14 +82,14 @@ def test_multiplier_small_values():
 
 
 def test_scaled_multiplier_is_integer():
-    for l in range(201):
-        scaled = 5**l * math.factorial(l) * c_l(l)
+    for l, c in enumerate(c_l_table(200)):
+        scaled = 5**l * math.factorial(l) * c
         assert scaled.denominator == 1
 
 
 def test_residue_agrees_with_exact_value():
-    for l in range(201):
-        scaled = int(5**l * math.factorial(l) * c_l(l))
+    for l, c in enumerate(c_l_table(200)):
+        scaled = int(5**l * math.factorial(l) * c)
         assert scaled % 16 == c_l_scaled_residue(l)
 
 
@@ -132,3 +164,123 @@ def test_zonal_spectrum_on_voronoi_vertices():
             assert spec.multipliers[l] == c_l(l)
         else:
             assert spec.multipliers[l] == 0
+
+
+def test_tables_match_per_degree_values():
+    rng = random.Random(6)
+    nodes = [Fraction(k, 5) for k in range(-5, 6)]
+    nodes += [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(8)]
+    for t in nodes:
+        table = legendre_table(60, t)
+        assert len(table) == 61
+        for l in range(61):
+            assert table[l] == legendre_closed_form(l, t)
+            assert legendre_rational(l, t) == table[l]
+        assert legendre_table(0, t) == [1]
+        assert legendre_table(1, t) == [1, t]
+    table = c_l_table(60)
+    assert len(table) == 61
+    for l in range(61):
+        assert table[l] == sum(
+            w * legendre_closed_form(l, Fraction(k, 5)) for k, w in NODE_WEIGHTS
+        )
+        assert c_l(l) == table[l]
+    assert c_l_table(0) == [12]
+    assert c_l_table(1) == [12, 6]
+
+
+def test_certify_and_verify_restart_no_degree(monkeypatch):
+    def restart(*args):
+        raise AssertionError("per-degree Legendre restart")
+
+    for module in (harmonic, reports):
+        monkeypatch.setattr(module, "c_l", restart, raising=False)
+        monkeypatch.setattr(module, "legendre_rational", restart, raising=False)
+    certs = certify_c_range(300)
+    assert [c.l for c in certs] == list(range(301))
+    assert verify_cl_csv(cl_csv(certs)) == (True, [])
+    lat = build_anstar(3)
+    pts = voronoi_vertices(lat)
+    spec = zonal_spectrum(pts, pts[0], lat.gram, 12)
+    cert = json.loads(reports.dump_json(reports.spectrum_certificate(spec)))
+    assert reports.verify_certificate(cert) == (True, [])
+
+
+def test_verify_cl_csv_checks_every_exact_row():
+    lines = cl_csv(certify_c_range(220)).split("\n")
+
+    def with_row(l, value, status):
+        forged = list(lines)
+        residue = forged[l + 1].split(",")[2]
+        forged[l + 1] = f"{l},{value},{residue},{status}"
+        return verify_cl_csv("\n".join(forged))
+
+    assert with_row(200, "1", "nonzero-exact") == (False, ["row 200: stored value wrong"])
+    assert with_row(210, "1", "nonzero-exact") == (False, ["row 210: stored value wrong"])
+    # a correct exact value above the default exact range is still checked and accepted
+    assert with_row(210, reports.rat_str(c_l(210)), "nonzero-exact") == (True, [])
+
+
+def test_verify_cl_csv_steps_only_to_the_last_exact_row(monkeypatch):
+    stepped = []
+
+    def counted():
+        for l, value in enumerate(harmonic.scaled_c_l_values()):
+            stepped.append(l)
+            yield value
+
+    monkeypatch.setattr(reports, "scaled_c_l_values", counted)
+    assert verify_cl_csv(cl_csv(certify_c_range(300))) == (True, [])
+    assert stepped == list(range(201))
+
+
+def test_verify_spectrum_rederives_every_multiplier():
+    lat = build_anstar(3)
+    pts = voronoi_vertices(lat)
+    spec = zonal_spectrum(pts, pts[0], lat.gram, 6)
+    cert = json.loads(reports.dump_json(reports.spectrum_certificate(spec)))
+    forged = dict(cert, multipliers=[*cert["multipliers"][:4], "1", *cert["multipliers"][5:]])
+    assert reports.verify_certificate(forged) == (
+        False,
+        ["multiplier 4 disagrees with the cosine data", "even multiplier 4 differs from c_4"],
+    )
+    # the measure on one antipodal pair: consistent with its own cosines, not the c_l
+    pair = {
+        "kind": "zonal-spectrum", "lmax": 4, "mass": "1",
+        "cosine_counts": [["-1", 1], ["1", 1]], "multipliers": ["1", "0", "1", "0", "1"],
+    }
+    assert reports.verify_certificate(pair) == (
+        False, [f"even multiplier {l} differs from c_{l}" for l in (0, 2, 4)]
+    )
+
+
+def test_checks_survive_optimized_python():
+    # python -O strips asserts; these checks must raise all the same
+    script = """
+from ballcover import harmonic
+harmonic.c_l_table = lambda n: [0] * (n + 1)
+for call, exc in (
+    (lambda: harmonic.raw_residue_row(1), ValueError),
+    (lambda: harmonic.certify_c_range(10), RuntimeError),
+):
+    try:
+        call()
+    except exc as e:
+        print(type(e).__name__)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "RuntimeError"]
+
+
+def test_zonal_spectrum_rejects_bad_points():
+    lat = build_anstar(3)
+    pts = voronoi_vertices(lat)
+    with pytest.raises(ValueError, match="off the vertex sphere"):
+        zonal_spectrum([*pts, [2 * x for x in pts[0]]], pts[0], lat.gram, 4)
+    with pytest.raises(ValueError, match="pole"):
+        zonal_spectrum(pts[1:], pts[0], lat.gram, 4)
