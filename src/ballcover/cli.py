@@ -186,11 +186,14 @@ def cmd_zonal(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.certificate) as fh:
+        with open(args.certificate, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeDecodeError as e:
+        print(f"verification failure: not UTF-8 text: {e}", file=sys.stderr)
+        return EXIT_FAIL
     if text.startswith("l,c_l,"):
         ok, failures = verify_cl_csv(text)
     else:

@@ -28,6 +28,7 @@ from .linalg import (
     VecQ,
     det,
     gram_dot,
+    integer_scaled,
     mat,
     mat_inv,
     mat_mul,
@@ -98,7 +99,8 @@ def circumcenter(vertices: tuple[VecQ, ...], gram: MatQ) -> tuple[VecQ, VecQ, Ra
     affinely dependent.
     """
     n = len(gram)
-    assert len(vertices) == n + 1, "need n+1 vertices"
+    if len(vertices) != n + 1:
+        raise ValueError("need n+1 vertices")
     v0 = vertices[0]
     rows = []
     rhs = []
@@ -118,7 +120,8 @@ def circumcenter(vertices: tuple[VecQ, ...], gram: MatQ) -> tuple[VecQ, VecQ, Ra
     alpha = res.particular
     cr2 = gram_dot(gram, vec_sub(center, v0), vec_sub(center, v0))
     for v in vertices:
-        assert gram_dot(gram, vec_sub(center, v), vec_sub(center, v)) == cr2
+        if gram_dot(gram, vec_sub(center, v), vec_sub(center, v)) != cr2:
+            raise RuntimeError("circumcenter is not equidistant from the vertices")
     return center, alpha, cr2
 
 
@@ -157,14 +160,16 @@ def build_anstar(n: int) -> LatticeModel:
     the cycle, so cyclic rotations give the same class and are not
     repeated).  Every class is checked against the empty-sphere oracle.
     """
-    assert 2 <= n <= 8, "dimension out of supported range"
+    if not 2 <= n <= 8:
+        raise ValueError(f"dimension {n!r} outside the supported range 2..8")
     gens, gram, embedding = _anstar_generators(n)
     for i in range(n + 1):
         for j in range(n + 1):
             expect = (n if i == j else -1) * (
                 Fraction(4, n + 1) if n == 3 else Fraction(1, n + 1)
             )
-            assert gram_dot(gram, gens[i], gens[j]) == expect
+            if gram_dot(gram, gens[i], gens[j]) != expect:
+                raise RuntimeError("generators do not have the A_n* Gram values")
     classes = []
     seen = set()
     for perm in itertools.permutations(range(n)):
@@ -173,7 +178,8 @@ def build_anstar(n: int) -> LatticeModel:
             vertices.append(tuple(a + b for a, b in zip(vertices[-1], gens[k])))
         simplex = DeloneSimplex(vertices=tuple(vertices), label=perm + (n,))
         key = _translation_key(simplex.vertices)
-        assert key not in seen, "duplicate simplex class"
+        if key in seen:
+            raise RuntimeError("duplicate simplex class")
         seen.add(key)
         classes.append(simplex)
     model = LatticeModel(
@@ -200,7 +206,8 @@ def negative_pairs(simplices: tuple[PrimitiveSimplex, ...]) -> tuple[tuple[int, 
         if i in used:
             continue
         j = next(j for j in range(len(simplices)) if j not in used and neg[i] == keys[j])
-        assert j != i, "simplex equals its own negative"
+        if j == i:
+            raise RuntimeError("simplex equals its own negative")
         used.update((i, j))
         pairs.append((i, j))
     return tuple(pairs)
@@ -212,7 +219,8 @@ def voronoi_vertices(lat: LatticeModel) -> tuple[VecQ, ...]:
 
 
 def to_euclidean(lat: LatticeModel, point: VecQ) -> VecQ:
-    assert lat.embedding is not None, "model has no rational embedding"
+    if lat.embedding is None:
+        raise ValueError("model has no rational embedding")
     return mat_vec(lat.embedding, point)
 
 
@@ -225,8 +233,7 @@ def lattice_points_within(gram: MatQ, r2: Rat) -> tuple[tuple[int, ...], ...]:
     for i in range(n):
         cap = r2 * ginv[i][i]
         bounds.append(math.isqrt(cap.numerator // cap.denominator))
-    den = math.lcm(*(x.denominator for row in gram for x in row))
-    gz = [[int(x * den) for x in row] for row in gram]
+    gz, den = integer_scaled(gram)
     limit_num, limit_den = r2.numerator * den, r2.denominator
     out = []
     for u in itertools.product(*(range(-b, b + 1) for b in bounds)):
@@ -265,9 +272,11 @@ def genericity_check(lat: LatticeModel) -> bool:
 def change_basis(lat: LatticeModel, u: MatQ) -> LatticeModel:
     """Rewrite the model in the basis B' = B U for unimodular integer U."""
     u = mat(u)
-    assert abs(det(u)) == 1, "basis change must be unimodular"
+    if abs(det(u)) != 1:
+        raise ValueError("basis change must be unimodular")
     uinv = mat_inv(u)
-    assert all(x.denominator == 1 for row in uinv for x in row)
+    if any(x.denominator != 1 for row in uinv for x in row):
+        raise ValueError("basis change must be an integer matrix")
     gram = mat_mul(transpose(u), mat_mul(lat.gram, u))
     embedding = mat_mul(lat.embedding, u) if lat.embedding is not None else None
     classes = tuple(

@@ -128,40 +128,6 @@ def is_symmetric(a: MatQ) -> bool:
     )
 
 
-def det(a: MatQ) -> Rat:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Rows are scaled to integers first so every intermediate division is an
-    exact integer division; the accumulated scale is divided out at the end.
-    """
-    n = len(a)
-    assert all(len(row) == n for row in a), "det needs a square matrix"
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    rows: list[list[int]] = []
-    for row in a:
-        rf = [Fraction(x) for x in row]
-        den = math.lcm(*(f.denominator for f in rf))
-        scale *= den
-        rows.append([int(f * den) for f in rf])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if rows[r][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return Fraction(sign * rows[n - 1][n - 1], scale)
-
-
 @dataclass(frozen=True)
 class LinSolveResult:
     """Full solution set of A x = b.
@@ -179,56 +145,96 @@ class LinSolveResult:
         return self.particular is not None and not self.nullspace
 
 
-def _rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def integer_scaled(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]:
+    """The rows times the lcm L of all their denominators, as integers, and L."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    return ints, scale
+
+
+def pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:
+    """Fraction-free pivot on tab[r][c] in place, with tab / d the tableau.
+
+    Other rows become (row * p - row[c] * tab[r]) // d with p = tab[r][c]:
+    exact, as every entry stays a minor of the start (Edmonds 1967, Bareiss
+    1968).  Returns p, the new d.
+    """
+    prow = tab[r]
+    p = prow[c]
+    for i, row in enumerate(tab):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            tab[i] = [(x * p - f * z) // d for x, z in zip(row, prow)]
+        elif p != d:
+            tab[i] = [x * p // d for x in row]
+    return p
+
+
+def _rref(tab: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer tableau in place.
+
+    Returns (tab, pivot columns, d, sign): the RREF is tab / d, d is the
+    determinant of the pivot block and sign the parity of the row swaps.
+    """
+    nrows = len(tab)
+    ncols = len(tab[0]) if tab else 0
     pivots: list[int] = []
-    r = 0
+    d, sign, r = 1, 1, 0
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if tab[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if piv != r:
+            tab[r], tab[piv] = tab[piv], tab[r]
+            sign = -sign
+        d = pivot(tab, r, c, d)
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return tab, pivots, d, sign
+
+
+def det(a: MatQ) -> Rat:
+    """Exact determinant: sign * d / L^n from the elimination of L * a."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("det needs a square matrix")
+    tab, scale = integer_scaled(a)
+    _, pivots, d, sign = _rref(tab)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * d, scale**n)
 
 
 def solve_affine(a: MatQ, b: VecQ) -> LinSolveResult:
     """Solve A x = b exactly, reporting the whole affine solution set."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    assert len(b) == nrows
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    aug, pivots = _rref(aug) if nrows else ([], [])
+    if len(b) != nrows:
+        raise ValueError("right-hand side length differs from the row count")
+    tab, _ = integer_scaled([[*row, b[i]] for i, row in enumerate(a)])
+    tab, pivots, d, _ = _rref(tab)
     pivots = [c for c in pivots if c < ncols]
-    consistent = all(
-        row[ncols] == 0 for row in aug if all(x == 0 for x in row[:ncols])
-    )
+    consistent = all(row[ncols] == 0 for row in tab if not any(row[:ncols]))
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[VecQ] = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -aug[r][fc]
+            v[pc] = Fraction(-tab[r][fc], d)
         basis.append(tuple(v))
     particular: Optional[VecQ] = None
     if consistent:
         x = [Fraction(0)] * ncols
         for r, pc in enumerate(pivots):
-            x[pc] = aug[r][ncols]
+            x[pc] = Fraction(tab[r][ncols], d)
         particular = tuple(x)
-        assert mat_vec(a, particular) == tuple(Fraction(v) for v in b)
+        if mat_vec(a, particular) != tuple(Fraction(v) for v in b):
+            raise RuntimeError("solution fails re-substitution")
     return LinSolveResult(particular=particular, nullspace=tuple(basis))
 
 
@@ -245,9 +251,16 @@ def solve_square(a: MatQ, b: VecQ) -> VecQ:
 
 
 def mat_inv(a: MatQ) -> MatQ:
+    """Exact inverse from one elimination of [a | I]."""
     n = len(a)
-    cols = [solve_square(a, tuple(identity(n)[j])) for j in range(n)]
-    return transpose(mat(cols))
+    if any(len(row) != n for row in a):
+        raise ValueError("mat_inv needs a square matrix")
+    unit = identity(n)
+    tab, _ = integer_scaled([[*row, *unit[i]] for i, row in enumerate(a)])
+    tab, pivots, d, _ = _rref(tab)
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in tab)
 
 
 def min_norm_solution(
@@ -265,17 +278,18 @@ def min_norm_solution(
     maps = [q for q, _ in constraints]
     rhos = vec([r for _, r in constraints])
     m = len(maps)
-    assert m > 0, "need at least one constraint"
+    if m == 0:
+        raise ValueError("need at least one constraint")
     gamma = mat([[inner(maps[i], maps[j]) for j in range(m)] for i in range(m)])
-    ns = nullspace(gamma)
-    if ns:
+    res = solve_affine(gamma, rhos)
+    if res.nullspace:
         # z in ker Gamma means |sum z_k Q_k|^2 = z^T Gamma z = 0 exactly.
-        raise DependentConstraintsError("constraint maps are dependent", ns[0])
-    coeff = solve_square(gamma, rhos)
+        z = res.nullspace[0]
+        raise DependentConstraintsError("constraint maps are dependent", z)
     n = len(maps[0])
     out = zeros(n, n)
-    for c, q in zip(coeff, maps):
+    for c, q in zip(res.particular, maps):
         out = mat_add(out, mat_scale(c, q))
-    for (q, r) in constraints:
-        assert inner(out, q) == r
+    if any(inner(out, q) != r for q, r in constraints):
+        raise RuntimeError("least-norm solution misses a constraint")
     return out

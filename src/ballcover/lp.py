@@ -9,12 +9,12 @@ exactly before returning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .linalg import MatQ, Rat, is_symmetric, mat_scale, trace_product
+from .linalg import MatQ, Rat, integer_scaled, is_symmetric, mat_scale, pivot
+from .linalg import trace_product
 
 
 class StrongAlternativeError(RuntimeError):
@@ -43,26 +43,19 @@ def _phase1(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> Optional[list[
     columns stay unit vectors.  That rescales every artificial variable by L
     and every phase-1 cost by the same positive factor, so each reduced-cost
     sign and each ratio comparison, hence each pivot, is the one the rational
-    tableau would make.  Pivots are integer-preserving (Edmonds 1967, Bareiss
-    1968): the tableau is T / d with d the determinant of the basis, and the
-    update (T[i][j] p - T[i][c] T[r][j]) / d divides exactly.
+    tableau would make.  Each pivot is the fraction-free `linalg.pivot`, so
+    the tableau is T / d with d the determinant of the basis.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
         return [Fraction(0)] * n
-    signed: list[list[Rat]] = []
-    for i in range(m):
-        row = [Fraction(x) for x in rows[i]] + [Fraction(rhs[i])]
-        if row[n] < 0:
-            row = [-x for x in row]
-        signed.append(row)
-    scale = math.lcm(*(x.denominator for row in signed for x in row))
+    signed = [
+        [*row, b] if b >= 0 else [-x for x in (*row, b)] for row, b in zip(rows, rhs)
+    ]
+    ints, _ = integer_scaled(signed)
     total = n + m
-    tab: list[list[int]] = []
-    for i, row in enumerate(signed):
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        tab.append(ints[:n] + [1 if j == i else 0 for j in range(m)] + [ints[n]])
+    tab = [r[:n] + [int(j == i) for j in range(m)] + r[n:] for i, r in enumerate(ints)]
     basis = list(range(n, total))
     in_basis = [False] * n + [True] * m
     d = 1
@@ -100,18 +93,7 @@ def _phase1(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> Optional[list[
         if leave < 0:
             # phase-1 objective is bounded below by zero, so a pivot always exists
             raise RuntimeError("unbounded phase-1 objective")
-        p = tab[leave][enter]
-        prow = tab[leave]
-        for i in range(m):
-            if i == leave:
-                continue
-            row = tab[i]
-            f = row[enter]
-            if f:
-                tab[i] = [(x * p - f * z) // d for x, z in zip(row, prow)]
-            elif p != d:
-                tab[i] = [x * p // d for x in row]
-        d = p
+        d = pivot(tab, leave, enter, d)
         in_basis[basis[leave]] = False
         in_basis[enter] = True
         basis[leave] = enter

@@ -370,7 +370,8 @@ class CoverEngine:
             cosg = max(-1.0, min(1.0, dot / (nx * ny)))
             gamma = math.acos(cosg)
             denom = 1.0 - 0.5 * (beta - gamma) ** 2
-            assert denom > 0.5, "tangent bound unusable at this asphericity"
+            if not denom > 0.5:
+                raise RuntimeError("tangent bound unusable at this asphericity")
             bc = (1.0 + eps) * gamma * beta / denom
             delta_tan = max(delta_tan, bc / (ny / self.mu))
         eps_prime = delta_tan / float(sum_abs) if sum_abs != 0 else 0.0

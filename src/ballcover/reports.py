@@ -435,6 +435,9 @@ def _verify_scan(data: dict, bad: list[str]) -> None:
 
 def _verify_witness(data: dict, bad: list[str]) -> None:
     dim = data["dimension"]
+    if type(dim) is not int or not 2 <= dim <= 5:
+        bad.append(f"dimension {dim!r} is not an integer from 2 to 5")
+        return
     lat = build_anstar(dim)
     gram = lat.gram
     ginv = mat_inv(gram)
@@ -527,8 +530,10 @@ _VERIFIERS: dict[str, Callable[[dict, list[str]], None]] = {
 }
 
 
-def verify_certificate(data: dict) -> tuple[bool, list[str]]:
+def verify_certificate(data: object) -> tuple[bool, list[str]]:
     """Re-check a parsed JSON certificate; returns (ok, failure messages)."""
+    if not isinstance(data, dict):
+        return False, ["certificate is not a JSON object"]
     bad: list[str] = []
     kind = data.get("kind")
     checker = _VERIFIERS.get(kind)

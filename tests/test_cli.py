@@ -213,6 +213,27 @@ def test_workload_sized_outputs_are_pinned(capsys, tmp_path):
         assert out.strip() == "verified"
 
 
+def test_anstar_and_witness_outputs_are_pinned(capsys, tmp_path):
+    # anstar --dim 3 and witness --dim 3 --pair 1 are pinned above
+    golden = {
+        ("anstar", "--dim", "2"): "35c7f6a3f95199bca1fba415ab6912a2b90100d67ee5566305b0071fc053fee8",
+        ("anstar", "--dim", "4"): "2d0d797d3a95876e92de09d6c8b82ed962ae527c96995f930b6d275c04c9fa7f",
+        ("anstar", "--dim", "5"): "b30a3fb2f3c2ef4d559da35bd2bc5b4998f63c71e4999925ae1437c278bdc390",
+        ("witness", "--dim", "3", "--pair", "2"): (
+            "be91ddeac3eab87eac2b2301febbbc2352e49fd212ed449d780a02ae5e7ec2d7"
+        ),
+    }
+    for argv, digest in golden.items():
+        cert = tmp_path / "out.json"
+        code, out, _ = run(capsys, *argv, "--out", str(cert))
+        assert code == 0
+        assert out == cert.read_text()
+        assert sha256(cert) == digest
+        code, out, _ = run(capsys, "verify", "--certificate", str(cert))
+        assert code == 0
+        assert out.strip() == "verified"
+
+
 def test_closed_stdout_exits_without_traceback(tmp_path):
     body_file = tmp_path / "body.json"
     save_body(make_body([(4, 0, 0.005)]), str(body_file))
@@ -301,6 +322,14 @@ def test_verify_usage_errors(capsys, tmp_path):
     garbled.write_text("not json at all")
     code, _, _ = run(capsys, "verify", "--certificate", str(garbled))
     assert code == 1
+    odd_files = {"list": b"[]", "string": b'"x"', "utf16": b"\xff\xfe{\x00}\x00"}
+    for name, content in odd_files.items():
+        odd = tmp_path / f"{name}.json"
+        odd.write_bytes(content)
+        code, out, err = run(capsys, "verify", "--certificate", str(odd))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("verification failure: ")
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"kind": "mystery"}')
     code, _, err = run(capsys, "verify", "--certificate", str(unknown))
@@ -332,3 +361,22 @@ def test_verify_ties_radial_values_to_the_body():
     ok, bad = verify_certificate(loose)
     assert not ok
     assert bad == ["float tolerance must be 1e-12"]
+
+
+def test_verify_rejects_unsupported_witness_dimension(capsys, tmp_path):
+    cert = tmp_path / "wit.json"
+    code, _, _ = run(capsys, "witness", "--dim", "3", "--pair", "0", "--out", str(cert))
+    assert code == 0
+    data = json.loads(cert.read_text())
+    # 6 to 8 would start building A_n* with n! classes, 9 is beyond the model
+    for dim in (1, 6, 9, True):
+        forged = tmp_path / f"dim-{dim}.json"
+        forged.write_text(json.dumps(dict(data, dimension=dim)))
+        code, out, err = run(capsys, "verify", "--certificate", str(forged))
+        assert code == 1
+        assert out == ""
+        message = f"dimension {dim!r} is not an integer from 2 to 5"
+        assert err == f"verification failure: {message}\n"
+    proc = run_optimized("verify", "--certificate", str(tmp_path / "dim-9.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "verification failure: dimension 9 is not an integer from 2 to 5\n"

@@ -1,5 +1,6 @@
 """Core exact linear algebra checks against independent small oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -149,3 +150,80 @@ def test_min_norm_solution_custom_inner():
 
     m = min_norm_solution([(identity(2), Fraction(5))], inner=inner)
     assert inner(m, identity(2)) == 5
+
+
+def pin_systems():
+    """Seeded small systems of every shape the elimination distinguishes."""
+    rng = random.Random(20261018)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def rows(n, m):
+        return [[entry() for _ in range(m)] for _ in range(n)]
+
+    square = rows(3, 3)
+    singular = rows(2, 3)
+    singular.append([2 * x - y for x, y in zip(singular[0], singular[1])])
+    wide = rows(2, 4)
+    tall = rows(4, 2)
+    inconsistent = rows(2, 3)
+    inconsistent.append([x + y for x, y in zip(inconsistent[0], inconsistent[1])])
+    zero_row = rows(2, 3) + [[0, 0, 0]]
+    repeated = rows(3, 3)
+    repeated.insert(1, list(repeated[2]))
+    systems = {
+        "square": (square, [entry() for _ in range(3)]),
+        "singular": (singular, [entry() for _ in range(3)]),
+        "wide": (wide, [entry() for _ in range(2)]),
+        "tall": (tall, [entry() for _ in range(4)]),
+        "inconsistent": (inconsistent, [1, 1, 3]),
+        "zero-row": (zero_row, [entry(), entry(), 0]),
+        "repeated": (repeated, [entry() for _ in range(4)]),
+    }
+    return {k: (mat(a), vec(b)) for k, (a, b) in systems.items()}
+
+
+def test_exact_outputs_are_pinned():
+    # sha256 of the reprs, so a change of value, type or normal form shows
+    golden = {
+        "square": "da3b27bf1a7e0ba0c7976e8aa42110bc0193cf5d9efb6c0e3a62fef66060475e",
+        "singular": "bd8be3b27a8f81530f06b96f3b65afe2cfc7dcdad8c14159216a721599b8cedf",
+        "wide": "d4e589015370db14047edc193b7ed3f38f6b7a62d4dfabba6f07af5a006aa757",
+        "tall": "eba825c508dfde7f41cfc1766a732f0566a86ca8f462555c38db4088f3154fea",
+        "inconsistent": "a4b1459e45ffcad2a3115baeddfaec9e8c8894b7ea699df2ef7facc79df362f4",
+        "zero-row": "9acb3b68d4cdb714fb658090c6779c83f262882d0b307021485ea5a5d4a5b5bf",
+        "repeated": "c10ae933b29cf1f4559ed3f1c9a2d5c9ebec3ce1e18f24763cbd9b29d9a9007d",
+    }
+    got = {}
+    for name, (a, b) in pin_systems().items():
+        out = [repr(solve_affine(a, b)), repr(nullspace(a))]
+        if len(a) == len(a[0]):
+            out.append(repr(det(a)))
+            try:
+                out.append(repr(mat_inv(a)))
+            except SingularMatrixError as e:
+                out.append(type(e).__name__)
+        got[name] = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert got == golden
+
+
+def test_det_sign_of_a_row_swap():
+    # column 0 pivots on row 1, one swap: expanding the first row by hand,
+    # 0*(1*1 - 0*0) - 2*(1*1 - 0*3) + 1*(1*0 - 1*3) = -5
+    assert det(mat([[0, 2, 1], [1, 1, 0], [3, 0, 1]])) == -5
+    # 0 * 1 - (1/2) * 3
+    assert det(mat([[0, Fraction(1, 2)], [3, 1]])) == Fraction(-3, 2)
+    assert mat_inv(mat([[0, Fraction(1, 2)], [3, 1]])) == mat(
+        [[Fraction(-2, 3), Fraction(1, 3)], [2, 0]]
+    )
+
+
+def test_non_square_input_is_rejected():
+    wide = mat([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="square"):
+        det(wide)
+    with pytest.raises(ValueError, match="square"):
+        mat_inv(wide)
+    with pytest.raises(ValueError, match="row count"):
+        solve_affine(wide, vec([1]))
