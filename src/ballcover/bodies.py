@@ -84,7 +84,8 @@ def real_sph_harm(l: int, m: int, xyz: Sequence[float]) -> float:
     """Real harmonic with unit quadratic mean over the sphere."""
     x, y, z = xyz
     r = math.sqrt(x * x + y * y + z * z)
-    assert r > 0
+    if not r > 0:
+        raise ValueError("direction must be nonzero")
     ct = max(-1.0, min(1.0, z / r))
     phi = math.atan2(y, x)
     am = abs(m)

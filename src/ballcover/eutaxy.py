@@ -20,7 +20,7 @@ map has form G.  Pairings: trace(A B) = trace(G^-1 S_A G^-1 S_B).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -38,9 +38,7 @@ from .linalg import (
     mat_vec,
     nullspace,
     outer,
-    solve_affine,
     trace,
-    vec,
     zeros,
 )
 from .lp import Feasible, Infeasible, lp_feasible_nonneg
@@ -78,8 +76,8 @@ def map_matrix(gram_inv: MatQ, form: MatQ) -> MatQ:
 
 
 @lru_cache(maxsize=8)
-def _gram_inverse(gram: MatQ) -> MatQ:
-    """G^-1, computed once per Gram matrix for the unit-trace check."""
+def gram_inverse(gram: MatQ) -> MatQ:
+    """G^-1 of a fixed lattice's Gram matrix, computed once per matrix."""
     return mat_inv(gram)
 
 
@@ -92,7 +90,7 @@ def q_map(simplex: PrimitiveSimplex, gram: MatQ) -> EutaxyMap:
     form = mat_scale(1 / simplex.cr2, form)
     if not is_symmetric(form):
         raise RuntimeError("simplex map form is not symmetric")
-    if map_trace(_gram_inverse(gram), form) != 1:
+    if map_trace(gram_inverse(gram), form) != 1:
         raise RuntimeError("simplex map does not have unit trace")
     return EutaxyMap(form=form, cr2=simplex.cr2)
 
@@ -132,6 +130,16 @@ def _farkas_to_form(gram: MatQ, y: MatQ) -> MatQ:
     return mat_mul(gram, mat_mul(y, gram))
 
 
+def removal_class(removable: Sequence[bool]) -> EutaxyClass:
+    """Class of a semi-eutactic family from which pairs can be removed:
+    critical when none can, redundant when every one can."""
+    if not any(removable):
+        return EutaxyClass.CRITICALLY_SEMI_EUTACTIC
+    if all(removable):
+        return EutaxyClass.REDUNDANTLY_SEMI_EUTACTIC
+    return EutaxyClass.SEMI_EUTACTIC
+
+
 def classify(maps: Sequence[EutaxyMap], gram: MatQ) -> EutaxyReport:
     """Classify a deduplicated family of normalized simplex maps.
 
@@ -158,34 +166,20 @@ def classify(maps: Sequence[EutaxyMap], gram: MatQ) -> EutaxyReport:
     for k in range(len(maps)):
         rest = [f for i, f in enumerate(forms) if i != k]
         res = lp_feasible_nonneg(rest, target)
-        if isinstance(res, Feasible):
-            removals.append(
-                RemovalOutcome(
-                    pair_index=k,
-                    feasible=True,
-                    coefficients=res.coefficients,
-                    farkas_form=None,
-                )
+        feasible = isinstance(res, Feasible)
+        removals.append(
+            RemovalOutcome(
+                pair_index=k,
+                feasible=feasible,
+                coefficients=res.coefficients if feasible else None,
+                farkas_form=None if feasible else _farkas_to_form(gram, res.certificate),
             )
-        else:
-            removals.append(
-                RemovalOutcome(
-                    pair_index=k,
-                    feasible=False,
-                    coefficients=None,
-                    farkas_form=_farkas_to_form(gram, res.certificate),
-                )
-            )
-    none_removable = all(not r.feasible for r in removals)
-    all_removable = all(r.feasible for r in removals)
-    if none_removable:
-        if not (unique and all(c > 0 for c in full.coefficients)):
-            raise RuntimeError("no pair removable, yet weights not unique and positive")
-        cls = EutaxyClass.CRITICALLY_SEMI_EUTACTIC
-    elif all_removable:
-        cls = EutaxyClass.REDUNDANTLY_SEMI_EUTACTIC
-    else:
-        cls = EutaxyClass.SEMI_EUTACTIC
+        )
+    cls = removal_class([r.feasible for r in removals])
+    if cls is EutaxyClass.CRITICALLY_SEMI_EUTACTIC and not (
+        unique and all(c > 0 for c in full.coefficients)
+    ):
+        raise RuntimeError("no pair removable, yet weights not unique and positive")
     return EutaxyReport(
         classification=cls,
         coefficients=full.coefficients,
@@ -244,32 +238,24 @@ def eutaxy_coefficients_a3(lat: LatticeModel) -> tuple[Rat, ...]:
     """Exact per-simplex weights resolving the identity, for 3-dimensional
     models with the permutohedral Delone structure (six simplex classes).
 
-    Solves the linear system sum_k w_k form_k = gram directly and fails
-    loudly when the solution is not unique or not nonnegative.
+    A checked view of classify_lattice's simplex coefficients: fails loudly
+    unless the maximal simplices are critically semi-eutactic, that is,
+    unless the weights are unique and positive.
     """
     if lat.n != 3:
         raise ValueError("the model must be 3-dimensional")
-    _, simplices = covering_radius(lat)
-    if len(simplices) != 6:
+    ctx = classify_lattice(lat)
+    if len(ctx.simplices) != 6:
         raise ValueError("the model must have six Delone simplex classes")
-    pairs = negative_pairs(simplices)
-    reps = [q_map(simplices[i], lat.gram) for i, _ in pairs]
-    coords = [(i, j) for i in range(3) for j in range(i, 3)]
-    stacked = mat([[m.form[i][j] for m in reps] for (i, j) in coords])
-    rhs = vec([lat.gram[i][j] for (i, j) in coords])
-    res = solve_affine(stacked, rhs)
-    if res.particular is None or res.nullspace:
-        raise ValueError("identity resolution is not a unique combination")
-    w = res.particular
-    if any(c < 0 for c in w):
+    cls = ctx.report.classification
+    if cls is EutaxyClass.NOT_SEMI_EUTACTIC:
         raise ValueError("identity resolution has a negative weight")
-    out = [Fraction(0)] * 6
-    for wk, (i, j) in zip(w, pairs):
-        out[i] = wk / 2
-        out[j] = wk / 2
+    if cls is not EutaxyClass.CRITICALLY_SEMI_EUTACTIC:
+        raise ValueError("identity resolution is not a unique positive combination")
+    out = ctx.simplex_coefficients
     if sum(out) != 3:
         raise RuntimeError("simplex weights do not sum to the dimension")
-    return tuple(out)
+    return out
 
 
 def ball_conclusion(cls: EutaxyClass) -> str:
@@ -285,40 +271,20 @@ def classification_certificate(lat: LatticeModel) -> dict:
     """Plain-data certificate for the lattice classification (values exact)."""
     ctx = classify_lattice(lat)
     rep = ctx.report
-    removals = []
-    for r in rep.removals:
-        removals.append(
-            {
-                "pair_index": r.pair_index,
-                "feasible": r.feasible,
-                "coefficients": None
-                if r.coefficients is None
-                else list(r.coefficients),
-                "farkas_form": None
-                if r.farkas_form is None
-                else [list(row) for row in r.farkas_form],
-            }
-        )
     return {
         "kind": "eutaxy-classification",
         "dimension": lat.n,
-        "gram": [list(row) for row in lat.gram],
+        "gram": lat.gram,
         "mu2": ctx.mu2,
         "num_simplices": len(ctx.simplices),
-        "pairs": [list(p) for p in ctx.pairs],
-        "maps": [[list(row) for row in m.form] for m in ctx.maps],
+        "pairs": ctx.pairs,
+        "maps": [m.form for m in ctx.maps],
         "classification": rep.classification.value,
-        "pair_coefficients": None
-        if rep.coefficients is None
-        else list(rep.coefficients),
-        "simplex_coefficients": None
-        if ctx.simplex_coefficients is None
-        else list(ctx.simplex_coefficients),
+        "pair_coefficients": rep.coefficients,
+        "simplex_coefficients": ctx.simplex_coefficients,
         "unique": rep.unique,
-        "farkas_form": None
-        if rep.farkas_form is None
-        else [list(row) for row in rep.farkas_form],
-        "removals": removals,
+        "farkas_form": rep.farkas_form,
+        "removals": [asdict(r) for r in rep.removals],
         "conclusion": ball_conclusion(rep.classification),
         "normalization": "maps scaled by 1/cr2 so each has unit trace",
     }

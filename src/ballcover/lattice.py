@@ -293,10 +293,10 @@ def lattice_report(lat: LatticeModel) -> dict:
     mu2, maximal = covering_radius(lat)
     classes = [
         {
-            "label": list(p.source.label),
-            "vertices": [list(v) for v in p.source.vertices],
-            "circumcenter": list(p.center),
-            "alpha": list(p.alpha),
+            "label": p.source.label,
+            "vertices": p.source.vertices,
+            "circumcenter": p.center,
+            "alpha": p.alpha,
             "cr2": p.cr2,
         }
         for p in lat.simplices
@@ -304,12 +304,10 @@ def lattice_report(lat: LatticeModel) -> dict:
     return {
         "kind": "lattice-report",
         "dimension": lat.n,
-        "gram": [list(row) for row in lat.gram],
-        "embedding": None
-        if lat.embedding is None
-        else [list(row) for row in lat.embedding],
+        "gram": lat.gram,
+        "embedding": lat.embedding,
         "classes": classes,
         "mu2": mu2,
         "num_maximal": len(maximal),
-        "voronoi_vertices": [list(p) for p in voronoi_vertices(lat)],
+        "voronoi_vertices": voronoi_vertices(lat),
     }

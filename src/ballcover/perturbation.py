@@ -43,6 +43,7 @@ from .bodies import (
 from .eutaxy import (
     classify_lattice,
     eutaxy_coefficients_a3,
+    gram_inverse,
     map_inner,
     map_matrix,
     q_map,
@@ -65,7 +66,6 @@ from .linalg import (
     identity,
     mat,
     mat_add,
-    mat_inv,
     mat_mul,
     mat_scale,
     mat_vec,
@@ -99,14 +99,13 @@ def first_order_cr(m_form: MatQ, simplex: PrimitiveSimplex, gram: MatQ) -> Rat:
     The exact ratio for T = Id + M/2 exceeds this by a nonnegative error
     that shrinks quadratically with M.
     """
-    ginv, q_form = _simplex_map(simplex, gram)
-    return 1 + map_inner(ginv, m_form, q_form)
+    return 1 + map_inner(gram_inverse(gram), m_form, _simplex_form(simplex, gram))
 
 
 @lru_cache(maxsize=64)
-def _simplex_map(simplex: PrimitiveSimplex, gram: MatQ) -> tuple[MatQ, MatQ]:
-    """(G^-1, form of Q_S), computed once per simplex and Gram matrix."""
-    return mat_inv(gram), q_map(simplex, gram).form
+def _simplex_form(simplex: PrimitiveSimplex, gram: MatQ) -> MatQ:
+    """Form of Q_S, computed once per simplex and Gram matrix."""
+    return q_map(simplex, gram).form
 
 
 @dataclass(frozen=True)
@@ -115,19 +114,24 @@ class TreqnSolution:
     translations: tuple[VecQ, ...]
 
 
-def _antipodal_index(
-    simplices: Sequence[PrimitiveSimplex],
-) -> tuple[tuple[int, ...], ...]:
-    """Number k of the {x, -x} pair of every vertex x = simplices[i].x[j].
-
-    Pairs are numbered in the sorted order of their smaller vertex.  Raises
-    ValueError when the vertices are not closed under negation.
+def _pair_representatives(simplices: Sequence[PrimitiveSimplex]) -> tuple[VecQ, ...]:
+    """The smaller vertex of every {x, -x} pair, in sorted order: pair k's
+    representative.  Raises ValueError when the vertices are not closed
+    under negation.
     """
     points = {x for s in simplices for x in s.x}
     if any(vec_scale(-1, x) not in points for x in points):
         raise ValueError("vertex set not closed under negation")
-    smaller = sorted({min(x, vec_scale(-1, x)) for x in points})
-    number = {y: k for k, x in enumerate(smaller) for y in (x, vec_scale(-1, x))}
+    return tuple(sorted({min(x, vec_scale(-1, x)) for x in points}))
+
+
+def _antipodal_index(
+    simplices: Sequence[PrimitiveSimplex],
+) -> tuple[tuple[int, ...], ...]:
+    """Number k of the {x, -x} pair of every vertex x = simplices[i].x[j]."""
+    number = {}
+    for k, x in enumerate(_pair_representatives(simplices)):
+        number[x] = number[vec_scale(-1, x)] = k
     return tuple(tuple(number[x] for x in s.x) for s in simplices)
 
 
@@ -143,6 +147,18 @@ def _pair_values(
     return [values[k] for k in range(len(values))]
 
 
+def trace_identity_sum(
+    rho: Sequence[Sequence[Rat]],
+    simplices: Sequence[PrimitiveSimplex],
+    upsilon: Sequence[Rat],
+) -> Rat:
+    """sum ups_i alpha_ij rho_ij, the value trace M must take."""
+    return sum(
+        u * sum(a * Fraction(r) for a, r in zip(s.alpha, rho_i))
+        for u, s, rho_i in zip(upsilon, simplices, rho)
+    )
+
+
 def _check_trace_identity(
     trace_m: Rat,
     rho: Sequence[Sequence[Rat]],
@@ -150,10 +166,7 @@ def _check_trace_identity(
     upsilon: Sequence[Rat],
 ) -> None:
     """Require trace M = sum ups_i alpha_ij rho_ij, raising (not asserting)."""
-    expected = sum(
-        u * sum(a * Fraction(r) for a, r in zip(s.alpha, rho_i))
-        for u, s, rho_i in zip(upsilon, simplices, rho)
-    )
+    expected = trace_identity_sum(rho, simplices, upsilon)
     if trace_m != expected:
         raise RuntimeError(f"trace identity fails: {trace_m} != {expected}")
 
@@ -166,10 +179,10 @@ def solve_treqn(
 ) -> TreqnSolution:
     """Solve <x_ij, M x_ij + t_i> = cr2 rho_ij with M of least norm.
 
-    This is the reference solver: every call inverts the Gram matrix and
-    solves the normal equations and the per-simplex translation systems
-    afresh.  CoverEngine runs it only at setup, on unit tables, and applies
-    the resulting linear operator per rotation (CoverEngine.solve).
+    This is the reference solver: every call solves the normal equations
+    and the per-simplex translation systems afresh.  CoverEngine runs it
+    only at setup, on unit tables, and applies the resulting linear
+    operator per rotation (CoverEngine.solve).
 
     rho[i][j] aligns with simplices[i].x[j] and must agree across each
     +/- pair of simplices (an even perturbation sees antipodal vertices
@@ -177,7 +190,7 @@ def solve_treqn(
     in the span of the simplex maps; the trace identity
     trace M = sum ups_i alpha_ij rho_ij is checked.
     """
-    ginv = mat_inv(gram)
+    ginv = gram_inverse(gram)
     _pair_values(rho, _antipodal_index(simplices))
     constraints = []
     for i, _ in negative_pairs(tuple(simplices)):
@@ -203,6 +216,11 @@ def solve_treqn(
         translations.append(res.particular)
     _check_trace_identity(trace(mat_mul(ginv, m_form)), rho, simplices, upsilon)
     return TreqnSolution(m_form=m_form, translations=tuple(translations))
+
+
+def deformed_vertex(m_mat: MatQ, x: VecQ, t: VecQ) -> VecQ:
+    """y = x + M x + t, the vertex x moved by the map and its translation."""
+    return vec_add(vec_add(x, mat_vec(m_mat, x)), t)
 
 
 @dataclass(frozen=True)
@@ -254,16 +272,17 @@ class CoverEngine:
             raise ValueError("the cover engine needs the embedded 3-dimensional model")
         self.lat = lat
         self.gram = lat.gram
-        self.ginv = mat_inv(lat.gram)
+        self.ginv = gram_inverse(lat.gram)
         self.mu2, self.simplices = covering_radius(lat)
         self.upsilon = eutaxy_coefficients_a3(lat)
         self.mu = math.sqrt(float(self.mu2))
         self.index = _antipodal_index(self.simplices)
-        # Pair k's direction is its smaller vertex, as in _antipodal_index.
-        smaller = sorted({min(x, vec_scale(-1, x)) for s in self.simplices for x in s.x})
-        self.directions = tuple(_unit_direction(lat.embedding, p)[0] for p in smaller)
+        self.directions = tuple(
+            _unit_direction(lat.embedding, p)[0]
+            for p in _pair_representatives(self.simplices)
+        )
         basis = []
-        for k in range(len(smaller)):
+        for k in range(len(self.directions)):
             unit = [[Fraction(int(c == k)) for c in keys] for keys in self.index]
             # solve_treqn checks each basis solution's trace identity.
             basis.append(solve_treqn(unit, self.simplices, self.upsilon, self.gram))
@@ -324,7 +343,7 @@ class CoverEngine:
             excess: dict[int, float] = {}
             for i, s in enumerate(self.simplices):
                 for j, x in enumerate(s.x):
-                    y = vec_add(vec_add(x, mat_vec(m_mat, x)), sol.translations[i])
+                    y = deformed_vertex(m_mat, x, sol.translations[i])
                     norm2 = gram_dot(self.gram, y, y)
                     r_val, ny = radial_value(body, rotation, self.lat.embedding, y)
                     records.append((i, j, x, y, norm2, r_val, ny))
@@ -547,10 +566,12 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
     order driver is the bracket -(1/8) sum rho_ij = -trace M, minimized
     over the grid.
     """
+    if grid_size < 1:
+        raise ValueError("the rotation grid must hold at least one rotation")
     engine = _engine()
     vr = volume_ratio(body)
     ball_density = (4.0 * math.pi / 3.0) * engine.mu**3 / 4.0
-    best: Optional[CoverConstruction] = None
+    best = None
     best_idx = -1
     min_bracket = math.inf
     for idx, u in enumerate(rotation_grid(grid_size)):
@@ -559,7 +580,6 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
         if best is None or c.det_ratio > best.det_ratio:
             best = c
             best_idx = idx
-    assert best is not None
     best_density = ball_density * vr / float(best.det_ratio)
     margin = ball_density - best_density
     return ScanReport(
@@ -630,6 +650,17 @@ class ExtensionWitness:
     translated_points: tuple[VecQ, ...]
 
 
+def kept_simplices(
+    simplices: Sequence[PrimitiveSimplex],
+    pairs: Sequence[tuple[int, int]],
+    pair_index: int,
+) -> tuple[PrimitiveSimplex, ...]:
+    """Both members of every +/- pair but pair_index, in pair order."""
+    return tuple(
+        simplices[m] for k, pair in enumerate(pairs) if k != pair_index for m in pair
+    )
+
+
 @lru_cache(maxsize=8)
 def _classified(lat: LatticeModel):
     return classify_lattice(lat)
@@ -661,19 +692,14 @@ def extension_witness(
         raise WitnessUnavailableError(
             "pair is removable; the redundancy coefficients certify extension"
         )
-    ginv = mat_inv(lat.gram)
-    m_mat = map_matrix(ginv, removal.farkas_form)
+    m_mat = map_matrix(gram_inverse(lat.gram), removal.farkas_form)
     top = max(abs(x) for row in m_mat for x in row)
     m_mat = mat_scale(1 / top, m_mat)
     i0, j0 = ctx.pairs[pair_index]
     s0 = ctx.simplices[i0]
     pole = s0.x[0]
     ball = AugmentedBall(eps=eps, pole=pole, gram=lat.gram)
-    kept = []
-    for k, (a, b) in enumerate(ctx.pairs):
-        if k != pair_index:
-            kept.append(ctx.simplices[a])
-            kept.append(ctx.simplices[b])
+    kept = kept_simplices(ctx.simplices, ctx.pairs, pair_index)
     taus = [Fraction(k, 64) * eps for k in range(-32, 65)]
     scale = Fraction(1, 4)
     while scale >= Fraction(1, 2**30):

@@ -1,5 +1,7 @@
 """Certificate serialization and independent re-checking.
 
+A certificate is its dataclass turned into a dict by dataclasses.asdict
+and tagged with its kind; the field list lives in the dataclass alone.
 Rationals serialize as strings "p" or "p/q" so exactness survives JSON;
 floats stay native JSON numbers (CPython emits the shortest round-trip
 repr, so identical inputs give byte-identical reports).  CSV is used for
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable
 
@@ -29,10 +32,12 @@ from .eutaxy import (
     EutaxyClass,
     ball_conclusion,
     eutaxy_coefficients_a3,
+    gram_inverse,
     map_inner,
     map_matrix,
     map_trace,
     q_map,
+    removal_class,
 )
 from .harmonic import (
     CLCertificate,
@@ -68,9 +73,12 @@ from .perturbation import (
     ExtensionWitness,
     ScanReport,
     AugmentedBall,
+    deformed_vertex,
     exact_cr_after,
+    kept_simplices,
     member_augmented_ball,
     radial_value,
+    trace_identity_sum,
 )
 
 # Largest gap allowed between a stored radial value and its re-evaluation.
@@ -95,7 +103,8 @@ def parse_rat(v) -> Fraction:
 
 
 def rationalize(obj):
-    """Deep-copy a report, rendering every Fraction as a 'p/q' string."""
+    """Deep-copy a report, rendering every Fraction as a 'p/q' string and
+    every tuple as a list."""
     if isinstance(obj, Fraction):
         return rat_str(obj)
     if isinstance(obj, dict):
@@ -121,31 +130,7 @@ def cover_certificate(body: RadialBody, c: CoverConstruction) -> dict:
     return {
         "kind": "cover-construction",
         "body": body_to_dict(body),
-        "rotation": None if c.rotation is None else [list(r) for r in c.rotation],
-        "rho": [list(row) for row in c.rho],
-        "m_form": [list(row) for row in c.m_form],
-        "m_matrix": [list(row) for row in c.m_matrix],
-        "translations": [list(t) for t in c.translations],
-        "trace_m": c.trace_m,
-        "sum_abs_rho": c.sum_abs_rho,
-        "delta": c.delta,
-        "det_ratio": c.det_ratio,
-        "delta_tangent": c.delta_tangent,
-        "epsilon_prime": c.epsilon_prime,
-        "lower_bound": c.lower_bound,
-        "checks": [
-            {
-                "simplex": k.simplex,
-                "vertex": k.vertex,
-                "y": list(k.y),
-                "norm2": k.norm2,
-                "radial_value": k.radial_value,
-                "lhs": k.lhs,
-                "rhs": k.rhs,
-                "margin": k.margin,
-            }
-            for k in c.checks
-        ],
+        **asdict(c),
         "float_tolerance": FLOAT_TOLERANCE,
     }
 
@@ -153,47 +138,17 @@ def cover_certificate(body: RadialBody, c: CoverConstruction) -> dict:
 def scan_certificate(body: RadialBody, report: ScanReport) -> dict:
     return {
         "kind": "scan-report",
-        "grid_size": report.grid_size,
-        "volume_ratio": report.volume_ratio,
-        "ball_density": report.ball_density,
-        "best_index": report.best_index,
+        **asdict(report),
         "best": cover_certificate(body, report.best),
-        "best_density": report.best_density,
-        "margin": report.margin,
-        "min_bracket": report.min_bracket,
-        "delta_k_bound": report.delta_k_bound,
-        "trace_estimate": report.trace_estimate,
     }
 
 
 def witness_certificate(w: ExtensionWitness) -> dict:
-    return {
-        "kind": "extension-witness",
-        "dimension": w.dimension,
-        "pair_index": w.pair_index,
-        "removed_simplices": list(w.removed_simplices),
-        "farkas_form": [list(row) for row in w.farkas_form],
-        "scale": w.scale,
-        "transform": [list(row) for row in w.transform],
-        "det_t": w.det_t,
-        "mu2": w.mu2,
-        "kept_cr2": list(w.kept_cr2),
-        "grown_cr2": w.grown_cr2,
-        "eps": w.eps,
-        "pole": list(w.pole),
-        "tau": w.tau,
-        "translated_points": [list(p) for p in w.translated_points],
-    }
+    return {"kind": "extension-witness", **asdict(w)}
 
 
 def spectrum_certificate(spec: MultiplierSpectrum) -> dict:
-    return {
-        "kind": "zonal-spectrum",
-        "lmax": spec.lmax,
-        "mass": spec.mass,
-        "cosine_counts": [[c, n] for c, n in spec.cosine_counts],
-        "multipliers": list(spec.multipliers),
-    }
+    return {"kind": "zonal-spectrum", **asdict(spec)}
 
 
 def cl_csv(certs: list[CLCertificate]) -> str:
@@ -214,9 +169,9 @@ def _resolves_identity(coeffs: list[Rat], forms: list[MatQ], gram: MatQ) -> bool
     return combo == gram
 
 
-def _check_conclusion(data: dict, derived: str, bad: list[str]) -> None:
+def _check_conclusion(data: dict, derived: EutaxyClass, bad: list[str]) -> None:
     """Apply eutaxy's rule to the class re-derived from the evidence."""
-    if data["conclusion"] != ball_conclusion(EutaxyClass(derived)):
+    if data["conclusion"] != ball_conclusion(derived):
         bad.append("conclusion does not match the classification rule")
 
 
@@ -246,7 +201,7 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
         for k, f in enumerate(forms):
             if map_inner(ginv, y, f) >= 0:
                 bad.append(f"separating map not strict against map {k}")
-        _check_conclusion(data, cls, bad)
+        _check_conclusion(data, EutaxyClass.NOT_SEMI_EUTACTIC, bad)
         return
     if coeffs is None:
         bad.append("feasible classification without coefficients")
@@ -278,16 +233,12 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
                     bad.append(f"removal {k}: not strict against kept map {i}")
     if len(removable) != len(pairs):
         bad.append("one removal outcome per pair expected")
-    if all(not r for r in removable):
-        expected = "critically-semi-eutactic"
+    expected = removal_class(removable)
+    if expected is EutaxyClass.CRITICALLY_SEMI_EUTACTIC:
         if not data["unique"] or any(c <= 0 for c in cs):
             bad.append("critical case requires unique all-positive coefficients")
-    elif all(removable):
-        expected = "redundantly-semi-eutactic"
-    else:
-        expected = "semi-eutactic"
-    if cls != expected:
-        bad.append(f"classification {cls!r} but evidence says {expected!r}")
+    if cls != expected.value:
+        bad.append(f"classification {cls!r} but evidence says {expected.value!r}")
     _check_conclusion(data, expected, bad)
 
 
@@ -343,12 +294,11 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
         bad.append("body asphericity above threshold")
     lat = build_anstar(3)
     gram = lat.gram
-    ginv = mat_inv(gram)
     mu2, simplices = covering_radius(lat)
     upsilon = eutaxy_coefficients_a3(lat)
     m_form = _parse_mat(data["m_form"])
     m_matrix = _parse_mat(data["m_matrix"])
-    if m_matrix != map_matrix(ginv, m_form):
+    if m_matrix != map_matrix(gram_inverse(gram), m_form):
         bad.append("matrix and form views of M disagree")
     rho = [[parse_rat(x) for x in row] for row in data["rho"]]
     translations = [_parse_vec(t) for t in data["translations"]]
@@ -360,10 +310,7 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
             lhs = gram_dot(gram, x, vec_add(mat_vec(m_matrix, x), translations[i]))
             if lhs != s.cr2 * rho[i][j]:
                 bad.append(f"linear system residual at ({i}, {j})")
-    expected_trace = sum(
-        u * sum(a * r for a, r in zip(s.alpha, rho_i))
-        for u, s, rho_i in zip(upsilon, simplices, rho)
-    )
+    expected_trace = trace_identity_sum(rho, simplices, upsilon)
     if parse_rat(data["trace_m"]) != expected_trace or trace(m_matrix) != expected_trace:
         bad.append("trace identity fails")
     if parse_rat(data["sum_abs_rho"]) != sum(abs(r) for row in rho for r in row):
@@ -374,13 +321,14 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
     if data["float_tolerance"] != FLOAT_TOLERANCE:
         bad.append(f"float tolerance must be {FLOAT_TOLERANCE!r}")
     checks = data["checks"]
-    if len(checks) != sum(len(s.x) for s in simplices):
-        bad.append("membership log incomplete")
+    positions = [(i, j) for i, s in enumerate(simplices) for j in range(len(s.x))]
+    if [(k["simplex"], k["vertex"]) for k in checks] != positions:
+        bad.append("membership log must check every vertex once, in order")
+        return
     shrink2 = (1 - delta) ** 2
     for k in checks:
         i, j = k["simplex"], k["vertex"]
-        x = simplices[i].x[j]
-        y = vec_add(vec_add(x, mat_vec(m_matrix, x)), translations[i])
+        y = deformed_vertex(m_matrix, simplices[i].x[j], translations[i])
         if y != _parse_vec(k["y"]):
             bad.append(f"deformed vertex mismatch at ({i}, {j})")
         norm2 = gram_dot(gram, y, y)
@@ -440,12 +388,15 @@ def _verify_witness(data: dict, bad: list[str]) -> None:
         return
     lat = build_anstar(dim)
     gram = lat.gram
-    ginv = mat_inv(gram)
+    ginv = gram_inverse(gram)
     mu2, simplices = covering_radius(lat)
     pairs = negative_pairs(simplices)
     if parse_rat(data["mu2"]) != mu2:
         bad.append("covering radius mismatched")
     pair_index = data["pair_index"]
+    if type(pair_index) is not int or not 0 <= pair_index < len(pairs):
+        bad.append(f"pair index {pair_index!r} is not an integer from 0 to {len(pairs) - 1}")
+        return
     if tuple(data["removed_simplices"]) != pairs[pair_index]:
         bad.append("removed pair does not match the pair table")
         return
@@ -458,19 +409,11 @@ def _verify_witness(data: dict, bad: list[str]) -> None:
     farkas = _parse_mat(data["farkas_form"])
     if map_trace(ginv, farkas) <= 0:
         bad.append("separating map has nonpositive trace")
-    kept_forms = [
-        q_map(simplices[i], gram).form
-        for k, (i, _) in enumerate(pairs)
-        if k != pair_index
-    ]
-    for i, f in enumerate(kept_forms):
-        if map_inner(ginv, farkas, f) >= 0:
+    kept = kept_simplices(simplices, pairs, pair_index)
+    # a pair's two members share one map
+    for i, s in enumerate(kept[::2]):
+        if map_inner(ginv, farkas, q_map(s, gram).form) >= 0:
             bad.append(f"separating map not strict against kept pair {i}")
-    kept = []
-    for k, (a, b) in enumerate(pairs):
-        if k != pair_index:
-            kept.append(simplices[a])
-            kept.append(simplices[b])
     stored = [parse_rat(c) for c in data["kept_cr2"]]
     if len(stored) != len(kept):
         bad.append("kept circumradius list incomplete")
@@ -479,8 +422,7 @@ def _verify_witness(data: dict, bad: list[str]) -> None:
             bad.append(f"kept circumradius {idx} mismatched")
         if c >= mu2:
             bad.append(f"kept simplex {idx} no longer strictly inside")
-    i0 = pairs[pair_index][0]
-    s0 = simplices[i0]
+    s0 = simplices[pairs[pair_index][0]]
     if parse_rat(data["grown_cr2"]) != exact_cr_after(t_map, s0, gram):
         bad.append("grown circumradius mismatched")
     pole = _parse_vec(data["pole"])

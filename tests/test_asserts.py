@@ -10,10 +10,10 @@ import ballcover
 
 PACKAGE = Path(ballcover.__file__).parent
 
-# The asserts left in the package: shape checks in linalg's small helpers,
-# two argument checks in bodies and one in rotation_scan.  Lower this when
-# one of them becomes an exception; a new guarantee must not rest on assert.
-ASSERT_LIMIT = 8
+# The asserts left in the package: shape checks in linalg's small helpers
+# and the order check of bodies._assoc_legendre.  Lower this when one of
+# them becomes an exception; a new guarantee must not rest on assert.
+ASSERT_LIMIT = 6
 
 
 def test_assert_count_does_not_grow():
@@ -33,8 +33,8 @@ from fractions import Fraction
 
 import ballcover.lattice as lattice
 import ballcover.linalg as linalg
-from ballcover.bodies import ball_body
-from ballcover.perturbation import _engine
+from ballcover.bodies import ball_body, real_sph_harm
+from ballcover.perturbation import _engine, rotation_scan
 
 print("debug", __debug__)
 
@@ -93,6 +93,8 @@ patched(lattice, "_translation_key", lambda vertices: 0, "anstar-duplicate", bui
 
 engine = _engine()
 patched(math, "acos", lambda x: 1.5, "tangent-bound", engine.construct, ball_body())
+expect("empty-grid", rotation_scan, ball_body(), 0)
+expect("zero-direction", real_sph_harm, 4, 0, (0.0, 0.0, 0.0))
 '''
 
 
@@ -115,4 +117,6 @@ def test_checks_raise_with_asserts_stripped():
         "anstar-gram RuntimeError",
         "anstar-duplicate RuntimeError",
         "tangent-bound RuntimeError",
+        "empty-grid ValueError",
+        "zero-direction ValueError",
     ]

@@ -13,8 +13,15 @@ import pytest
 import ballcover
 from ballcover.bodies import make_body, save_body
 from ballcover.cli import main
+from ballcover.linalg import det, identity, mat_add
 from ballcover.perturbation import build_cover, rotation_grid
-from ballcover.reports import cover_certificate, dump_json, parse_rat, verify_certificate
+from ballcover.reports import (
+    cover_certificate,
+    dump_json,
+    parse_rat,
+    rat_str,
+    verify_certificate,
+)
 
 
 def run(capsys, *argv):
@@ -380,3 +387,68 @@ def test_verify_rejects_unsupported_witness_dimension(capsys, tmp_path):
     proc = run_optimized("verify", "--certificate", str(tmp_path / "dim-9.json"))
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "verification failure: dimension 9 is not an integer from 2 to 5\n"
+
+
+def test_scan_output_is_pinned(capsys, tmp_path):
+    # A scan carries floats (rotation, radial values, densities) from libm,
+    # so unlike the pins above this one assumes IEEE doubles and a libm that
+    # rounds sin, cos and acos the same way.
+    body_file = tmp_path / "body.json"
+    save_body(make_body([(4, 0, 0.01)]), str(body_file))
+    cert = tmp_path / "scan.json"
+    code, out, _ = run(
+        capsys, "construct", "--body", str(body_file), "--grid", "8", "--out", str(cert)
+    )
+    assert code == 0
+    assert out == cert.read_text()
+    assert sha256(cert) == "63793ec5339ee60776636179df089058c9c73f1e8819ac21790131477efd9fe5"
+
+
+def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):
+    # Zero the contraction, recompute every value that depends on it, and
+    # pad the membership log with the vertices that still pass.
+    body_file = tmp_path / "body.json"
+    save_body(make_body([(4, 0, 0.02 / 3)]), str(body_file))
+    cert = tmp_path / "scan.json"
+    code, _, _ = run(
+        capsys, "construct", "--body", str(body_file), "--grid", "8", "--out", str(cert)
+    )
+    assert code == 0
+    data = json.loads(cert.read_text())
+    best = data["best"]
+    m_matrix = [[parse_rat(x) for x in row] for row in best["m_matrix"]]
+    det_ratio = det(mat_add(identity(3), m_matrix))
+    best["delta"] = "0"
+    best["det_ratio"] = rat_str(det_ratio)
+    passing = []
+    for k in best["checks"]:
+        k["lhs"] = k["norm2"]
+        if parse_rat(k["lhs"]) <= parse_rat(k["rhs"]):
+            passing.append(k)
+    assert 0 < len(passing) < len(best["checks"])
+    best["checks"] = [passing[n % len(passing)] for n in range(len(best["checks"]))]
+    ball = data["ball_density"]
+    data["best_density"] = ball * data["volume_ratio"] / float(det_ratio)
+    data["margin"] = ball - data["best_density"]
+    data["delta_k_bound"] = 1.0 - ball / data["best_density"]
+    cert.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    assert err == "verification failure: membership log must check every vertex once, in order\n"
+
+
+def test_verify_rejects_bad_witness_pair_index(capsys, tmp_path):
+    cert = tmp_path / "wit.json"
+    code, _, _ = run(capsys, "witness", "--dim", "3", "--pair", "1", "--out", str(cert))
+    assert code == 0
+    data = json.loads(cert.read_text())
+    # True would index pair 1, -1 the last pair, 3 past the end
+    for index in (True, -1, 3):
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(dict(data, pair_index=index)))
+        code, out, err = run(capsys, "verify", "--certificate", str(forged))
+        assert code == 1
+        assert out == ""
+        message = f"pair index {index!r} is not an integer from 0 to 2"
+        assert err == f"verification failure: {message}\n"

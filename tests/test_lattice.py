@@ -174,7 +174,7 @@ def test_delone_geometry_solved_once_per_model(monkeypatch):
     # One solve per Delone class, shared by all four readers.
     assert len(calls) == len(moved.delone_classes) == 6
     assert [c["circumcenter"] for c in report["classes"]] == [
-        list(p.center) for p in moved.simplices
+        p.center for p in moved.simplices
     ]
     # The cached simplices are not a field: a model without them is equal.
     fresh = change_basis(build_anstar(3), u)
