@@ -57,7 +57,8 @@ def is_normalized(body: RadialBody) -> bool:
 
 def _assoc_legendre(l: int, m: int, x):
     """P_lm without the (-1)^m phase; x may be a float or an ndarray."""
-    assert 0 <= m <= l
+    if not 0 <= m <= l:
+        raise ValueError(f"order {m} outside 0..{l}")
     somx2 = (1.0 - x * x) ** 0.5
     pmm = 1.0 if not isinstance(x, np.ndarray) else np.ones_like(x)
     fact = 1.0

@@ -234,6 +234,12 @@ def classify_lattice(lat: LatticeModel) -> LatticeEutaxy:
     )
 
 
+@lru_cache(maxsize=8)
+def classified(lat: LatticeModel) -> LatticeEutaxy:
+    """classify_lattice(lat), computed once per model."""
+    return classify_lattice(lat)
+
+
 def eutaxy_coefficients_a3(lat: LatticeModel) -> tuple[Rat, ...]:
     """Exact per-simplex weights resolving the identity, for 3-dimensional
     models with the permutohedral Delone structure (six simplex classes).
@@ -244,7 +250,7 @@ def eutaxy_coefficients_a3(lat: LatticeModel) -> tuple[Rat, ...]:
     """
     if lat.n != 3:
         raise ValueError("the model must be 3-dimensional")
-    ctx = classify_lattice(lat)
+    ctx = classified(lat)
     if len(ctx.simplices) != 6:
         raise ValueError("the model must have six Delone simplex classes")
     cls = ctx.report.classification

@@ -46,7 +46,8 @@ def vec(entries: Sequence) -> VecQ:
 
 def mat(rows: Sequence[Sequence]) -> MatQ:
     m = tuple(vec(row) for row in rows)
-    assert all(len(row) == len(m[0]) for row in m), "ragged matrix"
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("ragged matrix")
     return m
 
 
@@ -65,12 +66,14 @@ def transpose(a: MatQ) -> MatQ:
 
 
 def mat_vec(a: MatQ, v: VecQ) -> VecQ:
-    assert len(a[0]) == len(v)
+    if len(a[0]) != len(v):
+        raise ValueError("matrix columns and vector length differ")
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
 def mat_mul(a: MatQ, b: MatQ) -> MatQ:
-    assert len(a[0]) == len(b)
+    if len(a[0]) != len(b):
+        raise ValueError("inner matrix dimensions differ")
     bt = transpose(b)
     return tuple(
         tuple(sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt) for ra in a
@@ -98,7 +101,8 @@ def vec_scale(c: Rat, u: VecQ) -> VecQ:
 
 
 def vec_dot(u: VecQ, v: VecQ) -> Rat:
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError("vector lengths differ")
     return sum(x * y for x, y in zip(u, v))
 
 
@@ -117,7 +121,8 @@ def trace(a: MatQ) -> Rat:
 
 def trace_product(a: MatQ, b: MatQ) -> Rat:
     """trace(a * b); the Frobenius pairing when both are symmetric."""
-    assert len(a[0]) == len(b)
+    if len(a[0]) != len(b):
+        raise ValueError("inner matrix dimensions differ")
     return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(b)))
 
 

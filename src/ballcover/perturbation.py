@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .bodies import (
@@ -41,7 +42,7 @@ from .bodies import (
     volume_ratio,
 )
 from .eutaxy import (
-    classify_lattice,
+    classified,
     eutaxy_coefficients_a3,
     gram_inverse,
     map_inner,
@@ -64,6 +65,7 @@ from .linalg import (
     det,
     gram_dot,
     identity,
+    integer_scaled,
     mat,
     mat_add,
     mat_mul,
@@ -75,6 +77,7 @@ from .linalg import (
     trace_product,
     vec,
     vec_add,
+    vec_dot,
     vec_scale,
 )
 
@@ -171,6 +174,32 @@ def _check_trace_identity(
         raise RuntimeError(f"trace identity fails: {trace_m} != {expected}")
 
 
+@dataclass(frozen=True)
+class TreqnSystem:
+    """The half of solve_treqn that does not depend on the rho table."""
+
+    index: tuple[tuple[int, ...], ...]
+    constrained: tuple[int, ...]
+    maps: tuple[MatQ, ...]
+    rows: tuple[MatQ, ...]
+
+
+@lru_cache(maxsize=8)
+def _treqn_system(simplices: tuple[PrimitiveSimplex, ...], gram: MatQ) -> TreqnSystem:
+    """Antipodal index, one constrained simplex per +/- pair with its map
+    G^-1 Q_S, and every simplex's translation rows (G x_j)^T."""
+    ginv = gram_inverse(gram)
+    constrained = tuple(i for i, _ in negative_pairs(simplices))
+    return TreqnSystem(
+        index=_antipodal_index(simplices),
+        constrained=constrained,
+        maps=tuple(
+            map_matrix(ginv, _simplex_form(simplices[i], gram)) for i in constrained
+        ),
+        rows=tuple(mat([mat_vec(gram, x) for x in s.x]) for s in simplices),
+    )
+
+
 def solve_treqn(
     rho: Sequence[Sequence[Rat]],
     simplices: Sequence[PrimitiveSimplex],
@@ -187,35 +216,29 @@ def solve_treqn(
     rho[i][j] aligns with simplices[i].x[j] and must agree across each
     +/- pair of simplices (an even perturbation sees antipodal vertices
     identically); a table that does not raises ValueError.  M is resolved
-    in the span of the simplex maps; the trace identity
-    trace M = sum ups_i alpha_ij rho_ij is checked.
+    as a map in the span of the simplex maps G^-1 Q_S, under the pairing
+    trace(A B); the trace identity trace M = sum ups_i alpha_ij rho_ij is
+    checked.
     """
-    ginv = gram_inverse(gram)
-    _pair_values(rho, _antipodal_index(simplices))
-    constraints = []
-    for i, _ in negative_pairs(tuple(simplices)):
-        s = simplices[i]
-        mean = sum(a * Fraction(r) for a, r in zip(s.alpha, rho[i]))
-        constraints.append((q_map(s, gram).form, Fraction(mean)))
-
-    def inner(x: MatQ, y: MatQ) -> Rat:
-        return map_inner(ginv, x, y)
-
-    m_form = min_norm_solution(constraints, inner=inner)
+    system = _treqn_system(tuple(simplices), gram)
+    _pair_values(rho, system.index)
+    constraints = [
+        (a, Fraction(sum(w * Fraction(r) for w, r in zip(simplices[i].alpha, rho[i]))))
+        for i, a in zip(system.constrained, system.maps)
+    ]
+    m_mat = min_norm_solution(constraints)
     translations = []
-    for i, s in enumerate(simplices):
-        rows = [tuple(mat_vec(gram, x)) for x in s.x]
+    for i, (s, rows) in enumerate(zip(simplices, system.rows)):
         rhs = [
-            s.cr2 * Fraction(rho[i][j])
-            - gram_dot(gram, s.x[j], mat_vec(ginv, mat_vec(m_form, s.x[j])))
-            for j in range(len(s.x))
+            s.cr2 * Fraction(rho[i][j]) - vec_dot(w, mat_vec(m_mat, x))
+            for j, (w, x) in enumerate(zip(rows, s.x))
         ]
-        res = solve_affine(mat(rows), vec(rhs))
+        res = solve_affine(rows, vec(rhs))
         if not res.unique:
             raise RuntimeError("translation system must be determined")
         translations.append(res.particular)
-    _check_trace_identity(trace(mat_mul(ginv, m_form)), rho, simplices, upsilon)
-    return TreqnSolution(m_form=m_form, translations=tuple(translations))
+    _check_trace_identity(trace(m_mat), rho, simplices, upsilon)
+    return TreqnSolution(m_form=mat_mul(gram, m_mat), translations=tuple(translations))
 
 
 def deformed_vertex(m_mat: MatQ, x: VecQ, t: VecQ) -> VecQ:
@@ -265,6 +288,15 @@ class CoverEngine:
     exact rational combinations of them, which equals solve_treqn's answer
     Fraction for Fraction.  Per rotation no Gram inversion, normal equation
     or translation system is solved.
+
+    Each deformed vertex is affine in the same values v:
+    y = x + sum_k v_k (M_k x + t_k), with (M_k, t_k) pair k's basis
+    solution.  Setup scales the vertices x and their 12 moves by one common
+    denominator to integers.  For dyadic values v = nums / 2^shift every y,
+    its embedded direction and its Gram products then have exact integer
+    numerators (`_directions_at`, `_vertices_at`), and each float is a
+    quotient of integers, which Python rounds correctly, exactly as float()
+    rounds the equal Fraction.
     """
 
     def __init__(self, lat: LatticeModel):
@@ -295,16 +327,43 @@ class CoverEngine:
             for i in range(len(self.simplices))
         )
 
+        # Vertex v = (i, j) in simplex order and its pair number.  Its affine
+        # map is the 3 x 13 matrix [x | M_0 x + t_i0 | ... | M_11 x + t_i11],
+        # applied to (1, v_0, ..., v_11); all 24 are scaled by self.scale.
+        self.positions = tuple(
+            (i, j, x) for i, s in enumerate(self.simplices) for j, x in enumerate(s.x)
+        )
+        self.pair_of = tuple(k for keys in self.index for k in keys)
+        maps = [map_matrix(self.ginv, b.m_form) for b in basis]
+        columns = []
+        for i, _, x in self.positions:
+            columns.append(x)
+            columns.extend(
+                vec_add(mat_vec(m, x), b.translations[i]) for m, b in zip(maps, basis)
+            )
+        ints, self.scale = integer_scaled(columns)
+        width = len(basis) + 1
+        self._vertex_maps = [
+            tuple(zip(*ints[v : v + width])) for v in range(0, len(ints), width)
+        ]
+        self._embedding, self._embedding_scale = integer_scaled(lat.embedding)
+        self._gram, self._gram_scale = integer_scaled(self.gram)
+        self._gram_points = [_int_mat_vec(self._gram, p) for p in ints[::width]]
+        self._point_norms = [
+            math.sqrt(float(gram_dot(self.gram, x, x))) for _, _, x in self.positions
+        ]
+
     def solve(self, rho: Sequence[Sequence[Rat]]) -> TreqnSolution:
         """solve_treqn(rho, simplices, upsilon, gram) by the precomputed operator.
 
         Raises ValueError for a table that breaks the +/- vertex symmetry
         and RuntimeError if the trace identity fails, as solve_treqn does.
         """
-        values = _pair_values(rho, self.index)
+        (values,), scale = integer_scaled([_pair_values(rho, self.index)])
 
         def combine(coeffs: tuple[Rat, ...]) -> Rat:
-            return sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
+            (ints,), c_scale = integer_scaled([coeffs])
+            return Fraction(sum(map(mul, ints, values)), c_scale * scale)
 
         m_form = tuple(tuple(combine(e) for e in row) for row in self.m_operator)
         translations = tuple(tuple(combine(e) for e in t) for t in self.t_operator)
@@ -312,6 +371,41 @@ class CoverEngine:
             trace_product(self.ginv, m_form), rho, self.simplices, self.upsilon
         )
         return TreqnSolution(m_form=m_form, translations=translations)
+
+    def _numerators(self, nums: Sequence[int], shift: int) -> list[list[int]]:
+        """y * (scale << shift) for every deformed vertex y at the pair
+        values nums / 2^shift."""
+        point = [1 << shift, *nums]
+        return [_int_mat_vec(a, point) for a in self._vertex_maps]
+
+    def _directions_at(
+        self, nums: Sequence[int], shift: int
+    ) -> list[tuple[tuple[float, ...], float]]:
+        """_unit_direction of every deformed vertex at the pair values
+        nums / 2^shift, float for float, from the integer tables."""
+        den = (self._embedding_scale * self.scale) << shift
+        return [
+            _unit([c / den for c in _int_mat_vec(self._embedding, num)])
+            for num in self._numerators(nums, shift)
+        ]
+
+    def _vertices_at(
+        self, nums: Sequence[int], shift: int
+    ) -> list[tuple[VecQ, Rat, float]]:
+        """Every deformed vertex y at the pair values nums / 2^shift, with
+        <y, y> and float(<x, y>), exactly, from the integer tables."""
+        den = self.scale << shift
+        out = []
+        for num, gram_x in zip(self._numerators(nums, shift), self._gram_points):
+            norm2 = sum(map(mul, num, _int_mat_vec(self._gram, num)))
+            out.append(
+                (
+                    tuple(Fraction(c, den) for c in num),
+                    Fraction(norm2, self._gram_scale * den * den),
+                    sum(map(mul, gram_x, num)) / (self._gram_scale * self.scale * den),
+                )
+            )
+        return out
 
     def construct(
         self,
@@ -329,32 +423,43 @@ class CoverEngine:
         directions = self.directions
         if rotation is not None:
             directions = [_apply_transposed(rotation, d) for d in directions]
-        values = [Fraction(body_rho(body, d)) for d in directions]
+        nums, shift = _dyadic([body_rho(body, d) for d in directions])
         # Re-target the per-vertex equations by the measured radial excess a
         # few times: the leftover contraction is then higher order in the
         # amplitude instead of quadratic.  Updates go through one value per
-        # antipodal pair, keeping the +/- symmetry exact.
-        for _ in range(4):
-            table = tuple(tuple(values[k] for k in keys) for keys in self.index)
-            sol = self.solve(table)
-            m_mat = map_matrix(self.ginv, sol.m_form)
-            records = []
+        # antipodal pair, keeping the +/- symmetry exact; the values stay
+        # dyadic, held as integers over 2^shift.
+        for step in range(4):
+            radial = [
+                (_radial(body, rotation, d), ny)
+                for d, ny in self._directions_at(nums, shift)
+            ]
             delta_float = 0.0
             excess: dict[int, float] = {}
-            for i, s in enumerate(self.simplices):
-                for j, x in enumerate(s.x):
-                    y = deformed_vertex(m_mat, x, sol.translations[i])
-                    norm2 = gram_dot(self.gram, y, y)
-                    r_val, ny = radial_value(body, rotation, self.lat.embedding, y)
-                    records.append((i, j, x, y, norm2, r_val, ny))
-                    delta_float = max(delta_float, 1.0 - self.mu * r_val / ny)
-                    k = self.index[i][j]
-                    o = ny / (self.mu * r_val) - 1.0
-                    if k not in excess or abs(o) > abs(excess[k]):
-                        excess[k] = o
-            if max(abs(o) for o in excess.values()) <= 2.0**-34:
+            for k, (r_val, ny) in zip(self.pair_of, radial):
+                delta_float = max(delta_float, 1.0 - self.mu * r_val / ny)
+                o = ny / (self.mu * r_val) - 1.0
+                if k not in excess or abs(o) > abs(excess[k]):
+                    excess[k] = o
+            if step == 3 or max(abs(o) for o in excess.values()) <= 2.0**-34:
                 break
-            values = [v - Fraction(excess[k]) for k, v in enumerate(values)]
+            moved, by = _dyadic([excess[k] for k in range(len(nums))])
+            top = max(shift, by)
+            nums = [
+                (n << (top - shift)) - (m << (top - by)) for n, m in zip(nums, moved)
+            ]
+            shift = top
+        values = [Fraction(n, 1 << shift) for n in nums]
+        table = tuple(tuple(values[k] for k in keys) for keys in self.index)
+        sol = self.solve(table)
+        m_mat = map_matrix(self.ginv, sol.m_form)
+        vertices = self._vertices_at(nums, shift)
+        records = [
+            (i, j, x, y, norm2, r_val, ny)
+            for (i, j, x), (y, norm2, _), (r_val, ny) in zip(
+                self.positions, vertices, radial
+            )
+        ]
         trace_m = trace(m_mat)
         sum_abs = sum(abs(r) for row in table for r in row)
         delta = self._certify_delta(delta_float, records)
@@ -383,9 +488,7 @@ class CoverEngine:
         eps = body.eps
         beta = math.acos((1.0 - eps) / (1.0 + eps)) if eps > 0 else 0.0
         delta_tan = 0.0
-        for i, j, x, y, norm2, r_val, ny in records:
-            dot = float(gram_dot(self.gram, x, y))
-            nx = math.sqrt(float(gram_dot(self.gram, x, x)))
+        for (_, _, dot), (_, ny), nx in zip(vertices, radial, self._point_norms):
             cosg = max(-1.0, min(1.0, dot / (nx * ny)))
             gamma = math.acos(cosg)
             denom = 1.0 - 0.5 * (beta - gamma) ** 2
@@ -431,6 +534,23 @@ class CoverEngine:
         raise RuntimeError("contraction certification did not settle")
 
 
+def _dyadic(values: Sequence) -> tuple[list[int], int]:
+    """Integers nums and shift with values[k] = nums[k] / 2^shift exactly.
+
+    Takes floats, ints and dyadic Fractions; raises ValueError for a
+    rational whose denominator is not a power of two.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    if any(d & (d - 1) for _, d in ratios):
+        raise ValueError("values must be dyadic rationals")
+    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
+
+
+def _int_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in a]
+
+
 @lru_cache(maxsize=1)
 def _engine() -> CoverEngine:
     return CoverEngine(build_anstar(3))
@@ -455,16 +575,27 @@ def radial_value(
     radial value is re-derived from the certificate's body, rotation and y.
     """
     d, ny = _unit_direction(embedding, y)
+    return _radial(body, rotation, d), ny
+
+
+def _radial(
+    body: RadialBody, rotation: Optional[Sequence[Sequence[float]]], d
+) -> float:
+    """Float r_K = 1 + rho of the rotated body in the unit direction d."""
     if rotation is not None:
         d = _apply_transposed(rotation, d)
-    return 1.0 + body_rho(body, d), ny
+    return 1.0 + body_rho(body, d)
 
 
 def _unit_direction(embedding: MatQ, y: VecQ) -> tuple[tuple[float, ...], float]:
     """Float unit vector toward lattice point y, and |y|."""
-    e = [float(c) for c in mat_vec(embedding, y)]
-    ny = math.sqrt(sum(c * c for c in e))
-    return (e[0] / ny, e[1] / ny, e[2] / ny), ny
+    return _unit([float(c) for c in mat_vec(embedding, y)])
+
+
+def _unit(e: Sequence[float]) -> tuple[tuple[float, ...], float]:
+    """The float vector e over its length, and the length."""
+    ne = math.sqrt(sum(c * c for c in e))
+    return (e[0] / ne, e[1] / ne, e[2] / ne), ne
 
 
 def _apply_transposed(
@@ -489,29 +620,31 @@ def _quaternion_matrix(
     )
 
 
-def rotation_grid(size: int) -> tuple[tuple[tuple[float, ...], ...], ...]:
-    """Seed-free low-discrepancy rotation sample (double spiral on S^3)."""
+def grid_rotation(index: int, size: int) -> tuple[tuple[float, ...], ...]:
+    """Rotation number `index` of the `size`-rotation grid (double spiral
+    on S^3)."""
     phi = math.sqrt(2.0)
     psi = 1.533751168755204288118041
-    out = []
-    for i in range(size):
-        s = i + 0.5
-        t = s / size
-        r = math.sqrt(t)
-        big = math.sqrt(1.0 - t)
-        alpha = 2.0 * math.pi * s / phi
-        beta = 2.0 * math.pi * s / psi
-        out.append(
-            _quaternion_matrix(
-                (
-                    r * math.sin(alpha),
-                    r * math.cos(alpha),
-                    big * math.sin(beta),
-                    big * math.cos(beta),
-                )
-            )
+    s = index + 0.5
+    t = s / size
+    r = math.sqrt(t)
+    big = math.sqrt(1.0 - t)
+    alpha = 2.0 * math.pi * s / phi
+    beta = 2.0 * math.pi * s / psi
+    return _quaternion_matrix(
+        (
+            r * math.sin(alpha),
+            r * math.cos(alpha),
+            big * math.sin(beta),
+            big * math.cos(beta),
         )
-    return tuple(out)
+    )
+
+
+def rotation_grid(size: int) -> tuple[tuple[tuple[float, ...], ...], ...]:
+    """Seed-free low-discrepancy rotation sample: grid_rotation(i, size)
+    for i below size."""
+    return tuple(grid_rotation(i, size) for i in range(size))
 
 
 def _fibonacci_directions(size: int):
@@ -661,11 +794,6 @@ def kept_simplices(
     )
 
 
-@lru_cache(maxsize=8)
-def _classified(lat: LatticeModel):
-    return classify_lattice(lat)
-
-
 def extension_witness(
     lat: LatticeModel, pair_index: int, eps: Rat = Fraction(1, 100)
 ) -> ExtensionWitness:
@@ -684,7 +812,7 @@ def extension_witness(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ctx = _classified(lat)
+    ctx = classified(lat)
     if pair_index < 0 or pair_index >= len(ctx.pairs):
         raise ValueError("pair index out of range")
     removal = ctx.report.removals[pair_index]

@@ -75,6 +75,7 @@ from .perturbation import (
     AugmentedBall,
     deformed_vertex,
     exact_cr_after,
+    grid_rotation,
     kept_simplices,
     member_augmented_ball,
     radial_value,
@@ -368,17 +369,11 @@ def _verify_scan(data: dict, bad: list[str]) -> None:
         abs_tol=1e-15,
     ):
         bad.append("Delta_K bound inconsistent")
-    if not (0 <= data["best_index"] < data["grid_size"]):
-        bad.append("best rotation index out of range")
-    u = data["best"]["rotation"]
-    if u is None:
-        bad.append("scan winner must record its rotation")
-    else:
-        for i in range(3):
-            for j in range(3):
-                dot = sum(u[k][i] * u[k][j] for k in range(3))
-                if abs(dot - (1.0 if i == j else 0.0)) > 1e-9:
-                    bad.append("stored rotation is not orthogonal")
+    index, size = data["best_index"], data["grid_size"]
+    if type(index) is not int or type(size) is not int or not 0 <= index < size:
+        bad.append("best rotation index must be an integer in [0, grid_size)")
+    elif data["best"]["rotation"] != [list(row) for row in grid_rotation(index, size)]:
+        bad.append("stored rotation is not grid rotation best_index")
 
 
 def _verify_witness(data: dict, bad: list[str]) -> None:
@@ -483,7 +478,9 @@ def verify_certificate(data: object) -> tuple[bool, list[str]]:
         return False, [f"unknown certificate kind: {kind!r}"]
     try:
         checker(data, bad)
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (
+        KeyError, IndexError, OverflowError, TypeError, ValueError, ZeroDivisionError
+    ) as e:
         bad.append(f"malformed certificate: {e!r}")
     return not bad, bad
 

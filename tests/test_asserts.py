@@ -10,10 +10,9 @@ import ballcover
 
 PACKAGE = Path(ballcover.__file__).parent
 
-# The asserts left in the package: shape checks in linalg's small helpers
-# and the order check of bodies._assoc_legendre.  Lower this when one of
-# them becomes an exception; a new guarantee must not rest on assert.
-ASSERT_LIMIT = 6
+# Every check in the package raises; a new guarantee must not rest on
+# assert.
+ASSERT_LIMIT = 0
 
 
 def test_assert_count_does_not_grow():
@@ -60,6 +59,8 @@ def patched(module, name, value, label, fn, *args, **kwargs):
 eye = linalg.identity(2)
 real_mat_vec = linalg.mat_vec
 expect("det-square", linalg.det, ((Fraction(1), Fraction(2)),))
+expect("ragged-matrix", linalg.mat, [[1, 2], [3]])
+expect("shape-mismatch", linalg.mat_vec, eye, (Fraction(1),))
 patched(
     linalg, "mat_vec", lambda a, v: tuple(x + 1 for x in real_mat_vec(a, v)),
     "resubstitution", linalg.solve_affine, eye, (Fraction(1), Fraction(2)),
@@ -108,6 +109,8 @@ def test_checks_raise_with_asserts_stripped():
     assert proc.stdout.splitlines() == [
         "debug False",
         "det-square ValueError",
+        "ragged-matrix ValueError",
+        "shape-mismatch ValueError",
         "resubstitution RuntimeError",
         "min-norm-recheck RuntimeError",
         "vertex-count ValueError",

@@ -452,3 +452,29 @@ def test_verify_rejects_bad_witness_pair_index(capsys, tmp_path):
         assert out == ""
         message = f"pair index {index!r} is not an integer from 0 to 2"
         assert err == f"verification failure: {message}\n"
+
+
+def test_verify_ties_the_scan_rotation_to_the_grid(capsys, tmp_path):
+    body_file = tmp_path / "body.json"
+    save_body(make_body([(4, 0, 0.02 / 3)]), str(body_file))
+    cert = tmp_path / "scan.json"
+    code, _, _ = run(
+        capsys, "construct", "--body", str(body_file), "--grid", "40", "--out", str(cert)
+    )
+    assert code == 0
+    data = json.loads(cert.read_text())
+    assert verify_certificate(data) == (True, [])
+    # The stored rotation is not grid rotation 7 of 5000, and a huge grid
+    # costs the verifier one rotation, not the whole grid.
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(dict(data, best_index=7, grid_size=5000)))
+    code, out, err = run(capsys, "verify", "--certificate", str(forged))
+    assert code == 1
+    assert out == ""
+    assert err == "verification failure: stored rotation is not grid rotation best_index\n"
+    index_error = "best rotation index must be an integer in [0, grid_size)"
+    for index, size in ((True, 40), (data["best_index"], 40.0), (40, 40), (-1, 40)):
+        ok, bad = verify_certificate(dict(data, best_index=index, grid_size=size))
+        assert (ok, bad) == (False, [index_error])
+    ok, bad = verify_certificate(dict(data, grid_size=10**400))
+    assert not ok and bad[0].startswith("malformed certificate: OverflowError")

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballcover.bodies import ball_body, make_body
 from ballcover.eutaxy import map_matrix, q_map
@@ -29,10 +31,16 @@ from ballcover.perturbation import (
     CoverEngine,
     WitnessUnavailableError,
     _antipodal_index,
+    _dyadic,
+    _engine,
+    _pair_values,
+    _unit_direction,
     build_cover,
+    deformed_vertex,
     exact_cr_after,
     extension_witness,
     first_order_cr,
+    grid_rotation,
     member_augmented_ball,
     multiplier_image_max,
     rotation_grid,
@@ -218,6 +226,57 @@ def test_construct_solves_no_system_per_rotation(monkeypatch):
     body = make_body([(4, 0, 0.01)])
     c = engine.construct(body, rotation=rotation_grid(8)[3])
     assert all(chk.lhs <= chk.rhs for chk in c.checks)
+
+
+def bits(xs):
+    return [x.hex() for x in xs]
+
+
+def assert_integer_tables_match(engine, values):
+    # The integer vertex kernel against the Fraction path it replaces, bit
+    # for bit: y, <y, y>, float(<x, y>) and the float unit direction.
+    nums, shift = _dyadic(values)
+    sol = engine.solve(tuple(tuple(values[k] for k in keys) for keys in engine.index))
+    m_mat = map_matrix(engine.ginv, sol.m_form)
+    kernel = zip(
+        engine.positions, engine._directions_at(nums, shift), engine._vertices_at(nums, shift)
+    )
+    for (i, _, x), (d, ny), (y, norm2, dot) in kernel:
+        ref = deformed_vertex(m_mat, x, sol.translations[i])
+        assert y == ref
+        assert norm2 == gram_dot(engine.gram, ref, ref)
+        assert dot.hex() == float(gram_dot(engine.gram, x, ref)).hex()
+        ref_d, ref_ny = _unit_direction(engine.lat.embedding, ref)
+        assert bits(d) + [ny.hex()] == bits(ref_d) + [ref_ny.hex()]
+
+
+DYADIC = st.builds(
+    lambda n, e: Fraction(n, 2**e), st.integers(-(2**64), 2**64), st.integers(0, 120)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(DYADIC, min_size=12, max_size=12))
+def test_integer_tables_match_fraction_path_on_dyadic_tables(values):
+    assert_integer_tables_match(_engine(), values)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 39),
+    st.sampled_from([((4, 0, 0.02 / 3),), ((4, 1, 0.003), (6, -5, 0.002), (8, 8, 0.001))]),
+)
+def test_integer_tables_match_fraction_path_on_grid_rotations(index, coeffs):
+    engine = _engine()
+    c = engine.construct(make_body(coeffs), rotation=grid_rotation(index, 40))
+    assert_integer_tables_match(engine, _pair_values(c.rho, engine.index))
+
+
+def test_dyadic_scaling():
+    assert _dyadic([0.75, 3, Fraction(-5, 8)]) == ([6, 24, -5], 3)
+    assert _dyadic([]) == ([], 0)
+    with pytest.raises(ValueError, match="dyadic"):
+        _dyadic([Fraction(1, 3)])
 
 
 def test_engine_rejects_other_models():
