@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class RadialBody:
@@ -60,7 +58,7 @@ def _assoc_legendre(l: int, m: int, x):
     if not 0 <= m <= l:
         raise ValueError(f"order {m} outside 0..{l}")
     somx2 = (1.0 - x * x) ** 0.5
-    pmm = 1.0 if not isinstance(x, np.ndarray) else np.ones_like(x)
+    pmm = 1.0
     fact = 1.0
     for _ in range(m):
         pmm = pmm * fact * somx2
@@ -107,7 +105,10 @@ def volume_ratio(body: RadialBody) -> float:
 
     Product Gauss-Legendre x uniform quadrature, sized to integrate the
     degree <= 3 lmax integrand exactly; the only error is float roundoff.
+    The one user of numpy in the package, so only `construct` loads it.
     """
+    import numpy as np
+
     if not body.coeffs:
         return 1.0
     deg = 3 * body.lmax

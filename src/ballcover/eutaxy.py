@@ -23,23 +23,22 @@ import enum
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import LatticeModel, PrimitiveSimplex, covering_radius, negative_pairs
 from .linalg import (
     MatQ,
     Rat,
+    integer_form,
+    integer_scaled,
     is_symmetric,
     mat,
-    mat_add,
     mat_inv,
     mat_mul,
-    mat_scale,
-    mat_vec,
     nullspace,
-    outer,
     trace,
-    zeros,
+    trace_product,
 )
 from .lp import Feasible, Infeasible, lp_feasible_nonneg
 
@@ -67,7 +66,7 @@ def map_inner(gram_inv: MatQ, a: MatQ, b: MatQ) -> Rat:
 
 
 def map_trace(gram_inv: MatQ, a: MatQ) -> Rat:
-    return trace(mat_mul(gram_inv, a))
+    return trace_product(gram_inv, a)
 
 
 def map_matrix(gram_inv: MatQ, form: MatQ) -> MatQ:
@@ -82,12 +81,26 @@ def gram_inverse(gram: MatQ) -> MatQ:
 
 
 def q_map(simplex: PrimitiveSimplex, gram: MatQ) -> EutaxyMap:
-    n = len(gram)
-    form = zeros(n, n)
-    for a, x in zip(simplex.alpha, simplex.x):
-        w = mat_vec(gram, x)
-        form = mat_add(form, mat_scale(a, outer(w, w)))
-    form = mat_scale(1 / simplex.cr2, form)
+    """The form sum_j alpha_j (G x_j)(G x_j)^T / cr2 of the simplex map.
+
+    Summed on integers: with G as L G, each x_j times the lcm X of the
+    vertex denominators and each alpha_j times the lcm A of theirs,
+    w_j = (L G)(X x_j) is an integer vector and the sum of (A alpha_j)
+    w_j w_j^T is the form times A L^2 X^2 cr2.
+    """
+    gz, scale = integer_form(gram)
+    xs, xden = integer_scaled(simplex.x)
+    (alphas,), aden = integer_scaled([simplex.alpha])
+    total = [[0] * len(gram) for _ in gram]
+    for a, x in zip(alphas, xs):
+        w = [sum(map(mul, row, x)) for row in gz]
+        for wi, row in zip(w, total):
+            awi = a * wi
+            for k, wk in enumerate(w):
+                row[k] += awi * wk
+    cr2 = simplex.cr2
+    den = aden * scale * scale * xden * xden * cr2.numerator
+    form = tuple(tuple(Fraction(t * cr2.denominator, den) for t in row) for row in total)
     if not is_symmetric(form):
         raise RuntimeError("simplex map form is not symmetric")
     if map_trace(gram_inverse(gram), form) != 1:

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Optional
 
 from .linalg import (
@@ -28,6 +29,7 @@ from .linalg import (
     VecQ,
     det,
     gram_dot,
+    integer_form,
     integer_scaled,
     mat,
     mat_inv,
@@ -233,7 +235,7 @@ def lattice_points_within(gram: MatQ, r2: Rat) -> tuple[tuple[int, ...], ...]:
     for i in range(n):
         cap = r2 * ginv[i][i]
         bounds.append(math.isqrt(cap.numerator // cap.denominator))
-    gz, den = integer_scaled(gram)
+    gz, den = integer_form(gram)
     limit_num, limit_den = r2.numerator * den, r2.denominator
     out = []
     for u in itertools.product(*(range(-b, b + 1) for b in bounds)):
@@ -254,15 +256,20 @@ def genericity_check(lat: LatticeModel) -> bool:
     """Every class circumsphere is empty and touches exactly its n+1 vertices."""
     # any point inside some circumsphere satisfies |u| <= |c| + cr <= 2 mu
     mu2 = max(p.cr2 for p in lat.simplices)
-    candidates = [vec(u) for u in lattice_points_within(lat.gram, 4 * mu2)]
+    candidates = lattice_points_within(lat.gram, 4 * mu2)
+    gz, scale = integer_form(lat.gram)
     for p in lat.simplices:
+        # with D the center's denominator, d = D u - D c is an integer vector
+        # and |u - c|^2 = d^T (L G) d / (L D^2), compared against cr2
+        (cz,), den = integer_scaled([p.center])
+        radius = p.cr2.numerator * scale * den * den
         on_sphere = set()
         for u in candidates:
-            d = vec_sub(u, p.center)
-            q = gram_dot(lat.gram, d, d)
-            if q < p.cr2:
+            d = [ui * den - ci for ui, ci in zip(u, cz)]
+            q = sum(di * sum(map(mul, row, d)) for di, row in zip(d, gz)) * p.cr2.denominator
+            if q < radius:
                 return False
-            if q == p.cr2:
+            if q == radius:
                 on_sphere.add(u)
         if on_sphere != set(p.source.vertices):
             return False

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 Rat = Fraction
@@ -107,8 +109,17 @@ def vec_dot(u: VecQ, v: VecQ) -> Rat:
 
 
 def gram_dot(g: MatQ, u: VecQ, v: VecQ) -> Rat:
-    """Inner product u^T G v for a symmetric positive form G."""
-    return vec_dot(u, mat_vec(g, v))
+    """Inner product u^T G v for a symmetric positive form G.
+
+    Runs on integers: G as L G from `integer_form`, u and v times the lcm D
+    of their denominators, so the value is (D u)^T (L G) (D v) / (L D^2).
+    """
+    gz, scale = integer_form(g)
+    if len(u) != len(gz) or len(v) != len(gz[0]):
+        raise ValueError("vector lengths differ from the form's size")
+    (uz, vz), den = integer_scaled([u, v])
+    total = sum(ui * sum(map(mul, row, vz)) for ui, row in zip(uz, gz) if ui)
+    return Fraction(total, scale * den * den)
 
 
 def outer(u: VecQ, v: VecQ) -> MatQ:
@@ -155,6 +166,33 @@ def integer_scaled(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]
     scale = math.lcm(*(x.denominator for row in rows for x in row))
     ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     return ints, scale
+
+
+@lru_cache(maxsize=16)
+def integer_form(g: MatQ) -> tuple[list[list[int]], int]:
+    """integer_scaled(g), computed once per fixed Gram matrix (read-only)."""
+    return integer_scaled(g)
+
+
+def is_combination(weights: Sequence[Rat], mats: Sequence[MatQ], target: MatQ) -> bool:
+    """Whether sum_k weights[k] * mats[k] equals target exactly.
+
+    False when the counts of weights and matrices differ; ValueError when a
+    matrix and the target differ in shape.  Runs on integers: the weights
+    times the lcm W of their denominators, and the entrywise rows
+    [mats[0][i][j], ..., target[i][j]] from integer_scaled, so the test of
+    each row is sum_k (W w_k) m_k == W t.
+    """
+    if len(weights) != len(mats):
+        return False
+    shape = [len(row) for row in target]
+    if any([len(row) for row in m] != shape for m in mats):
+        raise ValueError("matrices and target differ in shape")
+    rows, _ = integer_scaled(
+        [[*(m[i][j] for m in mats), t] for i, row in enumerate(target) for j, t in enumerate(row)]
+    )
+    (wz,), den = integer_scaled([weights])
+    return all(sum(map(mul, wz, row[:-1])) == den * row[-1] for row in rows)
 
 
 def pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:

@@ -13,8 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .linalg import MatQ, Rat, integer_scaled, is_symmetric, mat_scale, pivot
-from .linalg import trace_product
+from .linalg import (
+    MatQ,
+    Rat,
+    integer_scaled,
+    is_combination,
+    is_symmetric,
+    mat_scale,
+    pivot,
+    trace_product,
+)
 
 
 class StrongAlternativeError(RuntimeError):
@@ -130,10 +138,7 @@ def lp_feasible_nonneg(
     x = _phase1(rows, rhs)
     if x is not None:
         w = tuple(x)
-        if len(w) != len(maps) or any(
-            sum(w[k] * maps[k][i][j] for k in range(len(maps))) != target[i][j]
-            for (i, j) in coords
-        ):
+        if not is_combination(w, maps, target):
             raise RuntimeError("phase-1 weights do not re-sum to the target")
         if any(c < 0 for c in w):
             raise RuntimeError("phase-1 weights are not nonnegative")

@@ -55,18 +55,15 @@ from .linalg import (
     det,
     gram_dot,
     identity,
-    is_symmetric,
+    is_combination,
     mat,
     mat_add,
-    mat_inv,
-    mat_scale,
     mat_vec,
     trace,
     vec,
     vec_add,
     vec_scale,
     vec_sub,
-    zeros,
 )
 from .perturbation import (
     CoverConstruction,
@@ -160,16 +157,6 @@ def cl_csv(certs: list[CLCertificate]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolves_identity(coeffs: list[Rat], forms: list[MatQ], gram: MatQ) -> bool:
-    """Whether the weights give sum coeffs[k] forms[k] = the identity form."""
-    if len(coeffs) != len(forms):
-        return False
-    combo = zeros(len(gram), len(gram))
-    for c, f in zip(coeffs, forms):
-        combo = mat_add(combo, mat_scale(c, f))
-    return combo == gram
-
-
 def _check_conclusion(data: dict, derived: EutaxyClass, bad: list[str]) -> None:
     """Apply eutaxy's rule to the class re-derived from the evidence."""
     if data["conclusion"] != ball_conclusion(derived):
@@ -178,10 +165,25 @@ def _check_conclusion(data: dict, derived: EutaxyClass, bad: list[str]) -> None:
 
 def _verify_classification(data: dict, bad: list[str]) -> None:
     gram = _parse_mat(data["gram"])
-    if data["dimension"] != len(gram):
+    dim = data["dimension"]
+    if dim != len(gram):
         bad.append("dimension does not match the gram matrix")
-    ginv = mat_inv(gram)
-    pairs = [tuple(p) for p in data["pairs"]]
+        return
+    if type(dim) is not int or not 2 <= dim <= 5:
+        bad.append(f"dimension {dim!r} is not an integer from 2 to 5")
+        return
+    # the maps, pairs and radius are those of A_n*, rebuilt here
+    lat = build_anstar(dim)
+    mu2, simplices = covering_radius(lat)
+    pairs = negative_pairs(simplices)
+    if gram != lat.gram:
+        bad.append("gram matrix is not the A_n* gram matrix")
+        return
+    if parse_rat(data["mu2"]) != mu2:
+        bad.append("covering radius mismatched")
+    if [tuple(p) for p in data["pairs"]] != list(pairs):
+        bad.append("pairs do not match the pair table")
+        return
     forms = [_parse_mat(m) for m in data["maps"]]
     if len(forms) != len(pairs):
         bad.append("one map per pair expected")
@@ -189,10 +191,9 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     if data["num_simplices"] != 2 * len(pairs):
         bad.append("pair count inconsistent with simplex count")
     for k, f in enumerate(forms):
-        if not is_symmetric(f):
-            bad.append(f"map {k} not symmetric")
-        if map_trace(ginv, f) != 1:
-            bad.append(f"map {k} not unit trace")
+        if f != q_map(simplices[pairs[k][0]], gram).form:
+            bad.append(f"map {k} is not the simplex map of pair {k}")
+    ginv = gram_inverse(gram)
     cls = data["classification"]
     coeffs = data["pair_coefficients"]
     if cls == "not-semi-eutactic":
@@ -210,19 +211,22 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     cs = [parse_rat(c) for c in coeffs]
     if any(c < 0 for c in cs):
         bad.append("negative coefficient in identity resolution")
-    if not _resolves_identity(cs, forms, gram):
+    if not is_combination(cs, forms, gram):
         bad.append("coefficients do not resolve the identity form")
+    indices = [r["pair_index"] for r in data["removals"]]
+    if any(type(k) is not int for k in indices) or indices != list(range(len(pairs))):
+        bad.append("removals must list the pair indices in order, one per pair")
+        return
     removable = []
-    for r in data["removals"]:
-        k = r["pair_index"]
-        kept = [f for i, f in enumerate(forms) if i != k]
+    for k, r in enumerate(data["removals"]):
+        kept = forms[:k] + forms[k + 1 :]
         if r["feasible"]:
             removable.append(True)
             rcs = [parse_rat(c) for c in r["coefficients"]]
             if len(rcs) != len(kept) or any(c < 0 for c in rcs):
                 bad.append(f"removal {k}: bad coefficient vector")
                 continue
-            if not _resolves_identity(rcs, kept, gram):
+            if not is_combination(rcs, kept, gram):
                 bad.append(f"removal {k}: coefficients do not resolve identity")
         else:
             removable.append(False)
@@ -232,8 +236,6 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
             for i, f in enumerate(kept):
                 if map_inner(ginv, y, f) >= 0:
                     bad.append(f"removal {k}: not strict against kept map {i}")
-    if len(removable) != len(pairs):
-        bad.append("one removal outcome per pair expected")
     expected = removal_class(removable)
     if expected is EutaxyClass.CRITICALLY_SEMI_EUTACTIC:
         if not data["unique"] or any(c <= 0 for c in cs):

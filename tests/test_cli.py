@@ -253,6 +253,18 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
         assert proc.stderr == ""
 
 
+def test_only_construct_loads_numpy():
+    # numpy serves only the volume quadrature of `construct`; every other
+    # command starts without paying for its import.
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    script = "import sys, ballcover.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_traced_names_resolve():
     # perfbench/trace_cli.py wraps these names and fails on a missing one
     path = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
@@ -320,6 +332,53 @@ def test_verify_derives_the_conclusion(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert err == f"verification failure: {message}\n"
+
+
+def test_verify_ties_the_classification_to_anstar(capsys, tmp_path):
+    # Two forgeries that relabel the dimension-3 certificate as redundant,
+    # which would flip its conclusion, each with removal "evidence" that
+    # resums: removals that remove nothing, and maps that are not A3*'s.
+    cert = tmp_path / "class3.json"
+    code, _, _ = run(capsys, "ball-class", "--dim", "3", "--out", str(cert))
+    assert code == 0
+    data = json.loads(cert.read_text())
+    relabelled = dict(
+        data,
+        classification="redundantly-semi-eutactic",
+        conclusion="ball extensible; not relatively worst covering",
+    )
+    full = data["pair_coefficients"]
+    removes_nothing = dict(
+        relabelled,
+        removals=[
+            {"pair_index": 99, "feasible": True, "coefficients": full, "farkas_form": None}
+            for _ in data["pairs"]
+        ],
+    )
+    third = [[rat_str(parse_rat(x) / 3) for x in row] for row in data["gram"]]
+    foreign_maps = dict(
+        relabelled,
+        maps=[third] * 3,
+        removals=[
+            {"pair_index": k, "feasible": True, "coefficients": ["3/2", "3/2"], "farkas_form": None}
+            for k in range(3)
+        ],
+    )
+    doubled = [[rat_str(2 * parse_rat(x)) for x in row] for row in data["gram"]]
+    for forged, message in (
+        (removes_nothing, "removals must list the pair indices in order, one per pair"),
+        (foreign_maps, "map 0 is not the simplex map of pair 0"),
+        (dict(data, dimension=True, gram=[["4"]]), "dimension True is not an integer from 2 to 5"),
+        (dict(data, gram=doubled), "gram matrix is not the A_n* gram matrix"),
+        (dict(data, mu2="5/3"), "covering radius mismatched"),
+        (dict(data, pairs=[[0, 5], [2, 4], [1, 3]]), "pairs do not match the pair table"),
+    ):
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(forged))
+        code, out, err = run(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"verification failure: {message}\n" in err
 
 
 def test_verify_usage_errors(capsys, tmp_path):

@@ -5,12 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballcover.linalg import (
     DependentConstraintsError,
     SingularMatrixError,
     det,
+    gram_dot,
     identity,
+    is_combination,
     mat,
     mat_inv,
     mat_mul,
@@ -21,6 +25,7 @@ from ballcover.linalg import (
     solve_square,
     trace_product,
     vec,
+    vec_dot,
 )
 
 
@@ -227,3 +232,63 @@ def test_non_square_input_is_rejected():
         mat_inv(wide)
     with pytest.raises(ValueError, match="row count"):
         solve_affine(wide, vec([1]))
+
+
+RATIONAL = st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**20))
+
+
+def rational_matrix(rows, cols):
+    return st.lists(
+        st.lists(RATIONAL, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    rational_matrix(n, n),
+    st.lists(RATIONAL, min_size=n, max_size=n),
+    st.lists(RATIONAL, min_size=n, max_size=n),
+)))
+def test_gram_dot_matches_the_fraction_product(case):
+    g, u, v = case
+    u, v = vec(u), vec(v)
+    assert gram_dot(g, u, v) == vec_dot(u, mat_vec(g, v))
+    assert gram_dot(g, u, u) == vec_dot(u, mat_vec(g, u))
+    # a length mismatch raises instead of truncating
+    with pytest.raises(ValueError):
+        gram_dot(g, u + (Fraction(1),), v)
+    with pytest.raises(ValueError):
+        gram_dot(g, u, v[:-1])
+
+
+def fraction_sum(weights, mats, n):
+    return tuple(
+        tuple(sum((w * m[i][j] for w, m in zip(weights, mats)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(lambda nk: st.tuples(
+        st.lists(rational_matrix(nk[0], nk[0]), min_size=nk[1], max_size=nk[1]),
+        st.lists(RATIONAL, min_size=nk[1], max_size=nk[1]),
+    )),
+    st.integers(0, 5),
+)
+def test_is_combination_matches_the_fraction_sum(case, pick):
+    mats, weights = case
+    n = len(mats[0])
+    target = fraction_sum(weights, mats, n)
+    assert is_combination(weights, mats, target)
+    # one weight nudged by the smallest step of its denominator
+    k = pick % len(mats)
+    nudged = list(weights)
+    nudged[k] += Fraction(1, nudged[k].denominator)
+    moved = fraction_sum(nudged, mats, n) != target
+    assert moved == any(x for row in mats[k] for x in row)
+    assert is_combination(nudged, mats, target) == (not moved)
+    # a count or shape mismatch never passes
+    assert not is_combination(weights[:-1], mats, target)
+    with pytest.raises(ValueError, match="shape"):
+        is_combination(weights, mats, identity(n + 1))

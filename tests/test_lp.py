@@ -14,6 +14,8 @@ import pytest
 
 import ballcover
 from ballcover import lp
+from ballcover.eutaxy import classified
+from ballcover.lattice import build_anstar
 from ballcover.lp import Feasible, Infeasible, StrongAlternativeError, lp_feasible_nonneg
 from ballcover.linalg import identity, mat, mat_add, mat_scale, trace_product, zeros
 
@@ -204,6 +206,24 @@ def test_lp_rejects_a_wrong_phase1_result(monkeypatch, maps, target, perturb, me
     monkeypatch.setattr(lp, "_phase1", perturbed)
     with pytest.raises(RuntimeError, match=message):
         lp_feasible_nonneg(maps, target)
+
+
+def test_lp_rejects_weights_nudged_by_one_step(monkeypatch):
+    # The A4* maps resolve the identity form; moving any one phase-1 weight
+    # by the smallest step of its denominator must trip the re-sum check.
+    lat = build_anstar(4)
+    forms = [m.form for m in classified(lat).maps]
+    exact = lp._phase1
+    for k in range(len(forms)):
+
+        def nudged(rows, rhs, k=k):
+            x = exact(rows, rhs)
+            x[k] += Fraction(1, x[k].denominator)
+            return x
+
+        monkeypatch.setattr(lp, "_phase1", nudged)
+        with pytest.raises(RuntimeError, match="re-sum"):
+            lp_feasible_nonneg(forms, lat.gram)
 
 
 def test_lp_checks_survive_optimized_python():
