@@ -26,12 +26,19 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .lattice import LatticeModel, PrimitiveSimplex, covering_radius, negative_pairs
+from .lattice import (
+    LatticeModel,
+    PrimitiveSimplex,
+    covering_radius,
+    negative_pairs,
+    pair_orbit,
+)
 from .linalg import (
     MatQ,
     Rat,
     integer_form,
     integer_scaled,
+    is_combination,
     is_symmetric,
     mat,
     mat_inv,
@@ -153,13 +160,62 @@ def removal_class(removable: Sequence[bool]) -> EutaxyClass:
     return EutaxyClass.SEMI_EUTACTIC
 
 
-def classify(maps: Sequence[EutaxyMap], gram: MatQ) -> EutaxyReport:
+def _removal(forms: Sequence[MatQ], k: int, gram: MatQ) -> RemovalOutcome:
+    """Removal k decided by its own exact feasibility run."""
+    res = lp_feasible_nonneg([f for i, f in enumerate(forms) if i != k], gram)
+    if isinstance(res, Feasible):
+        return RemovalOutcome(
+            pair_index=k, feasible=True, coefficients=res.coefficients, farkas_form=None
+        )
+    return RemovalOutcome(
+        pair_index=k,
+        feasible=False,
+        coefficients=None,
+        farkas_form=_farkas_to_form(gram, res.certificate),
+    )
+
+
+def _moved_removal(
+    first: RemovalOutcome, sigma: Sequence[int], forms: Sequence[MatQ], gram: MatQ
+) -> RemovalOutcome:
+    """Removal sigma[0] from the weights of a feasible removal 0.
+
+    sigma is the pair permutation of a lattice automorphism U taking pair 0
+    to pair k = sigma[0].  The forms move by congruence under U and G is
+    fixed, so weight w[p] of removal 0 becomes the weight of pair sigma[p].
+    The moved weights pass the guards of an LP result: they re-sum to G
+    over the kept forms and are nonnegative.
+    """
+    k = sigma[0]
+    weights = [None] * len(forms)
+    for p, w in zip(range(1, len(forms)), first.coefficients):
+        weights[sigma[p]] = w
+    coefficients = tuple(weights[:k] + weights[k + 1 :])
+    kept = forms[:k] + forms[k + 1 :]
+    if (
+        any(c is None for c in coefficients)
+        or not is_combination(coefficients, kept, gram)
+        or any(c < 0 for c in coefficients)
+    ):
+        raise RuntimeError(f"moved weights of removal {k} do not resolve the identity")
+    return RemovalOutcome(pair_index=k, feasible=True, coefficients=coefficients, farkas_form=None)
+
+
+def classify(
+    maps: Sequence[EutaxyMap],
+    gram: MatQ,
+    orbit: Optional[Sequence[Sequence[int]]] = None,
+) -> EutaxyReport:
     """Classify a deduplicated family of normalized simplex maps.
 
     `maps` must contain one representative per +/- pair (the two members
-    share a form).  Every removal is decided by its own exact feasibility
-    run, and the kernel test cross-checks the LP outcomes: removals are all
-    infeasible exactly when the full combination is unique and positive.
+    share a form).  Removal 0 is decided by an exact feasibility run.  When
+    it is feasible and `orbit` gives, for each pair k, the pair
+    permutation of a lattice automorphism taking pair 0 to pair k, every
+    other removal is removal 0's weights moved by it; otherwise each removal
+    has its own run, so each infeasible one has its own separating form.
+    The kernel test cross-checks the outcomes: removals are all infeasible
+    exactly when the full combination is unique and positive.
     """
     if not maps:
         raise ValueError("no maps to classify")
@@ -175,19 +231,13 @@ def classify(maps: Sequence[EutaxyMap], gram: MatQ) -> EutaxyReport:
             removals=(),
             unique=unique,
         )
-    removals = []
-    for k in range(len(maps)):
-        rest = [f for i, f in enumerate(forms) if i != k]
-        res = lp_feasible_nonneg(rest, target)
-        feasible = isinstance(res, Feasible)
-        removals.append(
-            RemovalOutcome(
-                pair_index=k,
-                feasible=feasible,
-                coefficients=res.coefficients if feasible else None,
-                farkas_form=None if feasible else _farkas_to_form(gram, res.certificate),
-            )
-        )
+    first = _removal(forms, 0, gram)
+    removals = [first]
+    for k in range(1, len(maps)):
+        if first.feasible and orbit is not None:
+            removals.append(_moved_removal(first, orbit[k], forms, gram))
+        else:
+            removals.append(_removal(forms, k, gram))
     cls = removal_class([r.feasible for r in removals])
     if cls is EutaxyClass.CRITICALLY_SEMI_EUTACTIC and not (
         unique and all(c > 0 for c in full.coefficients)
@@ -216,13 +266,20 @@ class LatticeEutaxy:
     @property
     def simplex_coefficients(self) -> Optional[tuple[Rat, ...]]:
         """Per-simplex weights: each pair's weight split over its two members."""
-        if self.report.coefficients is None:
-            return None
-        out = [Fraction(0)] * len(self.simplices)
-        for w, (i, j) in zip(self.report.coefficients, self.pairs):
-            out[i] = w / 2
-            out[j] = w / 2
-        return tuple(out)
+        return split_pair_weights(self.report.coefficients, self.pairs)
+
+
+def split_pair_weights(
+    weights: Optional[Sequence[Rat]], pairs: Sequence[tuple[int, int]]
+) -> Optional[tuple[Rat, ...]]:
+    """Each pair's weight halved over its two simplices; None without weights."""
+    if weights is None:
+        return None
+    out = [Fraction(0)] * (2 * len(pairs))
+    for w, (i, j) in zip(weights, pairs):
+        out[i] = w / 2
+        out[j] = w / 2
+    return tuple(out)
 
 
 def classify_lattice(lat: LatticeModel) -> LatticeEutaxy:
@@ -236,7 +293,7 @@ def classify_lattice(lat: LatticeModel) -> LatticeEutaxy:
         if mi.form != mj.form:
             raise RuntimeError("negative pair with distinct maps")
         reps.append(mi)
-    report = classify(reps, lat.gram)
+    report = classify(reps, lat.gram, pair_orbit(lat, simplices, pairs))
     return LatticeEutaxy(
         lat=lat,
         mu2=mu2,

@@ -6,6 +6,12 @@ the origin).  The main constructor builds the dual lattice of the root
 lattice A_n, whose Delone decomposition consists of n! simplex classes
 obtained by walking n+1 fixed generators in every cyclic order.
 
+The automorphism group of A_n* (order 2 (n+1)!, Conway and Sloane, SPLAG
+ch. 4 section 6) is transitive on the Delone simplices: the permutations of
+g_0..g_{n-1} that fix g_n carry class 0 onto every class.  So one class is
+solved and every class an exactly verified automorphism reaches from it is
+mapped, not solved again.
+
 For n = 3 the model is realized on integer Euclidean coordinates (the
 body-centered cubic lattice at scale 2, basis (2,0,0), (0,2,0), (1,1,1)), so
 positions of Voronoi vertices are exact rational points of 3-space.  Other
@@ -20,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Optional
 
 from .linalg import (
@@ -74,6 +80,9 @@ class PrimitiveSimplex:
     center: VecQ
 
 
+IntMat = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class LatticeModel:
     n: int
@@ -81,11 +90,58 @@ class LatticeModel:
     embedding: Optional[MatQ]
     delone_classes: tuple[DeloneSimplex, ...]
 
-    # Not a field, so equality, hashing and caches keyed on models ignore it.
+    # Not fields, so equality, hashing and caches keyed on models ignore them.
     @cached_property
     def simplices(self) -> tuple[PrimitiveSimplex, ...]:
-        """primitive_simplex of every Delone class, in class order."""
-        return tuple(primitive_simplex(s, self.gram) for s in self.delone_classes)
+        """primitive_simplex of every Delone class, in class order.
+
+        Class 0 and each class without a class map are solved; every other
+        class is the image of class 0 under its map U: the center is
+        b_0 + U (c_0 - a_0), alpha and cr2 are class 0's, and
+        x_j = center - b_j.
+        """
+        first = primitive_simplex(self.delone_classes[0], self.gram)
+        a0 = first.source.vertices[0]
+        (cz,), cden = integer_scaled([vec_sub(first.center, a0)])
+        out = [first]
+        for s, u in zip(self.delone_classes[1:], self.class_maps[1:]):
+            if u is None:
+                out.append(primitive_simplex(s, self.gram))
+                continue
+            center = tuple(
+                b + Fraction(sum(map(mul, row, cz)), cden)
+                for b, row in zip(s.vertices[0], u)
+            )
+            x = tuple(vec_sub(center, v) for v in s.vertices)
+            out.append(
+                PrimitiveSimplex(x=x, alpha=first.alpha, cr2=first.cr2, source=s, center=center)
+            )
+        return tuple(out)
+
+    @cached_property
+    def class_maps(self) -> tuple[Optional[IntMat], ...]:
+        """For each class k, the lattice automorphism carrying class 0 onto it.
+
+        With a_j the vertices of class 0 and b_j those of class k, entry k
+        is U = B A^-1 for the columns a_j - a_0 and b_j - b_0, so that
+        v -> b_0 + U (v - a_0) takes a_j to b_j.  It is accepted only when
+        both classes have n+1 vertices, all lattice points, and U is an
+        integer matrix with U^T G U = G on integer_form(G), which makes it
+        unimodular.  Entry 0, and the entry of each class no such map
+        reaches, is None.
+        """
+        maps: list[Optional[IntMat]] = [None] * len(self.delone_classes)
+        a, aden = integer_scaled(self.delone_classes[0].vertices)
+        if aden != 1:
+            return tuple(maps)
+        ainv, den = integer_scaled(mat_inv(_edge_columns(a)))
+        acols = tuple(zip(*ainv))
+        gz, _ = integer_form(self.gram)
+        for k, s in enumerate(self.delone_classes[1:], start=1):
+            b, bden = integer_scaled(s.vertices)
+            if bden == 1 and len(b) == len(a):
+                maps[k] = _automorphism(_edge_columns(b), acols, den, gz)
+        return tuple(maps)
 
 
 # bcc at scale 2: generators g with <g_i, g_j> = 4 delta_ij - 1, sum g = 0.
@@ -127,24 +183,50 @@ def circumcenter(vertices: tuple[VecQ, ...], gram: MatQ) -> tuple[VecQ, VecQ, Ra
     return center, alpha, cr2
 
 
+def _edge_columns(vertices: list[list[int]]) -> IntMat:
+    """The matrix whose column j is vertex j+1 minus vertex 0."""
+    v0 = vertices[0]
+    return tuple(zip(*(tuple(map(sub, v, v0)) for v in vertices[1:])))
+
+
+def _automorphism(
+    b: IntMat, acols: tuple[tuple[int, ...], ...], den: int, gz: list[list[int]]
+) -> Optional[IntMat]:
+    """U = b a / den when it is an integer matrix with U^T gz U = gz, else None."""
+    rows = []
+    for row in b:
+        out = []
+        for col in acols:
+            q, r = divmod(sum(map(mul, row, col)), den)
+            if r:
+                return None
+            out.append(q)
+        rows.append(tuple(out))
+    ucols = tuple(zip(*rows))
+    gucols = [[sum(map(mul, g, col)) for g in gz] for col in ucols]
+    for ui, grow in zip(ucols, gz):
+        if any(sum(map(mul, ui, guj)) != g for guj, g in zip(gucols, grow)):
+            return None
+    return tuple(rows)
+
+
 def primitive_simplex(simplex: DeloneSimplex, gram: MatQ) -> PrimitiveSimplex:
     center, alpha, cr2 = circumcenter(simplex.vertices, gram)
     x = tuple(vec_sub(center, v) for v in simplex.vertices)
     return PrimitiveSimplex(x=x, alpha=alpha, cr2=cr2, source=simplex, center=center)
 
 
-def _anstar_generators(n: int) -> tuple[tuple[VecQ, ...], MatQ, Optional[MatQ]]:
+def _anstar_generators(n: int) -> tuple[tuple[tuple[int, ...], ...], MatQ, Optional[MatQ]]:
     if n == 3:
-        gens = tuple(vec(g) for g in _BCC_GENERATORS)
         e = mat(_BCC_EMBEDDING)
         gram = mat_mul(transpose(e), e)
-        return gens, gram, e
+        return _BCC_GENERATORS, gram, e
     third = Fraction(1, n + 1)
     gram = mat(
         [[(1 if i == j else 0) - third for j in range(n)] for i in range(n)]
     )
-    gens = [vec([1 if i == j else 0 for i in range(n)]) for j in range(n)]
-    gens.append(vec([-1] * n))
+    gens = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    gens.append((-1,) * n)
     return tuple(gens), gram, None
 
 
@@ -160,7 +242,8 @@ def build_anstar(n: int) -> LatticeModel:
     Each class is the walk 0, g_{pi(1)}, g_{pi(1)}+g_{pi(2)}, ... over a
     permutation pi of n of the n+1 generators (the omitted generator closes
     the cycle, so cyclic rotations give the same class and are not
-    repeated).  Every class is checked against the empty-sphere oracle.
+    repeated).  The classes are checked against the empty-sphere oracle:
+    class 0 directly, the others as its images under the class maps.
     """
     if not 2 <= n <= 8:
         raise ValueError(f"dimension {n!r} outside the supported range 2..8")
@@ -175,15 +258,14 @@ def build_anstar(n: int) -> LatticeModel:
     classes = []
     seen = set()
     for perm in itertools.permutations(range(n)):
-        vertices = [vec([0] * n)]
+        walk = [(0,) * n]
         for k in perm:
-            vertices.append(tuple(a + b for a, b in zip(vertices[-1], gens[k])))
-        simplex = DeloneSimplex(vertices=tuple(vertices), label=perm + (n,))
-        key = _translation_key(simplex.vertices)
+            walk.append(tuple(map(add, walk[-1], gens[k])))
+        key = _translation_key(walk)
         if key in seen:
             raise RuntimeError("duplicate simplex class")
         seen.add(key)
-        classes.append(simplex)
+        classes.append(DeloneSimplex(vertices=tuple(map(vec, walk)), label=perm + (n,)))
     model = LatticeModel(
         n=n, gram=gram, embedding=embedding, delone_classes=tuple(classes)
     )
@@ -213,6 +295,34 @@ def negative_pairs(simplices: tuple[PrimitiveSimplex, ...]) -> tuple[tuple[int, 
         used.update((i, j))
         pairs.append((i, j))
     return tuple(pairs)
+
+
+def pair_orbit(
+    lat: LatticeModel, simplices: tuple[PrimitiveSimplex, ...], pairs: tuple[tuple[int, int], ...]
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """For each pair k, how an automorphism taking pair 0 to pair k permutes
+    the pairs (of classes among `simplices`, as from negative_pairs).
+
+    Read from the labels: the automorphism that permutes the generators by
+    pi takes the class labelled rho, the walk over g_rho(0), g_rho(1), ...,
+    to the class labelled pi o rho.  None unless the class maps carry class
+    0 onto every class and each image label names a listed class.  Anything
+    moved by a permutation is checked exactly by its user.
+    """
+    if any(u is None for u in lat.class_maps[1:]):
+        return None
+    labels = [s.source.label for s in simplices]
+    index = {label: i for i, label in enumerate(labels)}
+    pair_of = {i: k for k, pair in enumerate(pairs) for i in pair}
+    reps = [labels[i] for i, _ in pairs]
+    orbit = []
+    for rho in reps:
+        pi = dict(zip(reps[0], rho))
+        images = [index.get(tuple(pi.get(r) for r in label)) for label in reps]
+        if None in images:
+            return None
+        orbit.append(tuple(pair_of[i] for i in images))
+    return tuple(orbit)
 
 
 def voronoi_vertices(lat: LatticeModel) -> tuple[VecQ, ...]:
@@ -253,12 +363,18 @@ def lattice_points_within(gram: MatQ, r2: Rat) -> tuple[tuple[int, ...], ...]:
 
 
 def genericity_check(lat: LatticeModel) -> bool:
-    """Every class circumsphere is empty and touches exactly its n+1 vertices."""
+    """Every class circumsphere is empty and touches exactly its n+1 vertices.
+
+    Only the classes without a class map are tested: a lattice automorphism
+    takes class 0's empty sphere, touching its vertices, to class k's.
+    """
     # any point inside some circumsphere satisfies |u| <= |c| + cr <= 2 mu
     mu2 = max(p.cr2 for p in lat.simplices)
     candidates = lattice_points_within(lat.gram, 4 * mu2)
     gz, scale = integer_form(lat.gram)
-    for p in lat.simplices:
+    for p, u in zip(lat.simplices, lat.class_maps):
+        if u is not None:
+            continue
         # with D the center's denominator, d = D u - D c is an integer vector
         # and |u - c|^2 = d^T (L G) d / (L D^2), compared against cr2
         (cz,), den = integer_scaled([p.center])

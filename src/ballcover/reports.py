@@ -38,6 +38,7 @@ from .eutaxy import (
     map_trace,
     q_map,
     removal_class,
+    split_pair_weights,
 )
 from .harmonic import (
     CLCertificate,
@@ -47,7 +48,7 @@ from .harmonic import (
     legendre_values,
     scaled_c_l_values,
 )
-from .lattice import build_anstar, covering_radius, negative_pairs
+from .lattice import build_anstar, covering_radius, lattice_report, negative_pairs
 from .linalg import (
     MatQ,
     Rat,
@@ -63,7 +64,6 @@ from .linalg import (
     vec,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from .perturbation import (
     CoverConstruction,
@@ -196,6 +196,12 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     ginv = gram_inverse(gram)
     cls = data["classification"]
     coeffs = data["pair_coefficients"]
+    split = data["simplex_coefficients"]
+    expected_split = split_pair_weights(
+        None if coeffs is None else [parse_rat(c) for c in coeffs], pairs
+    )
+    if (None if split is None else tuple(map(parse_rat, split))) != expected_split:
+        bad.append("simplex coefficients are not the pair weights split over each pair")
     if cls == "not-semi-eutactic":
         y = _parse_mat(data["farkas_form"])
         if map_trace(ginv, y) <= 0:
@@ -246,47 +252,15 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
 
 
 def _verify_lattice_report(data: dict, bad: list[str]) -> None:
-    gram = _parse_mat(data["gram"])
-    n = data["dimension"]
-    if data["embedding"] is not None:
-        emb = _parse_mat(data["embedding"])
-        gtg = mat([[sum(emb[k][i] * emb[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
-        if gtg != gram:
-            bad.append("embedding does not reproduce the gram matrix")
-    mu2 = parse_rat(data["mu2"])
-    maximal = 0
-    for idx, cls in enumerate(data["classes"]):
-        vertices = [_parse_vec(v) for v in cls["vertices"]]
-        alpha = [parse_rat(a) for a in cls["alpha"]]
-        center = _parse_vec(cls["circumcenter"])
-        cr2 = parse_rat(cls["cr2"])
-        if sum(alpha) != 1:
-            bad.append(f"class {idx}: barycentric weights do not sum to 1")
-        combo = vec([Fraction(0)] * n)
-        for a, v in zip(alpha, vertices):
-            combo = vec_add(combo, vec_scale(a, v))
-        if combo != center:
-            bad.append(f"class {idx}: circumcenter mismatch")
-        for j, v in enumerate(vertices):
-            d = vec_sub(center, v)
-            if gram_dot(gram, d, d) != cr2:
-                bad.append(f"class {idx}: vertex {j} not equidistant")
-        if cr2 == mu2:
-            maximal += 1
-        elif cr2 > mu2:
-            bad.append(f"class {idx}: circumradius exceeds reported mu2")
-    if maximal != data["num_maximal"]:
-        bad.append("count of maximal classes disagrees")
-    seen_mu = False
-    for p in data["voronoi_vertices"]:
-        v = _parse_vec(p)
-        norm2 = gram_dot(gram, v, v)
-        if norm2 > mu2:
-            bad.append("voronoi vertex beyond covering radius")
-        if norm2 == mu2:
-            seen_mu = True
-    if not seen_mu:
-        bad.append("no voronoi vertex attains the covering radius")
+    dim = data["dimension"]
+    if type(dim) is not int or not 2 <= dim <= 5:
+        bad.append(f"dimension {dim!r} is not an integer from 2 to 5")
+        return
+    # every field is that of A_n*, rebuilt here and rendered as emitted
+    expected = rationalize(lattice_report(build_anstar(dim)))
+    for key in sorted(expected.keys() | data.keys()):
+        if key not in data or key not in expected or data[key] != expected[key]:
+            bad.append(f"{key} does not match the rebuilt A_n* model")
 
 
 def _verify_cover(data: dict, bad: list[str]) -> None:

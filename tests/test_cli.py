@@ -79,8 +79,8 @@ def test_ball_class_headlines(capsys, tmp_path):
     assert "conclusion: ball extensible; not relatively worst covering" in out
     golden = {
         2: "3812c508899224e0b491093cc07f582f1fff2b7842501cea4f1ec06a713bc941",
-        4: "90d0fd67424bcb4cce635a72bce43ed4c84c48f69da90434d09a2f1a9f913e53",
-        5: "bfe96221df9bd280cf18c0519d84813eede986f6c9cdc1ef73bea021171ea344",
+        4: "0fa3f7dd40c21ba2dfc647f5566e47490142f1cc23f3eda83cff1d196839cb60",
+        5: "48e8b82e7f0b8dc1047a586e4ea28b6076a281c6773fae105df34ee764d0ae15",
     }
     for dim, digest in golden.items():
         cert = tmp_path / f"class{dim}.json"
@@ -90,6 +90,26 @@ def test_ball_class_headlines(capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "--certificate", str(cert))
         assert code == 0
         assert out.strip() == "verified"
+
+
+def test_moved_removals_change_no_other_bytes(capsys, tmp_path):
+    # The dims 4 and 5 classifications with the weights of removals 1, 2,
+    # ... blanked: these digests are of the certificates the emitter wrote
+    # when it ran one LP per removal, so only those weights have moved.
+    golden = {
+        4: "cd685ae358e0ca62400299602ee737a9dd17647cddc701087cc4174d051e0bab",
+        5: "efbcbed911eba741b205761a4780e25414acd59b2af54ae8c903c7ab523da7fc",
+    }
+    for dim, digest in golden.items():
+        cert = tmp_path / f"class{dim}.json"
+        code, _, _ = run(capsys, "ball-class", "--dim", str(dim), "--out", str(cert))
+        assert code == 0
+        data = json.loads(cert.read_text())
+        for removal in data["removals"][1:]:
+            assert removal["coefficients"] is not None
+            removal["coefficients"] = None
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_dim_out_of_range_is_usage_error(capsys):
@@ -379,6 +399,62 @@ def test_verify_ties_the_classification_to_anstar(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert f"verification failure: {message}\n" in err
+
+
+def test_verify_rederives_the_simplex_coefficients(capsys, tmp_path):
+    cert = tmp_path / "class3.json"
+    code, _, _ = run(capsys, "ball-class", "--dim", "3", "--out", str(cert))
+    assert code == 0
+    data = json.loads(cert.read_text())
+    for forged in (
+        dict(data, simplex_coefficients=["7"] * 6),
+        dict(data, simplex_coefficients=None),
+        dict(data, simplex_coefficients=["1/2"] * 5 + ["1"]),
+    ):
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(forged))
+        code, out, err = run(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "verification failure: simplex coefficients are not the pair "
+            "weights split over each pair\n"
+        )
+
+
+def test_verify_ties_the_lattice_report_to_anstar(capsys, tmp_path):
+    cert = tmp_path / "anstar2.json"
+    code, _, _ = run(capsys, "anstar", "--dim", "2", "--out", str(cert))
+    assert code == 0
+    data = json.loads(cert.read_text())
+    # no classes, a foreign Voronoi vertex and a covering radius of 1/150
+    # (the true one is 2/9), each consistent with the others
+    forged = dict(
+        data, classes=[], num_maximal=0, voronoi_vertices=[["1/10", "0"]], mu2="1/150"
+    )
+    for tampered, messages in (
+        (forged, ["classes", "mu2", "num_maximal", "voronoi_vertices"]),
+        (dict(data, gram=[["1", "0"], ["0", "1"]]), ["gram"]),
+        (
+            dict(data, dimension=3),
+            ["classes", "embedding", "gram", "mu2", "num_maximal", "voronoi_vertices"],
+        ),
+    ):
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(tampered))
+        code, out, err = run(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "".join(
+            f"verification failure: {key} does not match the rebuilt A_n* model\n"
+            for key in messages
+        )
+    for dim in (True, 6, "2"):
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(dict(data, dimension=dim)))
+        code, _, err = run(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert err == f"verification failure: dimension {dim!r} is not an integer from 2 to 5\n"
 
 
 def test_verify_usage_errors(capsys, tmp_path):

@@ -16,6 +16,7 @@ from ballcover import eutaxy
 from ballcover.eutaxy import (
     EutaxyClass,
     EutaxyMap,
+    classification_certificate,
     classify,
     classify_lattice,
     eutaxy_coefficients_a3,
@@ -30,6 +31,7 @@ from ballcover.lattice import (
     change_basis,
     covering_radius,
     negative_pairs,
+    pair_orbit,
 )
 from ballcover.linalg import (
     identity,
@@ -40,6 +42,7 @@ from ballcover.linalg import (
     trace_product,
     zeros,
 )
+from ballcover.reports import rationalize, verify_certificate
 
 
 def test_q_map_unit_trace_and_symmetry():
@@ -198,3 +201,66 @@ def test_five_dimensional_classification_runtime():
     elapsed = time.monotonic() - t0
     assert ctx.report.classification is EutaxyClass.REDUNDANTLY_SEMI_EUTACTIC
     assert elapsed < 300
+
+
+def test_removals_cost_two_lp_runs_where_pair_zero_is_removable(monkeypatch):
+    runs = []
+    real = eutaxy.lp_feasible_nonneg
+
+    def counting(maps, target):
+        runs.append(len(maps))
+        return real(maps, target)
+
+    monkeypatch.setattr(eutaxy, "lp_feasible_nonneg", counting)
+    # dims 4 and 5: the full run and removal 0; the rest are moved weights.
+    # dims 2 and 3: removal 0 is infeasible, so each removal has its own run
+    # and its own separating form.
+    for n, expected in ((2, 2), (3, 4), (4, 2), (5, 2)):
+        runs.clear()
+        classify_lattice(build_anstar(n))
+        assert len(runs) == expected, n
+
+
+def test_moved_removals_resum_to_the_gram_matrix():
+    for n in (4, 5):
+        ctx = classify_lattice(build_anstar(n))
+        forms = [m.form for m in ctx.maps]
+        for r in ctx.report.removals:
+            kept = forms[: r.pair_index] + forms[r.pair_index + 1 :]
+            assert r.feasible and len(r.coefficients) == len(kept)
+            assert all(c >= 0 for c in r.coefficients)
+            total = tuple(
+                tuple(sum(c * f[i][j] for c, f in zip(r.coefficients, kept)) for j in range(n))
+                for i in range(n)
+            )
+            assert total == ctx.lat.gram
+
+
+def test_pair_orbit_takes_pair_zero_to_each_pair():
+    for n in (3, 4, 5):
+        lat = build_anstar(n)
+        _, simplices = covering_radius(lat)
+        pairs = negative_pairs(simplices)
+        orbit = pair_orbit(lat, simplices, pairs)
+        assert [sigma[0] for sigma in orbit] == list(range(len(pairs)))
+        assert all(sorted(sigma) == list(range(len(pairs))) for sigma in orbit)
+
+
+def test_wrong_pair_orbit_fails_loudly():
+    ctx = classify_lattice(build_anstar(4))
+    count = len(ctx.maps)
+    # each permutation takes pair 0 to pair k, but is no automorphism's
+    shifted = [tuple((p + k) % count for p in range(count)) for k in range(count)]
+    with pytest.raises(RuntimeError, match="moved weights of removal 1"):
+        classify(ctx.maps, ctx.lat.gram, shifted)
+
+
+def test_verify_rejects_swapped_weights_in_a_moved_removal():
+    cert = rationalize(classification_certificate(build_anstar(4)))
+    assert verify_certificate(cert) == (True, [])
+    weights = cert["removals"][1]["coefficients"]
+    i = next(i for i, w in enumerate(weights) if w != weights[0])
+    weights[0], weights[i] = weights[i], weights[0]
+    ok, bad = verify_certificate(cert)
+    assert not ok
+    assert bad == ["removal 1: coefficients do not resolve identity"]

@@ -21,7 +21,17 @@ from ballcover.lattice import (
     to_euclidean,
     voronoi_vertices,
 )
-from ballcover.linalg import det, gram_dot, identity, mat, vec, vec_sub
+from ballcover.linalg import (
+    det,
+    gram_dot,
+    identity,
+    mat,
+    mat_mul,
+    mat_scale,
+    transpose,
+    vec,
+    vec_sub,
+)
 
 
 def test_class_counts():
@@ -171,8 +181,10 @@ def test_delone_geometry_solved_once_per_model(monkeypatch):
     voronoi_vertices(moved)
     genericity_check(moved)
     report = lattice_report(moved)
-    # One solve per Delone class, shared by all four readers.
-    assert len(calls) == len(moved.delone_classes) == 6
+    # One solve per orbit: class 0 is solved, the other five are its images
+    # under the class maps, and all four readers share the result.
+    assert len(moved.delone_classes) == 6
+    assert len(calls) == 1
     assert [c["circumcenter"] for c in report["classes"]] == [
         p.center for p in moved.simplices
     ]
@@ -196,3 +208,89 @@ def test_alpha_translation_invariance():
     p0 = primitive_simplex(s, lat.gram)
     p1 = primitive_simplex(shifted, lat.gram)
     assert p0.x == p1.x
+
+
+def _solved_directly(lat):
+    return tuple(primitive_simplex(s, lat.gram) for s in lat.delone_classes)
+
+
+def test_orbit_geometry_equals_the_direct_solve():
+    a3 = build_anstar(3)
+    models = [build_anstar(n) for n in (2, 3, 4, 5)]
+    models.append(change_basis(a3, mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])))
+    models.append(
+        LatticeModel(
+            n=3,
+            gram=mat_scale(Fraction(4), a3.gram),
+            embedding=None,
+            delone_classes=a3.delone_classes,
+        )
+    )
+    for lat in models:
+        maps = lat.class_maps
+        assert maps[0] is None
+        assert all(u is not None for u in maps[1:])
+        # center, alpha, cr2 and every x_j, Fraction for Fraction
+        assert lat.simplices == _solved_directly(lat)
+        for u in maps[1:]:
+            um = mat(u)
+            assert all(x.denominator == 1 for row in um for x in row)
+            assert mat_mul(transpose(um), mat_mul(lat.gram, um)) == lat.gram
+            assert abs(det(um)) == 1
+
+
+def test_classes_without_a_lattice_map_are_solved_directly():
+    lat = build_anstar(3)
+    first, second = lat.delone_classes[:2]
+    doubled = DeloneSimplex(
+        vertices=tuple(vec([2 * c for c in v]) for v in first.vertices), label=first.label
+    )
+    # class 1 is class 0 doubled: U = 2 I is an integer matrix, but not an
+    # isometry of G
+    not_isometric = LatticeModel(
+        n=3, gram=lat.gram, embedding=lat.embedding, delone_classes=(first, doubled)
+    )
+    # class 0 is doubled and class 1 is (2 I + E) times class 0, E the unit
+    # matrix at (0, 1): U = I + E/2 has a half, and rounding it down would
+    # give the isometry I
+    skewed = DeloneSimplex(
+        vertices=tuple(vec([2 * v[0] + v[1], 2 * v[1], 2 * v[2]]) for v in first.vertices),
+        label=second.label,
+    )
+    not_integral = LatticeModel(
+        n=3, gram=lat.gram, embedding=lat.embedding, delone_classes=(doubled, skewed)
+    )
+    # vertices off the lattice, in either class: no map is tried (with
+    # class 0 halved, B A^-1 for the scaled vertices would be I)
+    halved = DeloneSimplex(
+        vertices=tuple(vec([c / 2 for c in v]) for v in first.vertices), label=first.label
+    )
+    models = [not_isometric, not_integral]
+    for classes in ((first, halved), (halved, first)):
+        models.append(
+            LatticeModel(n=3, gram=lat.gram, embedding=lat.embedding, delone_classes=classes)
+        )
+    for model in models:
+        assert model.class_maps == (None, None)
+        assert model.simplices == _solved_directly(model)
+        # the doubled, skewed or halved class is tested by the oracle, and
+        # fails it
+        assert not genericity_check(model)
+    # a class with a fifth vertex is not mapped, though its first four are
+    # class 0's image, and fails as it did
+    extra = DeloneSimplex(
+        vertices=second.vertices + (vec([5, 5, 5]),), label=second.label
+    )
+    overfull = LatticeModel(
+        n=3, gram=lat.gram, embedding=lat.embedding, delone_classes=(first, extra)
+    )
+    assert overfull.class_maps == (None, None)
+    with pytest.raises(ValueError, match="need n\\+1 vertices"):
+        overfull.simplices
+    # the same two classes of A3* do map, and pass
+    pair = LatticeModel(
+        n=3, gram=lat.gram, embedding=lat.embedding, delone_classes=(first, second)
+    )
+    assert pair.class_maps[1] is not None
+    assert pair.simplices == _solved_directly(pair)
+    assert genericity_check(pair)
