@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -73,6 +74,7 @@ def _assoc_legendre(l: int, m: int, x):
     return pmmp1
 
 
+@lru_cache(maxsize=None)
 def _norm_lm(l: int, m: int) -> float:
     return math.sqrt(
         (2 * l + 1) * math.factorial(l - m) / math.factorial(l + m)
@@ -97,7 +99,38 @@ def real_sph_harm(l: int, m: int, xyz: Sequence[float]) -> float:
 
 
 def rho(body: RadialBody, xyz: Sequence[float]) -> float:
-    return sum(a * real_sph_harm(l, m, xyz) for l, m, a in body.coeffs)
+    return harmonic_sum(body.coeffs, xyz)
+
+
+def harmonic_sum(
+    coeffs: Sequence[tuple[int, int, float]], xyz: Sequence[float]
+) -> float:
+    """sum a * Y_lm(xyz) over the (l, m, a) rows, in row order.
+
+    The direction's cos theta and phi are computed once, not once per
+    harmonic; every term is real_sph_harm's value bit for bit.
+    """
+    if not coeffs:
+        return 0
+    x, y, z = xyz
+    r = math.sqrt(x * x + y * y + z * z)
+    if not r > 0:
+        raise ValueError("direction must be nonzero")
+    ct = max(-1.0, min(1.0, z / r))
+    phi = math.atan2(y, x)
+    return sum(a * _harmonic(l, m, ct, phi) for l, m, a in coeffs)
+
+
+def _harmonic(l: int, m: int, ct: float, phi: float) -> float:
+    """real_sph_harm(l, m, .) at the direction with cos theta ct and
+    azimuth phi."""
+    am = abs(m)
+    base = _norm_lm(l, am) * _assoc_legendre(l, am, ct)
+    if m == 0:
+        return base
+    if m > 0:
+        return math.sqrt(2.0) * base * math.cos(am * phi)
+    return math.sqrt(2.0) * base * math.sin(am * phi)
 
 
 def volume_ratio(body: RadialBody) -> float:

@@ -149,6 +149,9 @@ def cmd_construct(args) -> int:
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as e:
+        print(f"construction failed: {e}", file=sys.stderr)
+        return EXIT_FAIL
     return _emit_json(scan_certificate(body, report), args.out)
 
 

@@ -36,8 +36,8 @@ from typing import Optional, Sequence
 
 from .bodies import (
     RadialBody,
+    harmonic_sum,
     is_normalized,
-    real_sph_harm,
     rho as body_rho,
     volume_ratio,
 )
@@ -80,6 +80,10 @@ from .linalg import (
     vec_dot,
     vec_scale,
 )
+
+
+# _certify_delta raises the contraction in grains of 2^-DELTA_BITS.
+DELTA_BITS = 40
 
 
 class WitnessUnavailableError(ValueError):
@@ -277,6 +281,28 @@ class CoverConstruction:
     checks: tuple[VertexCheck, ...]
 
 
+@dataclass(frozen=True)
+class Screen:
+    """One rotation's float screen: pair values nums / 2^shift after the
+    re-targeting, the float contraction, and (r_K, |y|) at every deformed
+    vertex in position order."""
+
+    nums: list[int]
+    shift: int
+    delta_float: float
+    radial: list[tuple[float, float]]
+
+
+def check_body(body: RadialBody) -> None:
+    """ValueError unless the cover construction accepts the body."""
+    if not is_normalized(body):
+        raise ValueError("body must have no degree 0 or 2 terms")
+    if any(l % 2 for l, _, _ in body.coeffs):
+        raise ValueError("body must be centrally symmetric (even degrees)")
+    if not body.eps <= 0.1:
+        raise ValueError("asphericity above threshold 1/10")
+
+
 class CoverEngine:
     """Shared exact data for repeated covering constructions on one model.
 
@@ -297,6 +323,11 @@ class CoverEngine:
     numerators (`_directions_at`, `_vertices_at`), and each float is a
     quotient of integers, which Python rounds correctly, exactly as float()
     rounds the equal Fraction.
+
+    `construct` is the float `screen` followed by the exact tail (solve,
+    `_certify_delta`, det and the vertex checks).  `rank_key` bounds the
+    tail's det_ratio from a screen alone, on the integer tables of the 12
+    basis maps, so a scan certifies only the rotations that can still win.
     """
 
     def __init__(self, lat: LatticeModel):
@@ -335,6 +366,13 @@ class CoverEngine:
         )
         self.pair_of = tuple(k for keys in self.index for k in keys)
         maps = [map_matrix(self.ginv, b.m_form) for b in basis]
+        # M = sum_k v_k maps[k]; entry (r, c) of every map over one common
+        # denominator, for rank_key's det(Id + M) and trace M.
+        entries, self._map_scale = integer_scaled([row for m in maps for row in m])
+        self._map_entries = [
+            [[entries[3 * k + r][c] for k in range(len(maps))] for c in range(3)]
+            for r in range(3)
+        ]
         columns = []
         for i, _, x in self.positions:
             columns.append(x)
@@ -346,7 +384,13 @@ class CoverEngine:
         self._vertex_maps = [
             tuple(zip(*ints[v : v + width])) for v in range(0, len(ints), width)
         ]
-        self._embedding, self._embedding_scale = integer_scaled(lat.embedding)
+        embedding, self._embedding_scale = integer_scaled(lat.embedding)
+        # The embedded vertex maps E A, so one integer product gives the
+        # embedded numerators.
+        self._embedded_maps = [
+            [[sum(map(mul, row, col)) for col in zip(*a)] for row in embedding]
+            for a in self._vertex_maps
+        ]
         self._gram, self._gram_scale = integer_scaled(self.gram)
         self._gram_points = [_int_mat_vec(self._gram, p) for p in ints[::width]]
         self._point_norms = [
@@ -384,9 +428,10 @@ class CoverEngine:
         """_unit_direction of every deformed vertex at the pair values
         nums / 2^shift, float for float, from the integer tables."""
         den = (self._embedding_scale * self.scale) << shift
+        point = [1 << shift, *nums]
         return [
-            _unit([c / den for c in _int_mat_vec(self._embedding, num)])
-            for num in self._numerators(nums, shift)
+            _unit([c / den for c in _int_mat_vec(a, point)])
+            for a in self._embedded_maps
         ]
 
     def _vertices_at(
@@ -407,19 +452,14 @@ class CoverEngine:
             )
         return out
 
-    def construct(
+    def screen(
         self,
         body: RadialBody,
         rotation: Optional[tuple[tuple[float, ...], ...]] = None,
-    ) -> CoverConstruction:
-        """Covering construction for the rotated body (exactly verified)."""
-        if not is_normalized(body):
-            raise ValueError("body must have no degree 0 or 2 terms")
-        if any(l % 2 for l, _, _ in body.coeffs):
-            raise ValueError("body must be centrally symmetric (even degrees)")
-        if not body.eps <= 0.1:
-            raise ValueError("asphericity above threshold 1/10")
-
+    ) -> Screen:
+        """The float re-targeting of the per-vertex equations for the rotated
+        body: the pair values, the float contraction, and r_K and |y| at
+        every deformed vertex.  Forms no Fraction."""
         directions = self.directions
         if rotation is not None:
             directions = [_apply_transposed(rotation, d) for d in directions]
@@ -449,6 +489,46 @@ class CoverEngine:
                 (n << (top - shift)) - (m << (top - by)) for n, m in zip(nums, moved)
             ]
             shift = top
+        return Screen(nums=nums, shift=shift, delta_float=delta_float, radial=radial)
+
+    def rank_key(self, screened: Screen) -> tuple[Rat, float]:
+        """K = (1 - delta0)^3 det(Id + M) at the screened pair values, or 0
+        when det(Id + M) <= 0, and float(trace M); exact, from the integer
+        tables.
+
+        delta0 is the contraction _certify_delta starts from, and the
+        certified delta never lies below it, so K is at least the det_ratio
+        that `construct` certifies for the same rotation.
+        """
+        den = self._map_scale << screened.shift
+        n = [
+            [
+                den * (r == c) + sum(map(mul, screened.nums, self._map_entries[r][c]))
+                for c in range(3)
+            ]
+            for r in range(3)
+        ]
+        trace_m = (n[0][0] + n[1][1] + n[2][2] - 3 * den) / den
+        det_n = (
+            n[0][0] * (n[1][1] * n[2][2] - n[1][2] * n[2][1])
+            - n[0][1] * (n[1][0] * n[2][2] - n[1][2] * n[2][0])
+            + n[0][2] * (n[1][0] * n[2][1] - n[1][1] * n[2][0])
+        )
+        if det_n <= 0:
+            return Fraction(0), trace_m
+        keep = (1 << DELTA_BITS) - _start_grains(screened.delta_float)
+        return Fraction(keep**3 * det_n, (den << DELTA_BITS) ** 3), trace_m
+
+    def construct(
+        self,
+        body: RadialBody,
+        rotation: Optional[tuple[tuple[float, ...], ...]] = None,
+    ) -> CoverConstruction:
+        """Covering construction for the rotated body (exactly verified):
+        the float screen, then the exact tail."""
+        check_body(body)
+        screened = self.screen(body, rotation)
+        nums, shift, radial = screened.nums, screened.shift, screened.radial
         values = [Fraction(n, 1 << shift) for n in nums]
         table = tuple(tuple(values[k] for k in keys) for keys in self.index)
         sol = self.solve(table)
@@ -462,7 +542,7 @@ class CoverEngine:
         ]
         trace_m = trace(m_mat)
         sum_abs = sum(abs(r) for row in table for r in row)
-        delta = self._certify_delta(delta_float, records)
+        delta = self._certify_delta(screened.delta_float, records)
 
         checks = []
         shrink2 = (1 - delta) ** 2
@@ -517,10 +597,8 @@ class CoverEngine:
 
     def _certify_delta(self, delta_float: float, records) -> Rat:
         """Round the float contraction up until every check passes exactly."""
-        grain = Fraction(1, 2**40)
-        delta = Fraction(0)
-        if delta_float > 0:
-            delta = Fraction(math.ceil(delta_float * 2**40) + 1, 2**40)
+        grain = Fraction(1, 1 << DELTA_BITS)
+        delta = Fraction(_start_grains(delta_float), 1 << DELTA_BITS)
         for _ in range(128):
             if delta >= 1:
                 raise RuntimeError("contraction reached 1")
@@ -532,6 +610,15 @@ class CoverEngine:
                 return delta
             delta += grain
         raise RuntimeError("contraction certification did not settle")
+
+
+def _start_grains(delta_float: float) -> int:
+    """The contraction _certify_delta starts from, in grains of 2^-DELTA_BITS:
+    delta_float rounded up with one grain to spare, or 0 when it is not
+    positive."""
+    if delta_float > 0:
+        return math.ceil(delta_float * (1 << DELTA_BITS)) + 1
+    return 0
 
 
 def _dyadic(values: Sequence) -> tuple[list[int], int]:
@@ -667,10 +754,10 @@ def multiplier_image_max(body: RadialBody, grid: int = 2000) -> float:
     rotation grid is fine enough.
     """
     weights = {l: float(c_l(l)) for l, _, _ in body.coeffs}
+    image = [(l, m, weights[l] * a) for l, m, a in body.coeffs]
     best = 0.0
     for d in _fibonacci_directions(grid):
-        v = sum(weights[l] * a * real_sph_harm(l, m, d) for l, m, a in body.coeffs)
-        best = max(best, v)
+        best = max(best, harmonic_sum(image, d))
     return best
 
 
@@ -698,19 +785,36 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
     exactly when the certified density improves on the ball's.  The first
     order driver is the bracket -(1/8) sum rho_ij = -trace M, minimized
     over the grid.
+
+    Filter, then certify: every rotation gets the float screen and its
+    exact rank key K (CoverEngine.rank_key), an upper bound on the
+    det_ratio that `construct` would certify.  Rotations are certified
+    in decreasing K, lower index first among equal keys, until the next
+    one can no longer beat the best certified ratio; equal ratios go to
+    the lower index.  The winner is the one an exhaustive scan finds.
     """
     if grid_size < 1:
         raise ValueError("the rotation grid must hold at least one rotation")
+    check_body(body)
     engine = _engine()
     vr = volume_ratio(body)
     ball_density = (4.0 * math.pi / 3.0) * engine.mu**3 / 4.0
+    grid = rotation_grid(grid_size)
+    keys = []
+    min_bracket = math.inf
+    for u in grid:
+        key, trace_m = engine.rank_key(engine.screen(body, u))
+        keys.append(key)
+        min_bracket = min(min_bracket, -trace_m)
     best = None
     best_idx = -1
-    min_bracket = math.inf
-    for idx, u in enumerate(rotation_grid(grid_size)):
-        c = engine.construct(body, rotation=u)
-        min_bracket = min(min_bracket, -float(c.trace_m))
-        if best is None or c.det_ratio > best.det_ratio:
+    for idx in sorted(range(grid_size), key=lambda i: (-keys[i], i)):
+        # The ratio is at most the key: once a rotation can neither beat the
+        # best ratio nor tie it at a lower index, no later one can.
+        if best is not None and (keys[idx], -idx) < (best.det_ratio, -best_idx):
+            break
+        c = engine.construct(body, rotation=grid[idx])
+        if best is None or (c.det_ratio, -idx) > (best.det_ratio, -best_idx):
             best = c
             best_idx = idx
     best_density = ball_density * vr / float(best.det_ratio)
@@ -836,11 +940,10 @@ def extension_witness(
         if det_t > 1:
             kept_cr2 = tuple(exact_cr_after(t_map, s, lat.gram) for s in kept)
             if all(c < ctx.mu2 for c in kept_cr2):
+                images = tuple(mat_vec(t_map, x) for x in s0.x)
                 for tau in taus:
-                    pts = tuple(
-                        vec_add(mat_vec(t_map, x), vec_scale(tau, pole))
-                        for x in s0.x
-                    )
+                    move = vec_scale(tau, pole)
+                    pts = tuple(vec_add(y, move) for y in images)
                     if all(member_augmented_ball(p, ball) for p in pts):
                         return ExtensionWitness(
                             dimension=lat.n,

@@ -179,6 +179,25 @@ def test_construct_rejects_bad_bodies(capsys, tmp_path):
     assert proc.stdout == ""
 
 
+def test_construct_reports_a_failed_certification(capsys, tmp_path, monkeypatch):
+    import ballcover.perturbation
+
+    def unsettled(self, delta_float, records):
+        raise RuntimeError("contraction certification did not settle")
+
+    monkeypatch.setattr(ballcover.perturbation.CoverEngine, "_certify_delta", unsettled)
+    body_file = tmp_path / "body.json"
+    save_body(make_body([(4, 0, 0.01)]), str(body_file))
+    cert = tmp_path / "scan.json"
+    code, out, err = run(
+        capsys, "construct", "--body", str(body_file), "--grid", "8", "--out", str(cert)
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "construction failed: contraction certification did not settle\n"
+    assert not cert.exists()
+
+
 def test_witness_roundtrip_and_redundant_branch(capsys, tmp_path):
     cert = tmp_path / "wit.json"
     code, out, _ = run(

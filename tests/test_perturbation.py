@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballcover.bodies import ball_body, make_body
+from ballcover.bodies import ball_body, make_body, real_sph_harm, rho
 from ballcover.eutaxy import map_matrix, q_map
+from ballcover.harmonic import c_l
 from ballcover.lattice import build_anstar, covering_radius
 from ballcover.linalg import (
     det,
@@ -27,13 +28,16 @@ from ballcover.linalg import (
     vec_sub,
 )
 from ballcover.perturbation import (
+    DELTA_BITS,
     AugmentedBall,
     CoverEngine,
     WitnessUnavailableError,
     _antipodal_index,
     _dyadic,
     _engine,
+    _fibonacci_directions,
     _pair_values,
+    _start_grains,
     _unit_direction,
     build_cover,
     deformed_vertex,
@@ -386,6 +390,17 @@ def test_multiplier_image_max_zonal():
     assert got > 0
 
 
+def test_multiplier_image_is_the_per_harmonic_sum():
+    # The transform sums (c_l a) * Y_lm over the rows, bit for bit as the
+    # per-harmonic sum with real_sph_harm does.
+    body = mixed_body(2)
+    want = 0.0
+    for d in _fibonacci_directions(300):
+        v = sum(float(c_l(l)) * a * real_sph_harm(l, m, d) for l, m, a in body.coeffs)
+        want = max(want, v)
+    assert multiplier_image_max(body, grid=300).hex() == want.hex()
+
+
 def test_extension_witness_exact_for_three_pairs():
     lat = build_anstar(3)
     mu2, simplices = covering_radius(lat)
@@ -412,3 +427,149 @@ def test_extension_witness_redundant_dimension_errors():
     lat = build_anstar(4)
     with pytest.raises(WitnessUnavailableError):
         extension_witness(lat, 0)
+
+
+def mixed_body(seed):
+    # Three degree-4 and three degree-6 orders with random signed weights,
+    # scaled to a certified asphericity sum |a| sqrt(2l+1) of 0.02.
+    rng = random.Random(seed)
+    rows = []
+    for l in (4, 6):
+        for m in sorted(rng.sample(range(-l, l + 1), 3)):
+            rows.append((l, m, rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0)))
+    eps = sum(abs(a) * math.sqrt(2 * l + 1) for l, _, a in rows)
+    return make_body([(l, m, a * 0.02 / eps) for l, m, a in rows])
+
+
+SCAN_BODIES = {
+    "zonal": make_body([(4, 0, 0.02 / 3)]),
+    "mixed": mixed_body(1),
+    "ball": ball_body(),
+}
+
+
+def exhaustive_scan(body, grid_size):
+    # The reference scan: certify every rotation, keep the first best ratio.
+    engine = _engine()
+    best, best_idx, min_bracket = None, -1, math.inf
+    for idx, u in enumerate(rotation_grid(grid_size)):
+        c = engine.construct(body, rotation=u)
+        min_bracket = min(min_bracket, -float(c.trace_m))
+        if best is None or c.det_ratio > best.det_ratio:
+            best, best_idx = c, idx
+    return best_idx, best, min_bracket
+
+
+def count_constructs(monkeypatch):
+    calls = []
+    construct = CoverEngine.construct
+
+    def counted(self, body, rotation=None):
+        calls.append(rotation)
+        return construct(self, body, rotation=rotation)
+
+    monkeypatch.setattr(CoverEngine, "construct", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_BODIES))
+def test_filtered_scan_equals_exhaustive_scan(name, monkeypatch):
+    body = SCAN_BODIES[name]
+    best_idx, best, min_bracket = exhaustive_scan(body, 40)
+    calls = count_constructs(monkeypatch)
+    report = rotation_scan(body, grid_size=40)
+    assert report.best_index == best_idx
+    assert report.best == best
+    assert report.min_bracket.hex() == min_bracket.hex()
+    # Only the winner is certified exactly.
+    assert calls == [rotation_grid(40)[best_idx]]
+    if name == "ball":
+        # Every ratio is 1: the tie goes to the lowest index.
+        assert best.det_ratio == 1 and best_idx == 0
+
+
+def test_construct_runs_once_per_scan(monkeypatch):
+    calls = count_constructs(monkeypatch)
+    bodies = [make_body([(4, 0, 0.01 / 3)]), make_body([(4, 0, 0.01)]), mixed_body(11)]
+    for body, grid in zip(bodies, (40, 24, 40)):
+        calls.clear()
+        rotation_scan(body, grid_size=grid)
+        assert len(calls) == 1
+
+
+def test_rank_key_bounds_every_certified_ratio():
+    engine = _engine()
+    for body in (mixed_body(3), make_body([(4, 0, 0.01)]), ball_body()):
+        for u in rotation_grid(24):
+            screened = engine.screen(body, u)
+            key, trace_m = engine.rank_key(screened)
+            c = engine.construct(body, rotation=u)
+            assert key >= c.det_ratio
+            assert trace_m.hex() == float(c.trace_m).hex()
+            # When the certification keeps its starting contraction, the
+            # key is the ratio itself.
+            if c.delta == Fraction(_start_grains(screened.delta_float), 2**DELTA_BITS):
+                assert key == c.det_ratio
+
+
+@pytest.mark.parametrize("name", ["mixed", "ball"])
+def test_looser_keys_only_certify_more(name, monkeypatch):
+    # Any upper bound ranks correctly: keys raised by a per-index amount
+    # force extra certifications but leave the winner unchanged.  For the
+    # ball, higher indices are then certified first, and the lowest index
+    # must still win the tie.
+    body = SCAN_BODIES[name]
+    best_idx, best, min_bracket = exhaustive_scan(body, 24)
+    rank_key = CoverEngine.rank_key
+    order = iter(range(10**6))
+
+    def loose(self, screened):
+        key, trace_m = rank_key(self, screened)
+        return key + Fraction(next(order) % 5, 100), trace_m
+
+    monkeypatch.setattr(CoverEngine, "rank_key", loose)
+    calls = count_constructs(monkeypatch)
+    report = rotation_scan(body, grid_size=24)
+    assert len(calls) > 1
+    assert (report.best_index, report.best) == (best_idx, best)
+    assert report.min_bracket == min_bracket
+
+
+def test_scan_skips_rotations_that_cannot_win(monkeypatch):
+    # A rotation that would fail its exact checks is never certified when
+    # its key cannot beat the winner.
+    body = make_body([(4, 0, 0.01)])
+    best_idx, best, _ = exhaustive_scan(body, 24)
+    loser = rotation_grid(24)[(best_idx + 1) % 24]
+    construct = CoverEngine.construct
+
+    def failing(self, body, rotation=None):
+        if rotation == loser:
+            raise RuntimeError("contraction certification did not settle")
+        return construct(self, body, rotation=rotation)
+
+    monkeypatch.setattr(CoverEngine, "construct", failing)
+    report = rotation_scan(body, grid_size=24)
+    assert (report.best_index, report.best) == (best_idx, best)
+
+
+DIRECTIONS = st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 3).filter(
+    lambda d: math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) > 0
+)
+HARMONICS = st.lists(
+    st.integers(0, 12).flatmap(
+        lambda l: st.tuples(st.just(l), st.integers(-l, l), st.floats(-0.1, 0.1))
+    ),
+    max_size=8,
+    unique_by=lambda h: h[:2],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HARMONICS, DIRECTIONS)
+def test_rho_is_the_per_harmonic_sum_bit_for_bit(coeffs, d):
+    body = make_body(coeffs)
+    want = sum(a * real_sph_harm(l, m, d) for l, m, a in body.coeffs)
+    got = rho(body, d)
+    # repr tells the int 0 of an empty sum from 0.0, and -0.0 from 0.0.
+    assert repr(got) == repr(want)
