@@ -8,7 +8,8 @@ everything downstream that must be exact converts sampled values to
 rationals explicitly.
 
 The certified asphericity `eps` of a body is sum |a_lm| sqrt(2l+1), a true
-upper bound for sup |rho|, not a sampled estimate.
+upper bound for sup |rho|, not a sampled estimate.  `volume_ratio` turns
+the same bound into an exact rational upper bound on vol K / vol B.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+# Binary precision of the rounded-up square roots in volume_ratio.
+SQRT_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,8 @@ def is_normalized(body: RadialBody) -> bool:
     return all(l not in (0, 2) for l, _, _ in body.coeffs)
 
 
-def _assoc_legendre(l: int, m: int, x):
-    """P_lm without the (-1)^m phase; x may be a float or an ndarray."""
+def _assoc_legendre(l: int, m: int, x: float) -> float:
+    """P_lm without the (-1)^m phase."""
     if not 0 <= m <= l:
         raise ValueError(f"order {m} outside 0..{l}")
     somx2 = (1.0 - x * x) ** 0.5
@@ -133,35 +138,25 @@ def _harmonic(l: int, m: int, ct: float, phi: float) -> float:
     return math.sqrt(2.0) * base * math.sin(am * phi)
 
 
-def volume_ratio(body: RadialBody) -> float:
-    """vol K / vol B = average of r_K^3 over the sphere.
+def volume_ratio(body: RadialBody) -> Fraction:
+    """An exact rational upper bound on vol K / vol B; exactly 1 for the ball.
 
-    Product Gauss-Legendre x uniform quadrature, sized to integrate the
-    degree <= 3 lmax integrand exactly; the only error is float roundoff.
-    The one user of numpy in the package, so only `construct` loads it.
+    vol K / vol B is the average of r_K^3 = (1 + rho)^3 over the sphere.  The
+    harmonics have unit quadratic mean and Y_00 = 1, so the average is
+    1 + 3 a_00 + 3 sum a^2 + <rho^3>, and <rho^3> <= sup |rho| sum a^2 <=
+    eps sum a^2.  Each a is its exact dyadic Fraction, and eps is summed with
+    every sqrt(2l+1) rounded up to a multiple of 2^-SQRT_BITS.
     """
-    import numpy as np
+    exact = [(l, Fraction(a)) for l, _, a in body.coeffs]
+    mean = sum((a for l, a in exact if l == 0), Fraction(0))
+    sum_sq = sum(a * a for _, a in exact)
+    eps = sum(abs(a) * _sqrt_above(2 * l + 1) for l, a in exact)
+    return 1 + 3 * mean + (3 + eps) * sum_sq
 
-    if not body.coeffs:
-        return 1.0
-    deg = 3 * body.lmax
-    nz = deg // 2 + 2
-    nphi = deg + 2
-    z, wz = np.polynomial.legendre.leggauss(nz)
-    phi = 2.0 * math.pi * np.arange(nphi) / nphi
-    grid = np.zeros((nz, nphi))
-    for l, m, a in body.coeffs:
-        am = abs(m)
-        radial_part = _norm_lm(l, am) * _assoc_legendre(l, am, z)
-        if m == 0:
-            angular = np.ones(nphi)
-        elif m > 0:
-            angular = math.sqrt(2.0) * np.cos(am * phi)
-        else:
-            angular = math.sqrt(2.0) * np.sin(am * phi)
-        grid += a * np.outer(radial_part, angular)
-    r3 = (1.0 + grid) ** 3
-    return float(wz @ r3.sum(axis=1)) / (2.0 * nphi)
+
+def _sqrt_above(n: int) -> Fraction:
+    """A rational upper bound on sqrt(n), within 2^-SQRT_BITS of it."""
+    return Fraction(math.isqrt(n << (2 * SQRT_BITS)) + 1, 1 << SQRT_BITS)
 
 
 def body_to_dict(body: RadialBody) -> dict:

@@ -45,7 +45,6 @@ from .linalg import (
     solve_square,
     transpose,
     vec,
-    vec_scale,
     vec_sub,
 )
 
@@ -281,20 +280,25 @@ def covering_radius(lat: LatticeModel) -> tuple[Rat, tuple[PrimitiveSimplex, ...
 
 
 def negative_pairs(simplices: tuple[PrimitiveSimplex, ...]) -> tuple[tuple[int, int], ...]:
-    """Match each simplex with its negative (as a set of sphere points)."""
-    keys = [tuple(sorted(p.x)) for p in simplices]
-    neg = [tuple(sorted(vec_scale(Fraction(-1), x) for x in p.x)) for p in simplices]
+    """Match each simplex with its negative (as a set of sphere points):
+    one dict lookup per simplex."""
+    index = {_vertex_key(p.x, 1): i for i, p in enumerate(simplices)}
+    if len(index) != len(simplices):
+        raise RuntimeError("two simplices share their vertex set")
     pairs = []
-    used = set()
-    for i, k in enumerate(keys):
-        if i in used:
-            continue
-        j = next(j for j in range(len(simplices)) if j not in used and neg[i] == keys[j])
+    for i, p in enumerate(simplices):
+        j = index[_vertex_key(p.x, -1)]
         if j == i:
             raise RuntimeError("simplex equals its own negative")
-        used.update((i, j))
-        pairs.append((i, j))
+        if i < j:
+            pairs.append((i, j))
     return tuple(pairs)
+
+
+def _vertex_key(x: tuple[VecQ, ...], sign: int) -> tuple:
+    """The vertex set sign * x, as sorted integer (numerator, denominator)
+    tuples."""
+    return tuple(sorted(tuple((sign * c.numerator, c.denominator) for c in v) for v in x))
 
 
 def pair_orbit(

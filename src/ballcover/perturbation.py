@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 
 from .bodies import (
     RadialBody,
-    harmonic_sum,
     is_normalized,
     rho as body_rho,
     volume_ratio,
@@ -49,7 +48,6 @@ from .eutaxy import (
     map_matrix,
     q_map,
 )
-from .harmonic import c_l
 from .lattice import (
     LatticeModel,
     PrimitiveSimplex,
@@ -367,7 +365,7 @@ class CoverEngine:
         self.pair_of = tuple(k for keys in self.index for k in keys)
         maps = [map_matrix(self.ginv, b.m_form) for b in basis]
         # M = sum_k v_k maps[k]; entry (r, c) of every map over one common
-        # denominator, for rank_key's det(Id + M) and trace M.
+        # denominator, for rank_key's det(Id + M).
         entries, self._map_scale = integer_scaled([row for m in maps for row in m])
         self._map_entries = [
             [[entries[3 * k + r][c] for k in range(len(maps))] for c in range(3)]
@@ -491,10 +489,9 @@ class CoverEngine:
             shift = top
         return Screen(nums=nums, shift=shift, delta_float=delta_float, radial=radial)
 
-    def rank_key(self, screened: Screen) -> tuple[Rat, float]:
+    def rank_key(self, screened: Screen) -> Rat:
         """K = (1 - delta0)^3 det(Id + M) at the screened pair values, or 0
-        when det(Id + M) <= 0, and float(trace M); exact, from the integer
-        tables.
+        when det(Id + M) <= 0; exact, from the integer tables.
 
         delta0 is the contraction _certify_delta starts from, and the
         certified delta never lies below it, so K is at least the det_ratio
@@ -508,16 +505,15 @@ class CoverEngine:
             ]
             for r in range(3)
         ]
-        trace_m = (n[0][0] + n[1][1] + n[2][2] - 3 * den) / den
         det_n = (
             n[0][0] * (n[1][1] * n[2][2] - n[1][2] * n[2][1])
             - n[0][1] * (n[1][0] * n[2][2] - n[1][2] * n[2][0])
             + n[0][2] * (n[1][0] * n[2][1] - n[1][1] * n[2][0])
         )
         if det_n <= 0:
-            return Fraction(0), trace_m
+            return Fraction(0)
         keep = (1 << DELTA_BITS) - _start_grains(screened.delta_float)
-        return Fraction(keep**3 * det_n, (den << DELTA_BITS) ** 3), trace_m
+        return Fraction(keep**3 * det_n, (den << DELTA_BITS) ** 3)
 
     def construct(
         self,
@@ -734,57 +730,46 @@ def rotation_grid(size: int) -> tuple[tuple[tuple[float, ...], ...], ...]:
     return tuple(grid_rotation(i, size) for i in range(size))
 
 
-def _fibonacci_directions(size: int):
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    for i in range(size):
-        z = 1.0 - (2.0 * i + 1.0) / size
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        t = 2.0 * math.pi * i / golden
-        yield (r * math.cos(t), r * math.sin(t), z)
-
-
-def multiplier_image_max(body: RadialBody, grid: int = 2000) -> float:
-    """Max over sampled directions of the multiplier-transformed rho.
-
-    One quarter of this value is the average trace M over rotations that
-    pin one vertex at the peak direction: averaging rho over the other
-    vertices applies the zonal multipliers c_l, and the vertex weights
-    sum to 12 = 4 * 3.  The best rotation does at least this well, so the
-    scan's best trace should meet or exceed the quarter value once the
-    rotation grid is fine enough.
-    """
-    weights = {l: float(c_l(l)) for l, _, _ in body.coeffs}
-    image = [(l, m, weights[l] * a) for l, m, a in body.coeffs]
-    best = 0.0
-    for d in _fibonacci_directions(grid):
-        best = max(best, harmonic_sum(image, d))
-    return best
-
-
 @dataclass(frozen=True)
 class ScanReport:
     grid_size: int
-    volume_ratio: float
+    volume_bound: Rat
     ball_density: float
     best_index: int
     best: CoverConstruction
     best_density: float
     margin: float
-    min_bracket: float
     delta_k_bound: float
-    trace_estimate: float
+
+
+def scan_densities(
+    mu2: Rat, det_gram: Rat, volume_bound: Rat, det_ratio: Rat
+) -> tuple[float, float, float, float]:
+    """ball_density, best_density, margin and delta_k_bound of a scan.
+
+    The ball's covering density is (4 pi / 3) mu^3 / sqrt(det G).  The
+    construction covers the body with density at most ball_density *
+    volume_bound / det_ratio, so the margin and the Delta_K bound are
+    floats of exact rationals: the margin is positive and the bound
+    negative exactly when det_ratio > volume_bound.
+    """
+    ball = (4.0 * math.pi / 3.0) * math.sqrt(mu2) ** 3 / math.sqrt(det_gram)
+    return (
+        ball,
+        ball * float(volume_bound / det_ratio),
+        ball * float(1 - volume_bound / det_ratio),
+        float(1 - det_ratio / volume_bound),
+    )
 
 
 def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
     """Try a deterministic rotation grid; keep the best determinant ratio.
 
-    The construction for the best rotation certifies the covering density
-    ball_density * volume_ratio / det_ratio for the body, hence a margin
-    by which the body covers more efficiently than the ball and an upper
-    bound on Delta_K = 1 - theta(ball) / theta(body), which is negative
-    exactly when the certified density improves on the ball's.  The first
-    order driver is the bracket -(1/8) sum rho_ij = -trace M, minimized
-    over the grid.
+    The construction for the best rotation covers the body with density at
+    most ball_density * volume_bound / det_ratio, where volume_bound is the
+    exact upper bound bodies.volume_ratio on vol K / vol B.  The body covers
+    more thinly than the ball, so Delta_K = 1 - theta(ball) / theta(body)
+    is negative, whenever det_ratio > volume_bound (`scan_densities`).
 
     Filter, then certify: every rotation gets the float screen and its
     exact rank key K (CoverEngine.rank_key), an upper bound on the
@@ -797,15 +782,8 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
         raise ValueError("the rotation grid must hold at least one rotation")
     check_body(body)
     engine = _engine()
-    vr = volume_ratio(body)
-    ball_density = (4.0 * math.pi / 3.0) * engine.mu**3 / 4.0
     grid = rotation_grid(grid_size)
-    keys = []
-    min_bracket = math.inf
-    for u in grid:
-        key, trace_m = engine.rank_key(engine.screen(body, u))
-        keys.append(key)
-        min_bracket = min(min_bracket, -trace_m)
+    keys = [engine.rank_key(engine.screen(body, u)) for u in grid]
     best = None
     best_idx = -1
     for idx in sorted(range(grid_size), key=lambda i: (-keys[i], i)):
@@ -817,19 +795,19 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
         if best is None or (c.det_ratio, -idx) > (best.det_ratio, -best_idx):
             best = c
             best_idx = idx
-    best_density = ball_density * vr / float(best.det_ratio)
-    margin = ball_density - best_density
+    volume_bound = volume_ratio(body)
+    ball, best_density, margin, delta_k = scan_densities(
+        engine.mu2, det(engine.gram), volume_bound, best.det_ratio
+    )
     return ScanReport(
         grid_size=grid_size,
-        volume_ratio=vr,
-        ball_density=ball_density,
+        volume_bound=volume_bound,
+        ball_density=ball,
         best_index=best_idx,
         best=best,
         best_density=best_density,
         margin=margin,
-        min_bracket=min_bracket,
-        delta_k_bound=1.0 - ball_density / best_density,
-        trace_estimate=multiplier_image_max(body) / 4.0,
+        delta_k_bound=delta_k,
     )
 
 

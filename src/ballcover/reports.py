@@ -15,19 +15,25 @@ entries are treated as tagged inputs: exact-domain claims built on them
 (for instance membership inequalities against an exactly squared stored
 float) are re-verified in rational arithmetic.  Stored radial values are
 re-evaluated from the certificate's body, rotation and deformed vertex
-and must agree within FLOAT_TOLERANCE; the other floats (densities,
-bounds) are only checked for internal consistency.
+and must agree within FLOAT_TOLERANCE.  A scan's exact volume bound is
+re-derived from its body, and its densities, margin and Delta_K bound are
+recomputed from that bound and the exact det ratio and must be equal.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Callable
 
-from .bodies import RadialBody, body_from_dict, body_to_dict, is_normalized
+from .bodies import (
+    RadialBody,
+    body_from_dict,
+    body_to_dict,
+    is_normalized,
+    volume_ratio,
+)
 from .eutaxy import (
     EutaxyClass,
     ball_conclusion,
@@ -76,11 +82,15 @@ from .perturbation import (
     kept_simplices,
     member_augmented_ball,
     radial_value,
+    scan_densities,
     trace_identity_sum,
 )
 
 # Largest gap allowed between a stored radial value and its re-evaluation.
 FLOAT_TOLERANCE = 1e-12
+
+_SCAN_KEYS = {"kind", *(f.name for f in fields(ScanReport))}
+_DENSITY_KEYS = ("ball_density", "best_density", "margin", "delta_k_bound")
 
 
 def rat_str(x: Rat) -> str:
@@ -324,27 +334,22 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
 
 
 def _verify_scan(data: dict, bad: list[str]) -> None:
+    if data.keys() != _SCAN_KEYS:
+        bad.append(f"scan fields must be exactly {sorted(_SCAN_KEYS)}")
+        return
     _verify_cover(data["best"], bad)
     lat = build_anstar(3)
     mu2, _ = covering_radius(lat)
-    ball = (4.0 * math.pi / 3.0) * float(mu2) ** 1.5 / math.sqrt(det(lat.gram))
-    if abs(data["ball_density"] - ball) > 1e-12:
-        bad.append("ball density off its exact-formula value")
-    det_ratio = float(parse_rat(data["best"]["det_ratio"]))
-    expect = data["ball_density"] * data["volume_ratio"] / det_ratio
-    if not math.isclose(data["best_density"], expect, rel_tol=1e-9):
-        bad.append("best density inconsistent with det ratio")
-    if not math.isclose(
-        data["margin"], data["ball_density"] - data["best_density"], rel_tol=1e-9, abs_tol=1e-15
-    ):
-        bad.append("margin inconsistent")
-    if not math.isclose(
-        data["delta_k_bound"],
-        1.0 - data["ball_density"] / data["best_density"],
-        rel_tol=1e-9,
-        abs_tol=1e-15,
-    ):
-        bad.append("Delta_K bound inconsistent")
+    volume_bound = volume_ratio(body_from_dict(data["best"]["body"]))
+    if parse_rat(data["volume_bound"]) != volume_bound:
+        bad.append("volume bound is not the exact bound of the body")
+    det_ratio = parse_rat(data["best"]["det_ratio"])
+    derived = scan_densities(mu2, det(lat.gram), volume_bound, det_ratio)
+    for key, want in zip(_DENSITY_KEYS, derived):
+        if type(data[key]) is not float or data[key] != want:
+            bad.append(f"{key} is not its value from the exact volume bound and det ratio")
+    if (data["margin"] > 0) != (det_ratio > volume_bound):
+        bad.append("margin sign contradicts det_ratio > volume_bound")
     index, size = data["best_index"], data["grid_size"]
     if type(index) is not int or type(size) is not int or not 0 <= index < size:
         bad.append("best rotation index must be an integer in [0, grid_size)")

@@ -1,6 +1,7 @@
 """Spherical harmonic basis normalization and body bookkeeping."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ballcover.bodies import (
     make_body,
     real_sph_harm,
     rho,
+    _sqrt_above,
     save_body,
     volume_ratio,
 )
@@ -72,14 +74,32 @@ def test_normalization_flag():
 
 
 def test_volume_ratio_ball_and_consistency():
-    assert volume_ratio(ball_body()) == 1.0
-    body = make_body([(4, 0, 0.01)])
-    # average of rho is 0 and of rho^2 is a^2, so the cubic term is tiny
-    got = volume_ratio(body)
-    assert abs(got - (1.0 + 3.0 * 0.01**2)) < 1e-5
+    # The exact bound 1 + (3 + eps_bar) sum a^2 sits above the quadrature
+    # value 1 + 3 sum a^2 + <rho^3>, and |<rho^3>| <= eps sum a^2.
+    assert volume_ratio(ball_body()) == 1
+    assert type(volume_ratio(ball_body())) is Fraction
     pts, wts = sphere_quadrature(20)
-    brute = sum(w * (1.0 + rho(body, p)) ** 3 for p, w in zip(pts, wts))
-    assert abs(got - brute) < 1e-13
+    bodies = [
+        make_body([(4, 0, 0.01)]),
+        make_body([(4, 0, -0.02 / 3)]),
+        make_body([(4, 0, 0.01), (6, 2, -0.004), (4, -3, 0.002)]),
+        make_body([(6, -5, 0.003), (4, 1, -0.001), (6, 6, 0.002)]),
+        # Y_00 = 1 adds its coefficient to the mean of rho
+        make_body([(0, 0, 0.01), (4, 0, -0.005)]),
+    ]
+    for body in bodies:
+        got = volume_ratio(body)
+        assert type(got) is Fraction
+        mean = sum(Fraction(a) for l, _, a in body.coeffs if l == 0)
+        sum_sq = sum(Fraction(a) ** 2 for _, _, a in body.coeffs)
+        eps_bar = sum(abs(Fraction(a)) * _sqrt_above(2 * l + 1) for l, _, a in body.coeffs)
+        assert 0 <= eps_bar - Fraction(body.eps) < 1e-9
+        assert got == 1 + 3 * mean + (3 + eps_bar) * sum_sq
+        brute = sum(w * (1.0 + rho(body, p)) ** 3 for p, w in zip(pts, wts))
+        cubic = sum(w * rho(body, p) ** 3 for p, w in zip(pts, wts))
+        assert brute < got <= brute + 2 * eps_bar * sum_sq
+        assert abs(float(got) - brute - (float(eps_bar * sum_sq) - cubic)) < 1e-13
+    assert all(_sqrt_above(n) ** 2 > n for n in range(1, 200))
 
 
 def test_body_io_roundtrip(tmp_path):

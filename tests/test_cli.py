@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -14,7 +15,8 @@ import ballcover
 from ballcover.bodies import make_body, save_body
 from ballcover.cli import main
 from ballcover.linalg import det, identity, mat_add
-from ballcover.perturbation import build_cover, rotation_grid
+from ballcover.lattice import build_anstar, covering_radius
+from ballcover.perturbation import build_cover, rotation_grid, scan_densities
 from ballcover.reports import (
     cover_certificate,
     dump_json,
@@ -48,6 +50,16 @@ def run_closed_pipe(*argv):
         )
     finally:
         os.close(write_end)
+
+
+def refit_densities(data, det_ratio):
+    # Recompute a scan's derived floats from its volume bound and det_ratio,
+    # as the emitter does.
+    lat = build_anstar(3)
+    mu2, _ = covering_radius(lat)
+    derived = scan_densities(mu2, det(lat.gram), parse_rat(data["volume_bound"]), det_ratio)
+    for key, value in zip(("ball_density", "best_density", "margin", "delta_k_bound"), derived):
+        data[key] = value
 
 
 def run_optimized(*argv):
@@ -292,16 +304,46 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
         assert proc.stderr == ""
 
 
-def test_only_construct_loads_numpy():
-    # numpy serves only the volume quadrature of `construct`; every other
-    # command starts without paying for its import.
+def test_commands_never_load_numpy(tmp_path):
+    # The package has no third-party dependency: a scan and its verification
+    # run without importing numpy.
+    body_file = tmp_path / "body.json"
+    save_body(make_body([(4, 0, 0.005)]), str(body_file))
+    cert = tmp_path / "scan.json"
     env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
-    script = "import sys, ballcover.cli; print('numpy' in sys.modules)"
+    script = (
+        "import contextlib, io, sys\n"
+        "from ballcover.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['construct', '--body', {str(body_file)!r}, '--grid', '1',\n"
+        f"                   '--out', {str(cert)!r}]),\n"
+        f"             main(['verify', '--certificate', {str(cert)!r}])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout == "[0, 0] False\n"
+
+
+def test_package_imports_only_the_standard_library():
+    package = Path(ballcover.__file__).parent
+    foreign = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []
 
 
 def test_traced_names_resolve():
@@ -555,7 +597,7 @@ def test_scan_output_is_pinned(capsys, tmp_path):
     )
     assert code == 0
     assert out == cert.read_text()
-    assert sha256(cert) == "63793ec5339ee60776636179df089058c9c73f1e8819ac21790131477efd9fe5"
+    assert sha256(cert) == "e13e636b7831386db057d99af932f98e55de8aa1778d82b9d48234403ad1bb74"
 
 
 def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):
@@ -581,10 +623,7 @@ def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):
             passing.append(k)
     assert 0 < len(passing) < len(best["checks"])
     best["checks"] = [passing[n % len(passing)] for n in range(len(best["checks"]))]
-    ball = data["ball_density"]
-    data["best_density"] = ball * data["volume_ratio"] / float(det_ratio)
-    data["margin"] = ball - data["best_density"]
-    data["delta_k_bound"] = 1.0 - ball / data["best_density"]
+    refit_densities(data, det_ratio)
     cert.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 1
@@ -632,3 +671,67 @@ def test_verify_ties_the_scan_rotation_to_the_grid(capsys, tmp_path):
         assert (ok, bad) == (False, [index_error])
     ok, bad = verify_certificate(dict(data, grid_size=10**400))
     assert not ok and bad[0].startswith("malformed certificate: OverflowError")
+
+
+def scan_of(capsys, tmp_path, harmonics, grid):
+    body_file = tmp_path / "body.json"
+    save_body(make_body(harmonics), str(body_file))
+    cert = tmp_path / "scan.json"
+    code, _, _ = run(
+        capsys, "construct", "--body", str(body_file), "--grid", str(grid), "--out", str(cert)
+    )
+    assert code == 0
+    return cert, json.loads(cert.read_text())
+
+
+def test_verify_rederives_the_volume_bound(capsys, tmp_path):
+    # Halve the body's volume bound and refit every derived float to it: the
+    # densities agree with each other, so only re-deriving the bound from
+    # the body can catch the forgery.
+    cert, data = scan_of(capsys, tmp_path, [(4, 0, 0.005)], 8)
+    assert parse_rat(data["volume_bound"]) > 1
+    data["volume_bound"] = "1/2"
+    refit_densities(data, parse_rat(data["best"]["det_ratio"]))
+    cert.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    # The densities are recomputed from the re-derived bound, so they fail too.
+    assert err.splitlines() == [
+        "verification failure: volume bound is not the exact bound of the body",
+        *(
+            f"verification failure: {key} is not its value from the exact volume bound and det ratio"
+            for key in ("best_density", "margin", "delta_k_bound")
+        ),
+    ]
+
+
+def test_verify_rejects_a_stray_scan_field(capsys, tmp_path):
+    cert, data = scan_of(capsys, tmp_path, [(4, 0, 0.005)], 8)
+    cert.write_text(json.dumps(dict(data, min_bracket=123.0)))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: scan fields must be exactly [")
+
+
+def changed(value):
+    # A different value of the same JSON type.
+    if isinstance(value, str):
+        return rat_str(parse_rat(value) + parse_rat("1/1000"))
+    if isinstance(value, float):
+        return value * (1 + 2**-40)
+    return value + 1
+
+
+def test_verify_rederives_every_scan_field(capsys, tmp_path):
+    _, data = scan_of(capsys, tmp_path, [(4, 0, 0.02 / 3)], 8)
+    assert verify_certificate(data) == (True, [])
+    fields = sorted(set(data) - {"kind", "best"})
+    assert fields == [
+        "ball_density", "best_density", "best_index", "delta_k_bound", "grid_size",
+        "margin", "volume_bound",
+    ]
+    for key in fields:
+        ok, bad = verify_certificate(dict(data, **{key: changed(data[key])}))
+        assert not ok, key

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -94,6 +95,31 @@ def test_negative_pairs_structure():
         assert len(pairs) == math.factorial(n) // 2
         flat = [i for pair in pairs for i in pair]
         assert sorted(flat) == list(range(math.factorial(n)))
+
+
+def test_negative_pairs_match_the_reference_scan():
+    # The reference: each unused simplex against every unused one, on the
+    # sorted Fraction vertex tuples.
+    for n in (2, 3, 4, 5):
+        _, maximal = covering_radius(build_anstar(n))
+        keys = [tuple(sorted(p.x)) for p in maximal]
+        neg = [tuple(sorted(tuple(-c for c in x) for x in p.x)) for p in maximal]
+        want, used = [], set()
+        for i in range(len(maximal)):
+            if i not in used:
+                j = next(j for j in range(len(keys)) if j not in used and neg[i] == keys[j])
+                used.update((i, j))
+                want.append((i, j))
+        assert negative_pairs(maximal) == tuple(want)
+
+
+def test_negative_pairs_reject_degenerate_tables():
+    half = Fraction(1, 2)
+    a, b = (half, 0), (0, half)
+    with pytest.raises(RuntimeError, match="its own negative"):
+        negative_pairs((SimpleNamespace(x=(a, (-half, 0))),))
+    with pytest.raises(RuntimeError, match="share their vertex set"):
+        negative_pairs((SimpleNamespace(x=(a, b)), SimpleNamespace(x=(b, a))))
 
 
 def test_primitive_simplex_invariants():

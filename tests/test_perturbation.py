@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballcover.bodies import ball_body, make_body, real_sph_harm, rho
+from ballcover.bodies import ball_body, make_body, real_sph_harm, rho, volume_ratio
 from ballcover.eutaxy import map_matrix, q_map
-from ballcover.harmonic import c_l
 from ballcover.lattice import build_anstar, covering_radius
 from ballcover.linalg import (
     det,
@@ -35,7 +34,6 @@ from ballcover.perturbation import (
     _antipodal_index,
     _dyadic,
     _engine,
-    _fibonacci_directions,
     _pair_values,
     _start_grains,
     _unit_direction,
@@ -46,9 +44,9 @@ from ballcover.perturbation import (
     first_order_cr,
     grid_rotation,
     member_augmented_ball,
-    multiplier_image_max,
     rotation_grid,
     rotation_scan,
+    scan_densities,
     solve_treqn,
 )
 
@@ -368,37 +366,35 @@ def test_rotation_scan_consistency():
     report = rotation_scan(body, grid_size=24)
     assert 0 <= report.best_index < 24
     assert report.best.rotation is not None
-    expect = report.ball_density * report.volume_ratio / float(
-        report.best.det_ratio
+    assert report.volume_bound == volume_ratio(body)
+    engine = _engine()
+    derived = scan_densities(
+        engine.mu2, det(engine.gram), report.volume_bound, report.best.det_ratio
     )
+    stored = (report.ball_density, report.best_density, report.margin, report.delta_k_bound)
+    assert stored == derived
+    expect = report.ball_density * float(report.volume_bound) / float(report.best.det_ratio)
     assert math.isclose(report.best_density, expect)
+    assert math.isclose(report.margin, report.ball_density - report.best_density)
     assert math.isclose(
         report.delta_k_bound, 1.0 - report.ball_density / report.best_density
     )
-    assert report.min_bracket <= -float(report.best.trace_m)
-    # A degree-4 body admits rotations with strictly negative bracket.
-    assert report.min_bracket < 0
-    assert report.trace_estimate > 0
+    assert report.best.det_ratio > report.volume_bound
+    assert report.margin > 0 > report.delta_k_bound
+    # A degree-4 body admits rotations with strictly positive trace M.
+    assert report.best.trace_m > 0
     assert abs(report.ball_density - 5 * math.sqrt(5) * math.pi / 24) < 1e-12
 
 
-def test_multiplier_image_max_zonal():
-    # A zonal degree-4 body: the transform peaks at the pole with c_4 a.
-    body = make_body([(4, 0, 0.01)])
-    got = multiplier_image_max(body, grid=4000)
-    assert got <= float(Fraction(7, 25)) * 0.01 * math.sqrt(9.0) + 1e-9
-    assert got > 0
-
-
-def test_multiplier_image_is_the_per_harmonic_sum():
-    # The transform sums (c_l a) * Y_lm over the rows, bit for bit as the
-    # per-harmonic sum with real_sph_harm does.
-    body = mixed_body(2)
-    want = 0.0
-    for d in _fibonacci_directions(300):
-        v = sum(float(c_l(l)) * a * real_sph_harm(l, m, d) for l, m, a in body.coeffs)
-        want = max(want, v)
-    assert multiplier_image_max(body, grid=300).hex() == want.hex()
+def test_scan_densities_sign_follows_the_exact_comparison():
+    # Floats of exact differences: a ratio one part in 10^30 above or below
+    # the bound still gives the margin and Delta_K bound their exact signs.
+    mu2, det_gram = Fraction(5, 4), Fraction(16)
+    bound = Fraction(10001, 10000)
+    for det_ratio in (bound + Fraction(1, 10**30), bound - Fraction(1, 10**30), bound):
+        _, _, margin, delta_k = scan_densities(mu2, det_gram, bound, det_ratio)
+        assert (margin > 0) == (det_ratio > bound) == (delta_k < 0)
+        assert (margin == 0) == (det_ratio == bound) == (delta_k == 0)
 
 
 def test_extension_witness_exact_for_three_pairs():
@@ -451,13 +447,12 @@ SCAN_BODIES = {
 def exhaustive_scan(body, grid_size):
     # The reference scan: certify every rotation, keep the first best ratio.
     engine = _engine()
-    best, best_idx, min_bracket = None, -1, math.inf
+    best, best_idx = None, -1
     for idx, u in enumerate(rotation_grid(grid_size)):
         c = engine.construct(body, rotation=u)
-        min_bracket = min(min_bracket, -float(c.trace_m))
         if best is None or c.det_ratio > best.det_ratio:
             best, best_idx = c, idx
-    return best_idx, best, min_bracket
+    return best_idx, best
 
 
 def count_constructs(monkeypatch):
@@ -475,12 +470,11 @@ def count_constructs(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
 def test_filtered_scan_equals_exhaustive_scan(name, monkeypatch):
     body = SCAN_BODIES[name]
-    best_idx, best, min_bracket = exhaustive_scan(body, 40)
+    best_idx, best = exhaustive_scan(body, 40)
     calls = count_constructs(monkeypatch)
     report = rotation_scan(body, grid_size=40)
     assert report.best_index == best_idx
     assert report.best == best
-    assert report.min_bracket.hex() == min_bracket.hex()
     # Only the winner is certified exactly.
     assert calls == [rotation_grid(40)[best_idx]]
     if name == "ball":
@@ -502,10 +496,9 @@ def test_rank_key_bounds_every_certified_ratio():
     for body in (mixed_body(3), make_body([(4, 0, 0.01)]), ball_body()):
         for u in rotation_grid(24):
             screened = engine.screen(body, u)
-            key, trace_m = engine.rank_key(screened)
+            key = engine.rank_key(screened)
             c = engine.construct(body, rotation=u)
             assert key >= c.det_ratio
-            assert trace_m.hex() == float(c.trace_m).hex()
             # When the certification keeps its starting contraction, the
             # key is the ratio itself.
             if c.delta == Fraction(_start_grains(screened.delta_float), 2**DELTA_BITS):
@@ -519,27 +512,25 @@ def test_looser_keys_only_certify_more(name, monkeypatch):
     # ball, higher indices are then certified first, and the lowest index
     # must still win the tie.
     body = SCAN_BODIES[name]
-    best_idx, best, min_bracket = exhaustive_scan(body, 24)
+    best_idx, best = exhaustive_scan(body, 24)
     rank_key = CoverEngine.rank_key
     order = iter(range(10**6))
 
     def loose(self, screened):
-        key, trace_m = rank_key(self, screened)
-        return key + Fraction(next(order) % 5, 100), trace_m
+        return rank_key(self, screened) + Fraction(next(order) % 5, 100)
 
     monkeypatch.setattr(CoverEngine, "rank_key", loose)
     calls = count_constructs(monkeypatch)
     report = rotation_scan(body, grid_size=24)
     assert len(calls) > 1
     assert (report.best_index, report.best) == (best_idx, best)
-    assert report.min_bracket == min_bracket
 
 
 def test_scan_skips_rotations_that_cannot_win(monkeypatch):
     # A rotation that would fail its exact checks is never certified when
     # its key cannot beat the winner.
     body = make_body([(4, 0, 0.01)])
-    best_idx, best, _ = exhaustive_scan(body, 24)
+    best_idx, best = exhaustive_scan(body, 24)
     loser = rotation_grid(24)[(best_idx + 1) % 24]
     construct = CoverEngine.construct
 
