@@ -36,14 +36,13 @@ from .lattice import (
 from .linalg import (
     MatQ,
     Rat,
+    _rref,
     integer_form,
     integer_scaled,
     is_combination,
     is_symmetric,
-    mat,
     mat_inv,
     mat_mul,
-    nullspace,
     trace,
     trace_product,
 )
@@ -134,11 +133,13 @@ class EutaxyReport:
     unique: bool
 
 
-def _forms_kernel_trivial(forms: Sequence[MatQ]) -> bool:
+def forms_independent(forms: Sequence[MatQ]) -> bool:
+    """Whether the symmetric forms are linearly independent, so that a
+    combination of them is unique: the rank of their stacked upper
+    triangles, from one fraction-free elimination."""
     n = len(forms[0])
-    coords = [(i, j) for i in range(n) for j in range(i, n)]
-    stacked = mat([[f[i][j] for f in forms] for (i, j) in coords])
-    return not nullspace(stacked)
+    tab, _ = integer_scaled([[f[i][j] for f in forms] for i in range(n) for j in range(i, n)])
+    return len(_rref(tab)[1]) == len(forms)
 
 
 def _farkas_to_form(gram: MatQ, y: MatQ) -> MatQ:
@@ -222,7 +223,7 @@ def classify(
     forms = [m.form for m in maps]
     target = gram
     full = lp_feasible_nonneg(forms, target)
-    unique = _forms_kernel_trivial(forms)
+    unique = forms_independent(forms)
     if isinstance(full, Infeasible):
         return EutaxyReport(
             classification=EutaxyClass.NOT_SEMI_EUTACTIC,
@@ -343,6 +344,10 @@ def ball_conclusion(cls: EutaxyClass) -> str:
     return "ball extensible; not relatively worst covering"
 
 
+# How a classification certificate's maps are scaled, stated in it.
+MAP_NORMALIZATION = "maps scaled by 1/cr2 so each has unit trace"
+
+
 def classification_certificate(lat: LatticeModel) -> dict:
     """Plain-data certificate for the lattice classification (values exact)."""
     ctx = classify_lattice(lat)
@@ -362,5 +367,5 @@ def classification_certificate(lat: LatticeModel) -> dict:
         "farkas_form": rep.farkas_form,
         "removals": [asdict(r) for r in rep.removals],
         "conclusion": ball_conclusion(rep.classification),
-        "normalization": "maps scaled by 1/cr2 so each has unit trace",
+        "normalization": MAP_NORMALIZATION,
     }

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
-from typing import Optional
+from typing import Optional, Sequence
 
 from .linalg import (
     MatQ,
     Rat,
     VecQ,
+    _rref,
     det,
     gram_dot,
     integer_form,
@@ -42,7 +43,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     solve_affine,
-    solve_square,
     transpose,
     vec,
     vec_sub,
@@ -77,6 +77,12 @@ class PrimitiveSimplex:
     cr2: Rat
     source: DeloneSimplex
     center: VecQ
+
+    # Not a field, so equality and hashing ignore it.
+    @cached_property
+    def x_integer(self) -> tuple[list[list[int]], int]:
+        """integer_scaled(x), computed once per simplex (read-only)."""
+        return integer_scaled(self.x)
 
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -158,28 +164,51 @@ def circumcenter(vertices: tuple[VecQ, ...], gram: MatQ) -> tuple[VecQ, VecQ, Ra
     n = len(gram)
     if len(vertices) != n + 1:
         raise ValueError("need n+1 vertices")
-    v0 = vertices[0]
-    rows = []
-    rhs = []
-    for v in vertices[1:]:
-        d = vec_sub(v, v0)
-        rows.append(tuple(2 * x for x in mat_vec(gram, d)))
-        rhs.append(gram_dot(gram, v, v) - gram_dot(gram, v0, v0))
-    try:
-        center = solve_square(mat(rows), vec(rhs))
-    except Exception as exc:
-        raise DegenerateSimplexError("affinely dependent vertices") from exc
+    vz, den = integer_scaled(vertices)
+    gz, scale = integer_form(gram)
+    cz, d, r = integer_circumsphere(vz, gz)
+    center = tuple(Fraction(c, d * den) for c in cz)
     bary_rows = [[vertices[j][i] for j in range(n + 1)] for i in range(n)]
     bary_rows.append([Fraction(1)] * (n + 1))
     res = solve_affine(mat(bary_rows), vec(list(center) + [Fraction(1)]))
     if not res.unique:
         raise DegenerateSimplexError("affinely dependent vertices")
-    alpha = res.particular
-    cr2 = gram_dot(gram, vec_sub(center, v0), vec_sub(center, v0))
-    for v in vertices:
-        if gram_dot(gram, vec_sub(center, v), vec_sub(center, v)) != cr2:
-            raise RuntimeError("circumcenter is not equidistant from the vertices")
-    return center, alpha, cr2
+    return center, res.particular, Fraction(r, d * d * den * den * scale)
+
+
+def integer_circumsphere(
+    points: Sequence[Sequence[int]], form: Sequence[Sequence[int]]
+) -> tuple[list[int], int, int]:
+    """Circumsphere of n+1 integer points under a symmetric integer form G.
+
+    One fraction-free elimination solves 2 (v_j - v_0)^T G c = v_j^T G v_j
+    - v_0^T G v_0 for j = 1..n, giving the center c = cz / d.  Returns
+    (cz, d, r) with r = (d v_j - cz)^T G (d v_j - cz), re-checked equal for
+    every j, so the squared radius is r / d^2.  Points and form may carry
+    any positive scale: the caller divides it out.  Raises
+    DegenerateSimplexError when the system is singular (affinely dependent
+    points, or a singular form) and RuntimeError when the center is not
+    equidistant.
+    """
+    n = len(form)
+    v0 = points[0]
+    g0 = [sum(map(mul, row, v0)) for row in form]
+    norm0 = sum(map(mul, v0, g0))
+    tab = []
+    for v in points[1:]:
+        gv = [sum(map(mul, row, v)) for row in form]
+        tab.append([2 * (a - b) for a, b in zip(gv, g0)] + [sum(map(mul, v, gv)) - norm0])
+    tab, pivots, d, _ = _rref(tab)
+    if pivots != list(range(n)):
+        raise DegenerateSimplexError("affinely dependent vertices")
+    cz = [row[n] for row in tab]
+    radii = set()
+    for v in points:
+        e = [d * vi - ci for vi, ci in zip(v, cz)]
+        radii.add(sum(ei * sum(map(mul, row, e)) for ei, row in zip(e, form)))
+    if len(radii) != 1:
+        raise RuntimeError("circumcenter is not equidistant from the vertices")
+    return cz, d, radii.pop()
 
 
 def _edge_columns(vertices: list[list[int]]) -> IntMat:

@@ -35,9 +35,11 @@ from .bodies import (
     volume_ratio,
 )
 from .eutaxy import (
+    MAP_NORMALIZATION,
     EutaxyClass,
     ball_conclusion,
     eutaxy_coefficients_a3,
+    forms_independent,
     gram_inverse,
     map_inner,
     map_matrix,
@@ -84,6 +86,7 @@ from .perturbation import (
     radial_value,
     scan_densities,
     trace_identity_sum,
+    witness_transform,
 )
 
 # Largest gap allowed between a stored radial value and its re-evaluation.
@@ -182,6 +185,8 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     if type(dim) is not int or not 2 <= dim <= 5:
         bad.append(f"dimension {dim!r} is not an integer from 2 to 5")
         return
+    if data["normalization"] != MAP_NORMALIZATION:
+        bad.append(f"normalization must read {MAP_NORMALIZATION!r}")
     # the maps, pairs and radius are those of A_n*, rebuilt here
     lat = build_anstar(dim)
     mu2, simplices = covering_radius(lat)
@@ -203,6 +208,8 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     for k, f in enumerate(forms):
         if f != q_map(simplices[pairs[k][0]], gram).form:
             bad.append(f"map {k} is not the simplex map of pair {k}")
+    if data["unique"] != forms_independent(forms):
+        bad.append("unique must say whether the maps are linearly independent")
     ginv = gram_inverse(gram)
     cls = data["classification"]
     coeffs = data["pair_coefficients"]
@@ -213,6 +220,8 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     if (None if split is None else tuple(map(parse_rat, split))) != expected_split:
         bad.append("simplex coefficients are not the pair weights split over each pair")
     if cls == "not-semi-eutactic":
+        if data["removals"]:
+            bad.append("an infeasible classification lists no removals")
         y = _parse_mat(data["farkas_form"])
         if map_trace(ginv, y) <= 0:
             bad.append("separating map has nonpositive trace")
@@ -224,6 +233,8 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     if coeffs is None:
         bad.append("feasible classification without coefficients")
         return
+    if data["farkas_form"] is not None:
+        bad.append("feasible classification with a separating map")
     cs = [parse_rat(c) for c in coeffs]
     if any(c < 0 for c in cs):
         bad.append("negative coefficient in identity resolution")
@@ -236,6 +247,10 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     removable = []
     for k, r in enumerate(data["removals"]):
         kept = forms[:k] + forms[k + 1 :]
+        evidence = (r["coefficients"] is not None, r["farkas_form"] is not None)
+        if evidence != (r["feasible"], not r["feasible"]):
+            bad.append(f"removal {k}: needs coefficients if feasible, else a separating map")
+            continue
         if r["feasible"]:
             removable.append(True)
             rcs = [parse_rat(c) for c in r["coefficients"]]
@@ -376,15 +391,18 @@ def _verify_witness(data: dict, bad: list[str]) -> None:
     if tuple(data["removed_simplices"]) != pairs[pair_index]:
         bad.append("removed pair does not match the pair table")
         return
+    farkas = _parse_mat(data["farkas_form"])
+    if map_trace(ginv, farkas) <= 0:
+        bad.append("separating map has nonpositive trace")
+        return
     t_map = _parse_mat(data["transform"])
+    if t_map != witness_transform(gram, farkas, parse_rat(data["scale"])):
+        bad.append("transform is not Id + (scale/2) times the normalized separating map")
     det_t = parse_rat(data["det_t"])
     if det(t_map) != det_t:
         bad.append("stored determinant disagrees with the transform")
     if det_t <= 1:
         bad.append("transform does not grow the determinant")
-    farkas = _parse_mat(data["farkas_form"])
-    if map_trace(ginv, farkas) <= 0:
-        bad.append("separating map has nonpositive trace")
     kept = kept_simplices(simplices, pairs, pair_index)
     # a pair's two members share one map
     for i, s in enumerate(kept[::2]):

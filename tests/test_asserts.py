@@ -72,10 +72,18 @@ expect(
 
 lat = lattice.build_anstar(3)
 vertices = lat.delone_classes[0].vertices
-real_solve = lattice.solve_square
+real_rref = lattice._rref
+
+
+def center_off_by_one(tab):
+    # the solved center, read from the last column over d, plus 1
+    tab, pivots, d, sign = real_rref(tab)
+    return [row[:-1] + [row[-1] + d] for row in tab], pivots, d, sign
+
+
 expect("vertex-count", lattice.circumcenter, vertices[:3], lat.gram)
 patched(
-    lattice, "solve_square", lambda a, b: tuple(x + 1 for x in real_solve(a, b)),
+    lattice, "_rref", center_off_by_one,
     "equidistance", lattice.circumcenter, vertices, lat.gram,
 )
 for n in (1, 9):

@@ -280,6 +280,12 @@ def test_anstar_and_witness_outputs_are_pinned(capsys, tmp_path):
         ("witness", "--dim", "3", "--pair", "2"): (
             "be91ddeac3eab87eac2b2301febbbc2352e49fd212ed449d780a02ae5e7ec2d7"
         ),
+        ("witness", "--dim", "2", "--pair", "0"): (
+            "b2ca8648deccba305b2a0cf5a32453cba92c31564d595b39b6c949fdda41c72a"
+        ),
+        ("witness", "--dim", "3", "--pair", "0", "--eps", "1/7"): (
+            "12439e7d26ca0a00849fe728ca80a4ba2a70a39166996f9b45f49bf96da1d849"
+        ),
     }
     for argv, digest in golden.items():
         cert = tmp_path / "out.json"
@@ -564,6 +570,39 @@ def test_verify_ties_radial_values_to_the_body():
     ok, bad = verify_certificate(loose)
     assert not ok
     assert bad == ["float tolerance must be 1e-12"]
+
+
+def test_verify_ties_the_witness_transform_to_its_scale(capsys, tmp_path):
+    # Every other check still passes on this forgery: the transform, its
+    # determinant and the circumradii are those of the true scale 1/128.
+    cert = tmp_path / "wit.json"
+    code, _, _ = run(capsys, "witness", "--dim", "3", "--pair", "0", "--out", str(cert))
+    assert code == 0
+    data = json.loads(cert.read_text())
+    assert data["scale"] == "1/128"
+    cert.write_text(json.dumps(dict(data, scale="1/64")))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "verification failure: transform is not Id + (scale/2) times the"
+        " normalized separating map\n"
+    )
+
+
+def test_verify_checks_the_classification_normalization(capsys, tmp_path):
+    cert = tmp_path / "class3.json"
+    code, _, _ = run(capsys, "ball-class", "--dim", "3", "--out", str(cert))
+    assert code == 0
+    data = json.loads(cert.read_text())
+    cert.write_text(json.dumps(dict(data, normalization="maps scaled by cr2")))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "verification failure: normalization must read"
+        " 'maps scaled by 1/cr2 so each has unit trace'\n"
+    )
 
 
 def test_verify_rejects_unsupported_witness_dimension(capsys, tmp_path):

@@ -184,7 +184,7 @@ def test_classify_rejects_empty_and_inconsistent_outcomes(monkeypatch):
         classify([], identity(2))
     # A3*'s pairs are all irremovable, so the kernel test must find the
     # combination unique; a contradicting kernel test is an internal error.
-    monkeypatch.setattr(eutaxy, "_forms_kernel_trivial", lambda forms: False)
+    monkeypatch.setattr(eutaxy, "forms_independent", lambda forms: False)
     with pytest.raises(RuntimeError, match="not unique and positive"):
         classify_lattice(build_anstar(3))
 

@@ -1,6 +1,7 @@
 """Geometry of the A_n* models against hand-derived exact values."""
 
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,12 +24,15 @@ from ballcover.lattice import (
     voronoi_vertices,
 )
 from ballcover.linalg import (
+    SingularMatrixError,
     det,
     gram_dot,
     identity,
     mat,
     mat_mul,
     mat_scale,
+    mat_vec,
+    solve_square,
     transpose,
     vec,
     vec_sub,
@@ -133,6 +137,38 @@ def test_primitive_simplex_invariants():
         assert all(c == 0 for c in mix)
         for x in p.x:
             assert gram_dot(lat.gram, x, x) == p.cr2
+
+
+def reference_circumcenter(vertices, gram):
+    # Center from the equidistance system on Fractions, then the barycentric
+    # coordinates and squared radius.
+    n = len(gram)
+    v0 = vertices[0]
+    rows = [tuple(2 * x for x in mat_vec(gram, vec_sub(v, v0))) for v in vertices[1:]]
+    rhs = [gram_dot(gram, v, v) - gram_dot(gram, v0, v0) for v in vertices[1:]]
+    center = solve_square(mat(rows), vec(rhs))
+    bary = [[vertices[j][i] for j in range(n + 1)] for i in range(n)] + [[1] * (n + 1)]
+    alpha = solve_square(mat(bary), vec(list(center) + [1]))
+    return center, alpha, gram_dot(gram, vec_sub(center, v0), vec_sub(center, v0))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_circumcenter_matches_the_fraction_solve(dim):
+    rng = random.Random(dim)
+    grams = [build_anstar(dim).gram, identity(dim)]
+    for _ in range(6):
+        vertices = tuple(
+            vec([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(dim)])
+            for _ in range(dim + 1)
+        )
+        for gram in grams:
+            try:
+                want = reference_circumcenter(vertices, gram)
+            except SingularMatrixError:
+                with pytest.raises(DegenerateSimplexError):
+                    circumcenter(vertices, gram)
+                continue
+            assert circumcenter(vertices, gram) == want
 
 
 def test_degenerate_simplex_rejected():

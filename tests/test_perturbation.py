@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ballcover.bodies import ball_body, make_body, real_sph_harm, rho, volume_ratio
 from ballcover.eutaxy import map_matrix, q_map
-from ballcover.lattice import build_anstar, covering_radius
+from ballcover.lattice import DegenerateSimplexError, build_anstar, circumcenter, covering_radius
 from ballcover.linalg import (
     det,
     gram_dot,
@@ -28,6 +28,8 @@ from ballcover.linalg import (
 )
 from ballcover.perturbation import (
     DELTA_BITS,
+    TAU_RANGE,
+    TAU_STEPS,
     AugmentedBall,
     CoverEngine,
     WitnessUnavailableError,
@@ -35,6 +37,7 @@ from ballcover.perturbation import (
     _dyadic,
     _engine,
     _pair_values,
+    _shift_fits,
     _start_grains,
     _unit_direction,
     build_cover,
@@ -305,12 +308,117 @@ def test_member_augmented_ball():
     assert not member_augmented_ball(vec([Fraction(23, 20), 0, 0]), ball)
     assert not member_augmented_ball(vec([0, Fraction(21, 20), 0]), ball)
     assert not member_augmented_ball(vec([1, Fraction(1, 2), 0]), ball)
+    # At eps 1/4 the cone from the apex (5/4, 0, 0) touches the sphere at
+    # (4/5, 3/5, 0); their midpoint lies on the cone's surface.
+    cone = AugmentedBall(eps=Fraction(1, 4), pole=vec([1, 0, 0]), gram=identity(3))
+    for x in (Fraction(41, 40), Fraction(-41, 40)):
+        assert member_augmented_ball(vec([x, Fraction(3, 10), 0]), cone)
+        assert not member_augmented_ball(vec([x, Fraction(301, 1000), 0]), cone)
     # Without a cap there is no apex outside the ball; raise, not assert.
     flat = AugmentedBall(eps=Fraction(0), pole=vec([1, 0, 0]), gram=identity(3))
     with pytest.raises(ValueError, match="eps"):
         member_augmented_ball(vec([2, 0, 0]), flat)
     with pytest.raises(ValueError, match="eps must be positive"):
         extension_witness(build_anstar(3), 0, eps=Fraction(-1, 100))
+
+
+def reference_member(q, ball):
+    # The clamped-lambda test on Fractions: q is in conv(ball, z) iff
+    # |q - lam z|^2 <= (1 - lam)^2 r^2 at the minimizer lam clamped to [0, 1].
+    g = ball.gram
+    r2 = gram_dot(g, ball.pole, ball.pole)
+    qq = gram_dot(g, q, q)
+    if qq <= r2:
+        return True
+    for sgn in (1, -1):
+        z = vec_scale(sgn * (1 + Fraction(ball.eps)), ball.pole)
+        zz = gram_dot(g, z, z)
+        qz = gram_dot(g, q, z)
+        lam = min(max((qz - r2) / (zz - r2), Fraction(0)), Fraction(1))
+        if qq - 2 * lam * qz + lam * lam * zz - r2 * (1 - lam) ** 2 <= 0:
+            return True
+    return False
+
+
+def rationals(low, high, den):
+    # low..high in steps of 1/(den * d), d from 1 to 7
+    return st.builds(
+        lambda n, d: Fraction(n, den * d), st.integers(low * den, high * den), st.integers(1, 7)
+    )
+
+
+GRAMS = st.sampled_from([identity(3), build_anstar(3).gram, mat([[2, 1, 0], [1, 2, 1], [0, 1, 3]])])
+
+
+@st.composite
+def balls_and_points(draw, count):
+    # Points along the pole plus a small offset, so that every branch of the
+    # test (inside the ball, inside a cone, at or beyond an apex) is reached.
+    pole = vec(draw(st.lists(rationals(-2, 2, 6), min_size=3, max_size=3).filter(any)))
+    eps = draw(rationals(0, 2, 8).filter(bool))
+    ball = AugmentedBall(eps=eps, pole=pole, gram=draw(GRAMS))
+    points = []
+    for _ in range(count):
+        offset = draw(st.lists(rationals(-1, 1, 12), min_size=3, max_size=3))
+        along = draw(st.sampled_from([-1, 1])) * (1 + draw(rationals(-1, 1, 10)) / 2)
+        size = max(map(abs, pole)) / 3
+        points.append(vec_add(vec_scale(along, pole), vec_scale(size, vec(offset))))
+    return ball, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(balls_and_points(1))
+def test_membership_kernel_matches_the_clamped_formula(case):
+    ball, (q,) = case
+    assert member_augmented_ball(q, ball) == reference_member(q, ball)
+    for sign in (1, -1):
+        apex = vec_scale(sign * (1 + ball.eps), ball.pole)
+        assert member_augmented_ball(apex, ball)
+        assert not member_augmented_ball(vec_scale(1 + Fraction(1, 10**6), apex), ball)
+
+
+@settings(max_examples=80, deadline=None)
+@given(balls_and_points(4), st.sampled_from(TAU_RANGE))
+def test_search_line_matches_the_clamped_formula(case, k):
+    ball, points = case
+    tau = Fraction(k, TAU_STEPS) * ball.eps
+    moved = [vec_add(y, vec_scale(tau, ball.pole)) for y in points]
+    assert _shift_fits(ball, points)(k) == all(reference_member(q, ball) for q in moved)
+
+
+def unimodular(rng, n):
+    # a product of elementary integer row operations, det +/-1
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        t[i] = [a + c * b for a, b in zip(t[i], t[j])]
+    if rng.random() < 0.5:
+        t[0] = [-a for a in t[0]]
+    return mat(t)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_exact_cr_after_matches_the_image_circumcenter(dim):
+    rng = random.Random(dim)
+    lat = build_anstar(dim)
+    _, simplices = covering_radius(lat)
+    maps = [unimodular(rng, dim) for _ in range(4)]
+    maps += [mat([[rng.randint(1, 9) * rng.choice([-1, 1]) if i == j else 0 for j in range(dim)]
+                  for i in range(dim)]) for _ in range(2)]
+    maps += [mat_add(identity(dim), rand_symmetric_form(rng, dim, 7)) for _ in range(2)]
+    for t in maps:
+        if det(t) == 0:
+            continue
+        for s in simplices[:3]:
+            images = tuple(mat_vec(t, x) for x in s.x)
+            assert exact_cr_after(t, s, lat.gram) == circumcenter(images, lat.gram)[2]
+    singular = mat([[int(i == j and i > 0) for j in range(dim)] for i in range(dim)])
+    for s in simplices[:2]:
+        with pytest.raises(DegenerateSimplexError):
+            circumcenter(tuple(mat_vec(singular, x) for x in s.x), lat.gram)
+        with pytest.raises(DegenerateSimplexError):
+            exact_cr_after(singular, s, lat.gram)
 
 
 def test_build_cover_ball_is_exact_identity():

@@ -1,0 +1,167 @@
+"""Field coverage of the verifier: a change to any one leaf of a
+certificate must make `verify_certificate` fail."""
+
+import json
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ballcover.eutaxy import classification_certificate
+from ballcover.harmonic import zonal_spectrum
+from ballcover.lattice import build_anstar, covering_radius, lattice_report, voronoi_vertices
+from ballcover.perturbation import extension_witness
+from ballcover.reports import (
+    dump_json,
+    parse_rat,
+    rat_str,
+    spectrum_certificate,
+    verify_certificate,
+    witness_certificate,
+)
+
+# Leaves a one-leaf change may leave valid, as (kind, field), where a field
+# is a leaf path with its list indices written "*".  Each with its reason.
+EXEMPT = {
+    ("extension-witness", ("eps",)): (
+        "the declared --eps input: every membership check is re-run at the"
+        " stated value, and a witness at one eps is also one at any larger eps"
+    ),
+    ("eutaxy-classification", ("removals", "*", "farkas_form", "*", "*")): (
+        "evidence, not a derived value: verify re-checks that the form has"
+        " positive trace and strictly separates, and any nearby form that"
+        " still does proves the same infeasibility"
+    ),
+}
+
+
+def _spectrum():
+    lat = build_anstar(3)
+    _, simplices = covering_radius(lat)
+    pole = simplices[0].x[0]
+    return spectrum_certificate(zonal_spectrum(voronoi_vertices(lat), pole, lat.gram, 12))
+
+
+@lru_cache(maxsize=None)
+def certificates():
+    """The certificates as parsed JSON: witnesses in dimensions 2 and 3,
+    classifications and lattice reports in dimensions 2 to 4, a spectrum."""
+    out = {}
+    for dim in (2, 3, 4):
+        lat = build_anstar(dim)
+        out[f"classification-{dim}"] = classification_certificate(lat)
+        out[f"anstar-{dim}"] = lattice_report(lat)
+    out["witness-2-0"] = witness_certificate(extension_witness(build_anstar(2), 0))
+    for pair in range(3):
+        w = extension_witness(build_anstar(3), pair)
+        out[f"witness-3-{pair}"] = witness_certificate(w)
+    out["witness-3-0-eps-1/7"] = witness_certificate(
+        extension_witness(build_anstar(3), 0, eps=Fraction(1, 7))
+    )
+    out["spectrum"] = _spectrum()
+    return {name: json.loads(dump_json(c)) for name, c in out.items()}
+
+
+def leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def field(path):
+    return tuple("*" if isinstance(p, int) else p for p in path)
+
+
+@lru_cache(maxsize=None)
+def fields(name):
+    """Each checked field of a certificate, with its leaf paths in order."""
+    data = certificates()[name]
+    out = {}
+    for path in leaves(data):
+        if (data["kind"], field(path)) not in EXEMPT:
+            out.setdefault(field(path), []).append(path)
+    return out
+
+
+def read(data, path):
+    for p in path:
+        data = data[p]
+    return data
+
+
+def verify_changed(data, path, value):
+    """verify_certificate on data with the leaf at path set to value; the
+    leaf is restored afterwards."""
+    parent = read(data, path[:-1])
+    old = parent[path[-1]]
+    parent[path[-1]] = value
+    try:
+        return verify_certificate(data)
+    finally:
+        parent[path[-1]] = old
+
+
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=64).filter(bool)
+
+
+def other_value(old):
+    """A strategy for a leaf value of the same type that differs from old."""
+    if isinstance(old, bool):
+        return st.just(not old)
+    if isinstance(old, int):
+        return st.integers(-3, 3).filter(bool).map(lambda d: old + d)
+    if old is None:
+        return st.sampled_from(["0", "1", []])
+    try:
+        value = parse_rat(old)
+    except (ValueError, ZeroDivisionError):
+        return st.text(max_size=8).filter(lambda s: s != old)
+    return NONZERO.map(lambda d: rat_str(value + d))
+
+
+def fixed_change(old):
+    if isinstance(old, bool):
+        return not old
+    if isinstance(old, int):
+        return old + 1
+    if old is None:
+        return "1"
+    try:
+        return rat_str(parse_rat(old) + Fraction(1, 3))
+    except (ValueError, ZeroDivisionError):
+        return old + "!"
+
+
+def test_every_certificate_verifies_and_no_exemption_is_stale():
+    present = set()
+    for name, data in certificates().items():
+        assert verify_certificate(data) == (True, []), name
+        present.update((data["kind"], field(p)) for p in leaves(data))
+    assert EXEMPT.keys() <= present
+
+
+def test_verify_rejects_a_change_to_the_first_leaf_of_every_field():
+    for name, data in certificates().items():
+        for paths in fields(name).values():
+            path = paths[0]
+            ok, _ = verify_changed(data, path, fixed_change(read(data, path)))
+            assert not ok, (name, path)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_verify_rejects_any_one_leaf_change(data):
+    name = data.draw(st.sampled_from(sorted(certificates())))
+    cert = certificates()[name]
+    by_field = fields(name)
+    paths = by_field[data.draw(st.sampled_from(sorted(by_field)))]
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(other_value(read(cert, path)))
+    ok, _ = verify_changed(cert, path, value)
+    assert not ok, (name, path, value)
