@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .lattice import (
     LatticeModel,
@@ -39,7 +39,7 @@ from .linalg import (
     _rref,
     integer_form,
     integer_scaled,
-    is_combination,
+    combination_test,
     is_symmetric,
     mat_inv,
     mat_mul,
@@ -177,7 +177,7 @@ def _removal(forms: Sequence[MatQ], k: int, gram: MatQ) -> RemovalOutcome:
 
 
 def _moved_removal(
-    first: RemovalOutcome, sigma: Sequence[int], forms: Sequence[MatQ], gram: MatQ
+    first: RemovalOutcome, sigma: Sequence[int], resums: Callable[..., bool]
 ) -> RemovalOutcome:
     """Removal sigma[0] from the weights of a feasible removal 0.
 
@@ -185,17 +185,17 @@ def _moved_removal(
     to pair k = sigma[0].  The forms move by congruence under U and G is
     fixed, so weight w[p] of removal 0 becomes the weight of pair sigma[p].
     The moved weights pass the guards of an LP result: they re-sum to G
-    over the kept forms and are nonnegative.
+    over the kept forms (resums, the family's combination_test, with form
+    k dropped) and are nonnegative.
     """
     k = sigma[0]
-    weights = [None] * len(forms)
-    for p, w in zip(range(1, len(forms)), first.coefficients):
+    weights = [None] * len(sigma)
+    for p, w in zip(range(1, len(sigma)), first.coefficients):
         weights[sigma[p]] = w
     coefficients = tuple(weights[:k] + weights[k + 1 :])
-    kept = forms[:k] + forms[k + 1 :]
     if (
         any(c is None for c in coefficients)
-        or not is_combination(coefficients, kept, gram)
+        or not resums(coefficients, k)
         or any(c < 0 for c in coefficients)
     ):
         raise RuntimeError(f"moved weights of removal {k} do not resolve the identity")
@@ -234,9 +234,10 @@ def classify(
         )
     first = _removal(forms, 0, gram)
     removals = [first]
+    resums = combination_test(forms, gram)
     for k in range(1, len(maps)):
         if first.feasible and orbit is not None:
-            removals.append(_moved_removal(first, orbit[k], forms, gram))
+            removals.append(_moved_removal(first, orbit[k], resums))
         else:
             removals.append(_removal(forms, k, gram))
     cls = removal_class([r.feasible for r in removals])

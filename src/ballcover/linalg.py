@@ -24,11 +24,8 @@ class SingularMatrixError(ValueError):
 
 
 class DependentConstraintsError(ValueError):
-    """Raised when constraints assumed independent are not.
-
-    The offending combination is exposed as `witness`: rational coefficients
-    z, not all zero, with sum_k z_k * constraint_k = 0.
-    """
+    """Raised when constraints assumed independent are not; `witness` holds
+    rational z, not all zero, with sum_k z_k * constraint_k = 0."""
 
     def __init__(self, message: str, witness: VecQ):
         super().__init__(message)
@@ -58,9 +55,7 @@ def zeros(n: int, m: int) -> MatQ:
 
 
 def identity(n: int) -> MatQ:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def transpose(a: MatQ) -> MatQ:
@@ -76,10 +71,7 @@ def mat_vec(a: MatQ, v: VecQ) -> VecQ:
 def mat_mul(a: MatQ, b: MatQ) -> MatQ:
     if len(a[0]) != len(b):
         raise ValueError("inner matrix dimensions differ")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt) for ra in a
-    )
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in zip(*b)) for ra in a)
 
 
 def mat_add(a: MatQ, b: MatQ) -> MatQ:
@@ -122,10 +114,6 @@ def gram_dot(g: MatQ, u: VecQ, v: VecQ) -> Rat:
     return Fraction(total, scale * den * den)
 
 
-def outer(u: VecQ, v: VecQ) -> MatQ:
-    return tuple(tuple(x * y for y in v) for x in u)
-
-
 def trace(a: MatQ) -> Rat:
     return sum(a[i][i] for i in range(len(a)))
 
@@ -146,12 +134,9 @@ def is_symmetric(a: MatQ) -> bool:
 
 @dataclass(frozen=True)
 class LinSolveResult:
-    """Full solution set of A x = b.
-
-    `particular` is one exact solution (free variables set to zero), or None
-    when the system is inconsistent.  `nullspace` is a basis of solutions of
-    A x = 0, so the solution set is particular + span(nullspace).
-    """
+    """Full solution set of A x = b: particular + span(nullspace), where
+    `particular` has the free variables zero, or is None when the system is
+    inconsistent, and `nullspace` is a basis of solutions of A x = 0."""
 
     particular: Optional[VecQ]
     nullspace: tuple[VecQ, ...]
@@ -174,25 +159,36 @@ def integer_form(g: MatQ) -> tuple[list[list[int]], int]:
     return integer_scaled(g)
 
 
-def is_combination(weights: Sequence[Rat], mats: Sequence[MatQ], target: MatQ) -> bool:
-    """Whether sum_k weights[k] * mats[k] equals target exactly.
+def combination_test(mats: Sequence[MatQ], target: MatQ) -> Callable[..., bool]:
+    """test(weights, drop=None): whether sum_k weights[k] * mats[k], mats[drop]
+    left out, equals target exactly; False when the counts differ.
 
-    False when the counts of weights and matrices differ; ValueError when a
-    matrix and the target differ in shape.  Runs on integers: the weights
-    times the lcm W of their denominators, and the entrywise rows
-    [mats[0][i][j], ..., target[i][j]] from integer_scaled, so the test of
-    each row is sum_k (W w_k) m_k == W t.
+    The entrywise rows [mats[0][i][j], ..., target[i][j]] are scaled to
+    integers once; each test scales the weights by the lcm W of their
+    denominators, with a zero at drop, and checks sum_k (W w_k) m_k == W t.
+    ValueError when a matrix and the target differ in shape.
     """
-    if len(weights) != len(mats):
-        return False
     shape = [len(row) for row in target]
     if any([len(row) for row in m] != shape for m in mats):
         raise ValueError("matrices and target differ in shape")
     rows, _ = integer_scaled(
         [[*(m[i][j] for m in mats), t] for i, row in enumerate(target) for j, t in enumerate(row)]
     )
-    (wz,), den = integer_scaled([weights])
-    return all(sum(map(mul, wz, row[:-1])) == den * row[-1] for row in rows)
+
+    def test(weights: Sequence[Rat], drop: Optional[int] = None) -> bool:
+        if len(weights) != len(mats) - (drop is not None):
+            return False
+        (wz,), den = integer_scaled([weights])
+        if drop is not None:
+            wz.insert(drop, 0)
+        return all(sum(map(mul, wz, row)) == den * row[-1] for row in rows)
+
+    return test
+
+
+def is_combination(weights: Sequence[Rat], mats: Sequence[MatQ], target: MatQ) -> bool:
+    """Whether sum_k weights[k] * mats[k] equals target exactly (combination_test)."""
+    return combination_test(mats, target)(weights)
 
 
 def pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:
@@ -261,17 +257,14 @@ def solve_affine(a: MatQ, b: VecQ) -> LinSolveResult:
     tab, _ = integer_scaled([[*row, b[i]] for i, row in enumerate(a)])
     tab, pivots, d, _ = _rref(tab)
     pivots = [c for c in pivots if c < ncols]
-    consistent = all(row[ncols] == 0 for row in tab if not any(row[:ncols]))
-    free = [c for c in range(ncols) if c not in pivots]
     basis: list[VecQ] = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(ncols)]
         for r, pc in enumerate(pivots):
             v[pc] = Fraction(-tab[r][fc], d)
         basis.append(tuple(v))
     particular: Optional[VecQ] = None
-    if consistent:
+    if all(row[ncols] == 0 for row in tab if not any(row[:ncols])):
         x = [Fraction(0)] * ncols
         for r, pc in enumerate(pivots):
             x[pc] = Fraction(tab[r][ncols], d)
@@ -287,37 +280,47 @@ def nullspace(a: MatQ) -> tuple[VecQ, ...]:
 
 def solve_square(a: MatQ, b: VecQ) -> VecQ:
     """Solve a square nonsingular system; raises SingularMatrixError."""
-    res = solve_affine(a, b)
-    if not res.unique:
-        raise SingularMatrixError("matrix is singular")
-    return res.particular
+    z, d = solve_columns(a, [[x] for x in b])
+    return tuple(Fraction(x, d) for x, in z)
+
+
+def solve_columns(a: MatQ, b: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]:
+    """The unique X with A X = B, every column of B at once, as integers Z
+    over one denominator d: X = Z / d, from one fraction-free elimination of
+    L [A | B], checked by re-substitution (L A) Z == d (L B) on integers.
+    SingularMatrixError when A's columns are dependent, ValueError when a
+    column of B is inconsistent.
+    """
+    ncols = len(a[0])
+    start, _ = integer_scaled([[*ra, *rb] for ra, rb in zip(a, b, strict=True)])
+    tab, pivots, d, _ = _rref([row[:] for row in start])
+    if pivots[:ncols] != list(range(ncols)):
+        raise SingularMatrixError("columns of the matrix are dependent")
+    if len(pivots) > ncols:
+        raise ValueError("a right-hand side is inconsistent")
+    z = [row[ncols:] for row in tab[:ncols]]
+    for row in start:
+        if [sum(map(mul, row, col)) for col in zip(*z)] != [d * x for x in row[ncols:]]:
+            raise RuntimeError("solution fails re-substitution")
+    return z, d
 
 
 def mat_inv(a: MatQ) -> MatQ:
-    """Exact inverse from one elimination of [a | I]."""
-    n = len(a)
-    if any(len(row) != n for row in a):
+    """Exact inverse: solve_columns(a, I)."""
+    if any(len(row) != len(a) for row in a):
         raise ValueError("mat_inv needs a square matrix")
-    unit = identity(n)
-    tab, _ = integer_scaled([[*row, *unit[i]] for i, row in enumerate(a)])
-    tab, pivots, d, _ = _rref(tab)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in tab)
+    z, d = solve_columns(a, identity(len(a)))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in z)
 
 
 def min_norm_solution(
     constraints: Sequence[tuple[MatQ, Rat]],
     inner: Callable[[MatQ, MatQ], Rat] = trace_product,
 ) -> MatQ:
-    """Least-norm symmetric M with <M, Q_k> = rho_k for all constraints.
-
-    The norm and pairing come from `inner` (Frobenius by default).  The
-    minimizer lies in the span of the constraint maps, so we solve the
-    normal equations Gamma c = rho with Gamma the Gram matrix of the Q_k.
-    The Q_k must be linearly independent; a dependency is reported via
-    DependentConstraintsError together with a vanishing combination.
-    """
+    """Least-norm symmetric M with <M, Q_k> = rho_k for all constraints, from
+    the normal equations Gamma c = rho, Gamma the Gram matrix of the Q_k under
+    `inner` (Frobenius by default).  Dependent Q_k raise
+    DependentConstraintsError with a vanishing combination."""
     maps = [q for q, _ in constraints]
     rhos = vec([r for _, r in constraints])
     m = len(maps)
@@ -327,12 +330,9 @@ def min_norm_solution(
     res = solve_affine(gamma, rhos)
     if res.nullspace:
         # z in ker Gamma means |sum z_k Q_k|^2 = z^T Gamma z = 0 exactly.
-        z = res.nullspace[0]
-        raise DependentConstraintsError("constraint maps are dependent", z)
-    n = len(maps[0])
-    out = zeros(n, n)
-    for c, q in zip(res.particular, maps):
-        out = mat_add(out, mat_scale(c, q))
+        raise DependentConstraintsError("constraint maps are dependent", res.nullspace[0])
+    terms = [mat_scale(c, q) for c, q in zip(res.particular, maps)]
+    out = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*terms))
     if any(inner(out, q) != r for q, r in constraints):
         raise RuntimeError("least-norm solution misses a constraint")
     return out

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -65,19 +66,15 @@ from .linalg import (
     identity,
     integer_form,
     integer_scaled,
-    mat,
     mat_add,
     mat_mul,
     mat_scale,
     mat_vec,
-    min_norm_solution,
-    solve_affine,
+    solve_columns,
     trace,
     trace_product,
     transpose,
-    vec,
     vec_add,
-    vec_dot,
     vec_scale,
 )
 
@@ -133,23 +130,15 @@ class TreqnSolution:
     translations: tuple[VecQ, ...]
 
 
-def _pair_representatives(simplices: Sequence[PrimitiveSimplex]) -> tuple[VecQ, ...]:
-    """The smaller vertex of every {x, -x} pair, in sorted order: pair k's
-    representative.  Raises ValueError when the vertices are not closed
-    under negation.
-    """
+def _antipodal_index(simplices: Sequence[PrimitiveSimplex]) -> tuple[tuple[int, ...], ...]:
+    """Number k of the {x, -x} pair of every vertex x = simplices[i].x[j], the
+    pairs in the sorted order of their smaller vertices.  Raises ValueError
+    when the vertices are not closed under negation."""
     points = {x for s in simplices for x in s.x}
     if any(vec_scale(-1, x) not in points for x in points):
         raise ValueError("vertex set not closed under negation")
-    return tuple(sorted({min(x, vec_scale(-1, x)) for x in points}))
-
-
-def _antipodal_index(
-    simplices: Sequence[PrimitiveSimplex],
-) -> tuple[tuple[int, ...], ...]:
-    """Number k of the {x, -x} pair of every vertex x = simplices[i].x[j]."""
     number = {}
-    for k, x in enumerate(_pair_representatives(simplices)):
+    for k, x in enumerate(sorted({min(x, vec_scale(-1, x)) for x in points})):
         number[x] = number[vec_scale(-1, x)] = k
     return tuple(tuple(number[x] for x in s.x) for s in simplices)
 
@@ -178,42 +167,71 @@ def trace_identity_sum(
     )
 
 
-def _check_trace_identity(
-    trace_m: Rat,
-    rho: Sequence[Sequence[Rat]],
-    simplices: Sequence[PrimitiveSimplex],
-    upsilon: Sequence[Rat],
-) -> None:
+def _check_trace_identity(trace_m: Rat, expected: Rat) -> None:
     """Require trace M = sum ups_i alpha_ij rho_ij, raising (not asserting)."""
-    expected = trace_identity_sum(rho, simplices, upsilon)
     if trace_m != expected:
         raise RuntimeError(f"trace identity fails: {trace_m} != {expected}")
 
 
-@dataclass(frozen=True)
-class TreqnSystem:
-    """The half of solve_treqn that does not depend on the rho table."""
-
-    index: tuple[tuple[int, ...], ...]
-    constrained: tuple[int, ...]
-    maps: tuple[MatQ, ...]
-    rows: tuple[MatQ, ...]
-
-
-@lru_cache(maxsize=8)
-def _treqn_system(simplices: tuple[PrimitiveSimplex, ...], gram: MatQ) -> TreqnSystem:
-    """Antipodal index, one constrained simplex per +/- pair with its map
-    G^-1 Q_S, and every simplex's translation rows (G x_j)^T."""
+def _treqn_columns(
+    columns: Sequence, simplices: Sequence[PrimitiveSimplex], index, upsilon, gram: MatQ
+) -> tuple[list, int, list, int]:
+    """Solve <x_ij, M x_ij + t_i> = cr2 rho_ij, M = sum_a c_a G^-1 Q_a of least
+    norm under trace(A B), for the tables rho_ij = columns[k][index[i][j]]
+    at once: (maps, map_den, translations, t_den), M = maps[k] / map_den and
+    t_i = translations[i][k] / t_den.  One elimination of [Gamma | R] gives
+    every c, one of [rows_i | B_i] per simplex every t_i; each column is
+    checked as one solve is (re-substitution, determined and consistent
+    translations, M meeting each constraint, the trace identity)."""
+    vz, v_scale = integer_scaled(columns)
+    constrained = [i for i, _ in negative_pairs(simplices)]
     ginv = gram_inverse(gram)
-    constrained = tuple(i for i, _ in negative_pairs(simplices))
-    return TreqnSystem(
-        index=_antipodal_index(simplices),
-        constrained=constrained,
-        maps=tuple(
-            map_matrix(ginv, _simplex_form(simplices[i], gram)) for i in constrained
-        ),
-        rows=tuple(mat([mat_vec(gram, x) for x in s.x]) for s in simplices),
-    )
+    a_maps = [map_matrix(ginv, _simplex_form(simplices[i], gram)) for i in constrained]
+    rhs = [
+        [sum(a * v[k] for a, k in zip(simplices[i].alpha, index[i])) / v_scale for v in vz]
+        for i in constrained
+    ]
+    n = len(gram)
+    flat, a_scale = integer_scaled([row for a in a_maps for row in a])
+    az = [flat[r : r + n] for r in range(0, len(flat), n)]
+    gamma = [[Fraction(_int_trace(a, b), a_scale * a_scale) for b in az] for a in az]
+    coeffs, c_den = solve_columns(gamma, rhs)
+    maps = [[[sum(map(mul, c, e)) for e in zip(*rows)] for rows in zip(*az)] for c in zip(*coeffs)]
+    map_den = c_den * a_scale
+    ups_alpha = [u * a for u, s in zip(upsilon, simplices) for a in s.alpha]
+    (weights,), w_scale = integer_scaled([ups_alpha])
+    for k, (m, v) in enumerate(zip(maps, vz)):
+        for a, want in zip(az, rhs):
+            if Fraction(_int_trace(m, a), map_den * a_scale) != want[k]:
+                raise RuntimeError("least-norm solution misses a constraint")
+        expected = sum(w * v[p] for w, p in zip(weights, chain(*index)))
+        _check_trace_identity(
+            Fraction(sum(m[r][r] for r in range(n)), map_den), Fraction(expected, w_scale * v_scale)
+        )
+    gz, gram_scale = integer_form(gram)
+    solutions = []
+    for i, s in enumerate(simplices):
+        xz, x_den = s.x_integer
+        rows = [_int_mat_vec(gz, x) for x in xz]
+        # The system times gram_scale * x_den, so rows = G x_j is integer, and
+        # times c = map_den * x_den * v_scale * den(cr2), so b is: t = z / (d c).
+        p, q = s.cr2.numerator, s.cr2.denominator
+        b = [
+            [
+                p * gram_scale * x_den * x_den * map_den * v[k]
+                - q * v_scale * sum(map(mul, w, _int_mat_vec(m, x)))
+                for v, m in zip(vz, maps)
+            ]
+            for x, w, k in zip(xz, rows, index[i])
+        ]
+        try:
+            z, d = solve_columns(rows, b)
+        except ValueError as e:
+            raise RuntimeError("translation system must be determined") from e
+        solutions.append((z, d * map_den * x_den * v_scale * q))
+    t_den = math.lcm(*(d for _, d in solutions))
+    translations = [[[c * (t_den // d) for c in t] for t in zip(*z)] for z, d in solutions]
+    return maps, map_den, translations, t_den
 
 
 def solve_treqn(
@@ -222,39 +240,25 @@ def solve_treqn(
     upsilon: Sequence[Rat],
     gram: MatQ,
 ) -> TreqnSolution:
-    """Solve <x_ij, M x_ij + t_i> = cr2 rho_ij with M of least norm.
+    """The one-table case of _treqn_columns, with M as its form G M.  rho[i][j]
+    aligns with simplices[i].x[j] and must agree across each +/- pair (an
+    even perturbation sees antipodal vertices identically), else ValueError."""
+    index = _antipodal_index(simplices)
+    basis = _treqn_columns([_pair_values(rho, index)], simplices, index, upsilon, gram)
+    return _combined(basis, [1], 1, gram)
 
-    This is the reference solver: every call solves the normal equations
-    and the per-simplex translation systems afresh.  CoverEngine runs it
-    only at setup, on unit tables, and applies the resulting linear
-    operator per rotation (CoverEngine.solve).
 
-    rho[i][j] aligns with simplices[i].x[j] and must agree across each
-    +/- pair of simplices (an even perturbation sees antipodal vertices
-    identically); a table that does not raises ValueError.  M is resolved
-    as a map in the span of the simplex maps G^-1 Q_S, under the pairing
-    trace(A B); the trace identity trace M = sum ups_i alpha_ij rho_ij is
-    checked.
-    """
-    system = _treqn_system(tuple(simplices), gram)
-    _pair_values(rho, system.index)
-    constraints = [
-        (a, Fraction(sum(w * Fraction(r) for w, r in zip(simplices[i].alpha, rho[i]))))
-        for i, a in zip(system.constrained, system.maps)
-    ]
-    m_mat = min_norm_solution(constraints)
-    translations = []
-    for i, (s, rows) in enumerate(zip(simplices, system.rows)):
-        rhs = [
-            s.cr2 * Fraction(rho[i][j]) - vec_dot(w, mat_vec(m_mat, x))
-            for j, (w, x) in enumerate(zip(rows, s.x))
-        ]
-        res = solve_affine(rows, vec(rhs))
-        if not res.unique:
-            raise RuntimeError("translation system must be determined")
-        translations.append(res.particular)
-    _check_trace_identity(trace(m_mat), rho, simplices, upsilon)
-    return TreqnSolution(m_form=mat_mul(gram, m_mat), translations=tuple(translations))
+def _combined(basis: tuple, values: Sequence[int], scale: int, gram: MatQ) -> TreqnSolution:
+    """sum_k values[k] / scale times the solutions in basis, an output of
+    _treqn_columns, with M as its form G M."""
+    maps, map_den, translations, t_den = basis
+    gz, gram_scale = integer_form(gram)
+    m = _int_mat_mul(gz, [[sum(map(mul, values, e)) for e in zip(*rows)] for rows in zip(*maps)])
+    t = [[sum(map(mul, values, e)) for e in zip(*t_i)] for t_i in translations]
+    return TreqnSolution(
+        m_form=tuple(tuple(Fraction(c, gram_scale * map_den * scale) for c in row) for row in m),
+        translations=tuple(tuple(Fraction(c, t_den * scale) for c in t_i) for t_i in t),
+    )
 
 
 def deformed_vertex(m_mat: MatQ, x: VecQ, t: VecQ) -> VecQ:
@@ -320,21 +324,17 @@ class CoverEngine:
 
     The per-vertex equations are linear in the rho table, and a table with
     the +/- symmetry has 12 free values, one per {x, -x} pair of the 24
-    vertices (numbered by `index`).  Setup runs the reference solver
-    solve_treqn once per pair's unit table to get the 12 basis solutions,
-    and keeps each pair's direction; `solve` then forms (M, t) as
-    exact rational combinations of them, which equals solve_treqn's answer
-    Fraction for Fraction.  Per rotation no Gram inversion, normal equation
-    or translation system is solved.
-
-    Each deformed vertex is affine in the same values v:
-    y = x + sum_k v_k (M_k x + t_k), with (M_k, t_k) pair k's basis
-    solution.  Setup scales the vertices x and their 12 moves by one common
-    denominator to integers.  For dyadic values v = nums / 2^shift every y,
-    its embedded direction and its Gram products then have exact integer
-    numerators (`_directions_at`, `_vertices_at`), and each float is a
-    quotient of integers, which Python rounds correctly, exactly as float()
-    rounds the equal Fraction.
+    vertices (numbered by `index`).  Setup solves them for the 12 unit
+    tables at once (`_treqn_columns`); `solve` combines the basis solutions
+    exactly, as solve_treqn would: per rotation no system is solved.  Each
+    deformed vertex is affine in the same values v:
+    y = x + sum_k v_k (M_k x + t_k).  Setup scales every vertex's map
+    [x | M_0 x + t_0 | ...] to integers over one denominator, so at dyadic
+    values v = nums / 2^shift every y, its embedded direction and its Gram
+    products have exact integer numerators (`_directions_at`,
+    `_vertices_at`); each float is a quotient of integers, which Python
+    rounds correctly, exactly as float() rounds the equal Fraction.  The
+    vertex -x has the negated map, so the screen forms one per pair.
 
     `construct` is the float `screen` followed by the exact tail (solve,
     `_certify_delta`, det and the vertex checks).  `rank_key` bounds the
@@ -352,24 +352,10 @@ class CoverEngine:
         self.upsilon = eutaxy_coefficients_a3(lat)
         self.mu = math.sqrt(float(self.mu2))
         self.index = _antipodal_index(self.simplices)
-        self.directions = tuple(
-            _unit_direction(lat.embedding, p)[0]
-            for p in _pair_representatives(self.simplices)
-        )
-        basis = []
-        for k in range(len(self.directions)):
-            unit = [[Fraction(int(c == k)) for c in keys] for keys in self.index]
-            # solve_treqn checks each basis solution's trace identity.
-            basis.append(solve_treqn(unit, self.simplices, self.upsilon, self.gram))
-        self.m_operator = tuple(
-            tuple(tuple(b.m_form[r][c] for b in basis) for c in range(3))
-            for r in range(3)
-        )
-        self.t_operator = tuple(
-            tuple(tuple(b.translations[i][k] for b in basis) for k in range(3))
-            for i in range(len(self.simplices))
-        )
-
+        pairs = range(1 + max(map(max, self.index)))
+        units = [[int(c == k) for c in pairs] for k in pairs]
+        self.basis = _treqn_columns(units, self.simplices, self.index, self.upsilon, self.gram)
+        maps, map_den, translations, t_den = self.basis
         # Vertex v = (i, j) in simplex order and its pair number.  Its affine
         # map is the 3 x 13 matrix [x | M_0 x + t_i0 | ... | M_11 x + t_i11],
         # applied to (1, v_0, ..., v_11); all 24 are scaled by self.scale.
@@ -377,33 +363,41 @@ class CoverEngine:
             (i, j, x) for i, s in enumerate(self.simplices) for j, x in enumerate(s.x)
         )
         self.pair_of = tuple(k for keys in self.index for k in keys)
-        maps = [map_matrix(self.ginv, b.m_form) for b in basis]
-        # M = sum_k v_k maps[k]; entry (r, c) of every map over one common
-        # denominator, for rank_key's det(Id + M).
-        entries, self._map_scale = integer_scaled([row for m in maps for row in m])
-        self._map_entries = [
-            [[entries[3 * k + r][c] for k in range(len(maps))] for c in range(3)]
-            for r in range(3)
-        ]
+        points, point_scale = integer_scaled([x for _, _, x in self.positions])
+        move_den = map_den * point_scale
+        den = math.lcm(move_den, t_den)
         columns = []
-        for i, _, x in self.positions:
-            columns.append(x)
+        for (i, _, _), x in zip(self.positions, points):
+            columns.append([c * (den // point_scale) for c in x])
             columns.extend(
-                vec_add(mat_vec(m, x), b.translations[i]) for m, b in zip(maps, basis)
+                [m * (den // move_den) + t * (den // t_den) for m, t in zip(_int_mat_vec(a, x), tk)]
+                for a, tk in zip(maps, translations[i])
             )
-        ints, self.scale = integer_scaled(columns)
-        width = len(basis) + 1
+        ints, self.scale = _lowest_terms(columns, den)
+        width = len(maps) + 1
         self._vertex_maps = [
             tuple(zip(*ints[v : v + width])) for v in range(0, len(ints), width)
         ]
+        # M = sum_k v_k M_k; entry (r, c) of every basis map over one common
+        # denominator, for rank_key's det(Id + M).
+        entries, self._map_scale = _lowest_terms([row for m in maps for row in m], map_den)
+        by_map = [entries[r : r + 3] for r in range(0, len(entries), 3)]
+        self._map_entries = [[list(e) for e in zip(*rows)] for rows in zip(*by_map)]
         embedding, self._embedding_scale = integer_scaled(lat.embedding)
         # The embedded vertex maps E A, so one integer product gives the
         # embedded numerators.
-        self._embedded_maps = [
-            [[sum(map(mul, row, col)) for col in zip(*a)] for row in embedding]
-            for a in self._vertex_maps
-        ]
-        self._gram, self._gram_scale = integer_scaled(self.gram)
+        self._embedded_maps = [_int_mat_mul(embedding, a) for a in self._vertex_maps]
+        # x and -x have negated maps, so the screen forms one product per pair.
+        self._twins = [[v for v, p in enumerate(self.pair_of) if p == k] for k in range(width - 1)]
+        for v, w in self._twins:
+            if self._embedded_maps[w] != [[-c for c in row] for row in self._embedded_maps[v]]:
+                raise RuntimeError("a vertex map is not the negated map of its antipode")
+        # Each pair's direction: that of its smaller vertex min(x, -x).
+        at_rest = self._directions_at([0] * len(pairs), 0)
+        self.directions = tuple(
+            at_rest[min(t, key=lambda v: self.positions[v][2])][0] for t in self._twins
+        )
+        self._gram, self._gram_scale = integer_form(self.gram)
         self._gram_points = [_int_mat_vec(self._gram, p) for p in ints[::width]]
         self._point_norms = [
             math.sqrt(float(gram_dot(self.gram, x, x))) for _, _, x in self.positions
@@ -416,23 +410,10 @@ class CoverEngine:
         and RuntimeError if the trace identity fails, as solve_treqn does.
         """
         (values,), scale = integer_scaled([_pair_values(rho, self.index)])
-
-        def combine(coeffs: tuple[Rat, ...]) -> Rat:
-            (ints,), c_scale = integer_scaled([coeffs])
-            return Fraction(sum(map(mul, ints, values)), c_scale * scale)
-
-        m_form = tuple(tuple(combine(e) for e in row) for row in self.m_operator)
-        translations = tuple(tuple(combine(e) for e in t) for t in self.t_operator)
-        _check_trace_identity(
-            trace_product(self.ginv, m_form), rho, self.simplices, self.upsilon
-        )
-        return TreqnSolution(m_form=m_form, translations=translations)
-
-    def _numerators(self, nums: Sequence[int], shift: int) -> list[list[int]]:
-        """y * (scale << shift) for every deformed vertex y at the pair
-        values nums / 2^shift."""
-        point = [1 << shift, *nums]
-        return [_int_mat_vec(a, point) for a in self._vertex_maps]
+        sol = _combined(self.basis, values, scale, self.gram)
+        expected = trace_identity_sum(rho, self.simplices, self.upsilon)
+        _check_trace_identity(trace_product(self.ginv, sol.m_form), expected)
+        return sol
 
     def _directions_at(
         self, nums: Sequence[int], shift: int
@@ -441,19 +422,20 @@ class CoverEngine:
         nums / 2^shift, float for float, from the integer tables."""
         den = (self._embedding_scale * self.scale) << shift
         point = [1 << shift, *nums]
-        return [
-            _unit([c / den for c in _int_mat_vec(a, point)])
-            for a in self._embedded_maps
-        ]
+        embedded: list[list[int]] = [[]] * len(self._embedded_maps)
+        for v, twin in self._twins:
+            embedded[v] = _int_mat_vec(self._embedded_maps[v], point)
+            embedded[twin] = [-c for c in embedded[v]]
+        return [_unit([c / den for c in e]) for e in embedded]
 
-    def _vertices_at(
-        self, nums: Sequence[int], shift: int
-    ) -> list[tuple[VecQ, Rat, float]]:
+    def _vertices_at(self, nums: Sequence[int], shift: int) -> list[tuple[VecQ, Rat, float]]:
         """Every deformed vertex y at the pair values nums / 2^shift, with
         <y, y> and float(<x, y>), exactly, from the integer tables."""
         den = self.scale << shift
+        point = [1 << shift, *nums]
         out = []
-        for num, gram_x in zip(self._numerators(nums, shift), self._gram_points):
+        for a, gram_x in zip(self._vertex_maps, self._gram_points):
+            num = _int_mat_vec(a, point)
             norm2 = sum(map(mul, num, _int_mat_vec(self._gram, num)))
             out.append(
                 (
@@ -554,40 +536,22 @@ class CoverEngine:
         sum_abs = sum(abs(r) for row in table for r in row)
         delta = self._certify_delta(screened.delta_float, records)
 
+        floats = [
+            (r, ny, dot, nx)
+            for (_, _, dot), (r, ny), nx in zip(vertices, radial, self._point_norms)
+        ]
+        delta_tan, eps_prime, lower_bound, margins = cover_floats(
+            body.eps, self.mu2, delta, trace_m, sum_abs, floats
+        )
         checks = []
         shrink2 = (1 - delta) ** 2
-        for i, j, x, y, norm2, r_val, ny in records:
+        for (i, j, x, y, norm2, r_val, ny), margin in zip(records, margins):
             lhs = shrink2 * norm2
             rhs = self.mu2 * Fraction(r_val) ** 2
             if lhs > rhs:
                 raise RuntimeError(f"certified contraction fails at ({i}, {j})")
-            checks.append(
-                VertexCheck(
-                    simplex=i,
-                    vertex=j,
-                    y=y,
-                    norm2=norm2,
-                    radial_value=r_val,
-                    lhs=lhs,
-                    rhs=rhs,
-                    margin=self.mu * r_val - (1.0 - float(delta)) * ny,
-                )
-            )
+            checks.append(VertexCheck(i, j, y, norm2, r_val, lhs, rhs, margin))
         det_ratio = (1 - delta) ** 3 * det(mat_add(identity(3), m_mat))
-
-        eps = body.eps
-        beta = math.acos((1.0 - eps) / (1.0 + eps)) if eps > 0 else 0.0
-        delta_tan = 0.0
-        for (_, _, dot), (_, ny), nx in zip(vertices, radial, self._point_norms):
-            cosg = max(-1.0, min(1.0, dot / (nx * ny)))
-            gamma = math.acos(cosg)
-            denom = 1.0 - 0.5 * (beta - gamma) ** 2
-            if not denom > 0.5:
-                raise RuntimeError("tangent bound unusable at this asphericity")
-            bc = (1.0 + eps) * gamma * beta / denom
-            delta_tan = max(delta_tan, bc / (ny / self.mu))
-        eps_prime = delta_tan / float(sum_abs) if sum_abs != 0 else 0.0
-        lower_bound = 1.0 + float(trace_m) - delta_tan
 
         return CoverConstruction(
             rotation=rotation,
@@ -622,6 +586,27 @@ class CoverEngine:
         raise RuntimeError("contraction certification did not settle")
 
 
+def cover_floats(eps: float, mu2: Rat, delta: Rat, trace_m: Rat, sum_abs: Rat, vertices):
+    """delta_tangent, epsilon_prime, lower_bound and every check's margin of a
+    cover construction, from its exact delta, trace M and sum |rho| and each
+    deformed vertex's (r_K, |y|, float <x, y>, |x|).  The verifier calls it
+    on inputs it re-derives, so each stored float must equal its value."""
+    mu = math.sqrt(float(mu2))
+    beta = math.acos((1.0 - eps) / (1.0 + eps)) if eps > 0 else 0.0
+    delta_tan = 0.0
+    margins = []
+    for r_val, ny, dot, nx in vertices:
+        margins.append(mu * r_val - (1.0 - float(delta)) * ny)
+        gamma = math.acos(max(-1.0, min(1.0, dot / (nx * ny))))
+        denom = 1.0 - 0.5 * (beta - gamma) ** 2
+        if not denom > 0.5:
+            raise RuntimeError("tangent bound unusable at this asphericity")
+        bc = (1.0 + eps) * gamma * beta / denom
+        delta_tan = max(delta_tan, bc / (ny / mu))
+    eps_prime = delta_tan / float(sum_abs) if sum_abs != 0 else 0.0
+    return delta_tan, eps_prime, 1.0 + float(trace_m) - delta_tan, margins
+
+
 def _start_grains(delta_float: float) -> int:
     """The contraction _certify_delta starts from, in grains of 2^-DELTA_BITS:
     delta_float rounded up with one grain to spare, or 0 when it is not
@@ -646,6 +631,21 @@ def _dyadic(values: Sequence) -> tuple[list[int], int]:
 
 def _int_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in a]
+
+
+def _int_trace(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
+    return sum(map(mul, chain(*a), chain(*zip(*b))))
+
+
+def _int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+def _lowest_terms(ints: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """The rationals ints / den as integer_scaled gives them: the common
+    factor of den and every entry divided out."""
+    g = math.gcd(den, *(c for row in ints for c in row))
+    return [[c // g for c in row] for row in ints], den // g
 
 
 @lru_cache(maxsize=1)

@@ -15,14 +15,18 @@ entries are treated as tagged inputs: exact-domain claims built on them
 (for instance membership inequalities against an exactly squared stored
 float) are re-verified in rational arithmetic.  Stored radial values are
 re-evaluated from the certificate's body, rotation and deformed vertex
-and must agree within FLOAT_TOLERANCE.  A scan's exact volume bound is
-re-derived from its body, and its densities, margin and Delta_K bound are
-recomputed from that bound and the exact det ratio and must be equal.
+and must agree within FLOAT_TOLERANCE.  A cover's delta_tangent,
+epsilon_prime, lower_bound and margins are recomputed by the construction's
+own cover_floats from the exact data and the re-evaluated radial values and
+must be equal.  A scan's exact volume bound is re-derived from its body,
+and its densities, margin and Delta_K bound are recomputed from that bound
+and the exact det ratio and must be equal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Callable
@@ -64,7 +68,7 @@ from .linalg import (
     det,
     gram_dot,
     identity,
-    is_combination,
+    combination_test,
     mat,
     mat_add,
     mat_vec,
@@ -78,6 +82,7 @@ from .perturbation import (
     ExtensionWitness,
     ScanReport,
     AugmentedBall,
+    cover_floats,
     deformed_vertex,
     exact_cr_after,
     grid_rotation,
@@ -238,7 +243,8 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
     cs = [parse_rat(c) for c in coeffs]
     if any(c < 0 for c in cs):
         bad.append("negative coefficient in identity resolution")
-    if not is_combination(cs, forms, gram):
+    resums = combination_test(forms, gram)
+    if not resums(cs):
         bad.append("coefficients do not resolve the identity form")
     indices = [r["pair_index"] for r in data["removals"]]
     if any(type(k) is not int for k in indices) or indices != list(range(len(pairs))):
@@ -257,7 +263,7 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
             if len(rcs) != len(kept) or any(c < 0 for c in rcs):
                 bad.append(f"removal {k}: bad coefficient vector")
                 continue
-            if not is_combination(rcs, kept, gram):
+            if not resums(rcs, k):
                 bad.append(f"removal {k}: coefficients do not resolve identity")
         else:
             removable.append(False)
@@ -290,6 +296,8 @@ def _verify_lattice_report(data: dict, bad: list[str]) -> None:
 
 def _verify_cover(data: dict, bad: list[str]) -> None:
     body = body_from_dict(data["body"])
+    if data["body"] != body_to_dict(body):
+        bad.append("body is not written as the construction writes it")
     if not is_normalized(body) or any(l % 2 for l, _, _ in body.coeffs):
         bad.append("body outside the normalized even class")
     if body.eps > 0.1:
@@ -315,7 +323,8 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
     expected_trace = trace_identity_sum(rho, simplices, upsilon)
     if parse_rat(data["trace_m"]) != expected_trace or trace(m_matrix) != expected_trace:
         bad.append("trace identity fails")
-    if parse_rat(data["sum_abs_rho"]) != sum(abs(r) for row in rho for r in row):
+    rho_abs = sum(abs(r) for row in rho for r in row)
+    if parse_rat(data["sum_abs_rho"]) != rho_abs:
         bad.append("sum of |rho| mismatched")
     det_ratio = parse_rat(data["det_ratio"])
     if det_ratio != (1 - delta) ** 3 * det(mat_add(identity(3), m_matrix)):
@@ -328,16 +337,18 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
         bad.append("membership log must check every vertex once, in order")
         return
     shrink2 = (1 - delta) ** 2
+    vertex_floats = []
     for k in checks:
         i, j = k["simplex"], k["vertex"]
-        y = deformed_vertex(m_matrix, simplices[i].x[j], translations[i])
+        x = simplices[i].x[j]
+        y = deformed_vertex(m_matrix, x, translations[i])
         if y != _parse_vec(k["y"]):
             bad.append(f"deformed vertex mismatch at ({i}, {j})")
         norm2 = gram_dot(gram, y, y)
         if norm2 != parse_rat(k["norm2"]):
             bad.append(f"vertex norm mismatch at ({i}, {j})")
         r_val = float(k["radial_value"])
-        recomputed, _ = radial_value(body, data["rotation"], lat.embedding, y)
+        recomputed, ny = radial_value(body, data["rotation"], lat.embedding, y)
         if abs(r_val - recomputed) > FLOAT_TOLERANCE:
             bad.append(f"radial value does not match the body at ({i}, {j})")
         lhs = shrink2 * norm2
@@ -346,12 +357,28 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
             bad.append(f"membership sides mismatched at ({i}, {j})")
         if lhs > rhs:
             bad.append(f"membership fails at ({i}, {j})")
+        nx = math.sqrt(float(gram_dot(gram, x, x)))
+        vertex_floats.append((recomputed, ny, float(gram_dot(gram, x, y)), nx))
+    try:
+        derived = cover_floats(body.eps, mu2, delta, expected_trace, rho_abs, vertex_floats)
+    except RuntimeError as e:
+        bad.append(f"cover floats cannot be re-derived: {e}")
+        return
+    *stored, margins = derived
+    for key, want in zip(("delta_tangent", "epsilon_prime", "lower_bound"), stored):
+        if type(data[key]) is not float or data[key] != want:
+            bad.append(f"{key} is not its value from the certificate's exact data")
+    for k, want in zip(checks, margins):
+        if type(k["margin"]) is not float or k["margin"] != want:
+            bad.append(f"margin at ({k['simplex']}, {k['vertex']}) is not its re-derived value")
 
 
 def _verify_scan(data: dict, bad: list[str]) -> None:
     if data.keys() != _SCAN_KEYS:
         bad.append(f"scan fields must be exactly {sorted(_SCAN_KEYS)}")
         return
+    if data["best"]["kind"] != "cover-construction":
+        bad.append("the best construction must be of kind 'cover-construction'")
     _verify_cover(data["best"], bad)
     lat = build_anstar(3)
     mu2, _ = covering_radius(lat)

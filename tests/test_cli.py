@@ -774,3 +774,22 @@ def test_verify_rederives_every_scan_field(capsys, tmp_path):
     for key in fields:
         ok, bad = verify_certificate(dict(data, **{key: changed(data[key])}))
         assert not ok, key
+
+
+def test_verify_rederives_the_cover_floats(capsys, tmp_path):
+    # The forgeries once accepted: each float of the best construction is
+    # recomputed by the construction's own cover_floats and must be equal.
+    cert, data = scan_of(capsys, tmp_path, [(4, 0, 0.005)], 8)
+    assert verify_certificate(data) == (True, [])
+    forgeries = {"lower_bound": 99.0, "delta_tangent": -5.0, "epsilon_prime": 1e9}
+    for key, value in forgeries.items():
+        cert.write_text(json.dumps(dict(data, best=dict(data["best"], **{key: value}))))
+        code, out, err = run(capsys, "verify", "--certificate", str(cert))
+        assert (code, out) == (1, "")
+        assert err == f"verification failure: {key} is not its value from the certificate's exact data\n"
+    checks = [dict(k, margin=-1.0) for k in data["best"]["checks"]]
+    cert.write_text(json.dumps(dict(data, best=dict(data["best"], checks=checks))))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == len(checks)
+    assert all("is not its re-derived value" in line for line in err.splitlines())

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ballcover.linalg import (
     DependentConstraintsError,
     SingularMatrixError,
+    combination_test,
     det,
     gram_dot,
     identity,
@@ -22,6 +23,7 @@ from ballcover.linalg import (
     min_norm_solution,
     nullspace,
     solve_affine,
+    solve_columns,
     solve_square,
     trace_product,
     vec,
@@ -292,3 +294,60 @@ def test_is_combination_matches_the_fraction_sum(case, pick):
     assert not is_combination(weights[:-1], mats, target)
     with pytest.raises(ValueError, match="shape"):
         is_combination(weights, mats, identity(n + 1))
+
+
+MATS_AND_WEIGHTS = st.tuples(st.integers(1, 4), st.integers(2, 6)).flatmap(lambda nk: st.tuples(
+    st.lists(rational_matrix(nk[0], nk[0]), min_size=nk[1], max_size=nk[1]),
+    st.lists(RATIONAL, min_size=nk[1] - 1, max_size=nk[1] - 1),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(MATS_AND_WEIGHTS, st.integers(0, 5))
+def test_combination_test_drops_one_matrix(case, pick):
+    # One family scaled once answers for each removal: weights over the
+    # family with matrix k dropped, as is_combination over the kept ones.
+    mats, weights = case
+    n = len(mats[0])
+    k = pick % len(mats)
+    kept = mats[:k] + mats[k + 1 :]
+    target = fraction_sum(weights, kept, n)
+    test = combination_test(mats, target)
+    assert test(weights, k) and is_combination(weights, kept, target)
+    nudged = [weights[0] + Fraction(1, weights[0].denominator), *weights[1:]]
+    assert test(nudged, k) == is_combination(nudged, kept, target)
+    other = (k + 1) % len(mats)
+    assert test(weights, other) == is_combination(weights, mats[:other] + mats[other + 1 :], target)
+    # without a drop, or dropping from too few weights, the counts differ
+    assert not test(weights) and not test(weights[:-1], k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(0, 2), st.integers(1, 4)).flatmap(
+        lambda t: st.tuples(
+            rational_matrix(t[0] + t[1], t[0]),
+            rational_matrix(t[0], t[2]),
+            rational_matrix(t[0] + t[1], t[2]),
+        )
+    )
+)
+def test_solve_columns_matches_solve_affine_per_column(case):
+    # A consistent right-hand side A X and a free one, which is
+    # inconsistent when A has more rows than columns.
+    a, x, free = case
+    for b in (mat_mul(a, x), free):
+        per_column = [solve_affine(a, col) for col in zip(*b)]
+        if any(res.nullspace for res in per_column):
+            with pytest.raises(SingularMatrixError):
+                solve_columns(a, b)
+        elif any(res.particular is None for res in per_column):
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve_columns(a, b)
+        else:
+            z, d = solve_columns(a, b)
+            solutions = [tuple(Fraction(v, d) for v in col) for col in zip(*z)]
+            assert solutions == [res.particular for res in per_column]
+    # A repeated column leaves every right-hand side underdetermined.
+    with pytest.raises(SingularMatrixError):
+        solve_columns(tuple(row + row[:1] for row in a), mat_mul(a, x))

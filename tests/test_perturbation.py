@@ -2,15 +2,23 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballcover.bodies import ball_body, make_body, real_sph_harm, rho, volume_ratio
-from ballcover.eutaxy import map_matrix, q_map
-from ballcover.lattice import DegenerateSimplexError, build_anstar, circumcenter, covering_radius
+from ballcover.eutaxy import gram_inverse, map_matrix, q_map
+from ballcover.lattice import (
+    DegenerateSimplexError,
+    build_anstar,
+    circumcenter,
+    covering_radius,
+    negative_pairs,
+)
 from ballcover.linalg import (
     det,
     gram_dot,
@@ -18,11 +26,15 @@ from ballcover.linalg import (
     mat,
     mat_add,
     mat_inv,
+    mat_mul,
     mat_scale,
     mat_vec,
+    min_norm_solution,
+    solve_affine,
     trace,
     vec,
     vec_add,
+    vec_dot,
     vec_scale,
     vec_sub,
 )
@@ -39,6 +51,7 @@ from ballcover.perturbation import (
     _pair_values,
     _shift_fits,
     _start_grains,
+    _unit,
     _unit_direction,
     build_cover,
     deformed_vertex,
@@ -185,16 +198,43 @@ def test_solve_treqn_rejects_asymmetric_rho():
         engine.solve(rho)
 
 
+def reference_treqn(rho, simplices, gram):
+    # The per-table procedure the stacked set-up replaced: the least-norm M
+    # from the normal equations, then one translation system per simplex.
+    # Returns (G M, translations).
+    ginv = gram_inverse(gram)
+    constraints = [
+        (map_matrix(ginv, q_map(simplices[i], gram).form),
+         sum(a * Fraction(r) for a, r in zip(simplices[i].alpha, rho[i])))
+        for i, _ in negative_pairs(simplices)
+    ]
+    m_mat = min_norm_solution(constraints)
+    translations = []
+    for i, s in enumerate(simplices):
+        rows = mat([mat_vec(gram, x) for x in s.x])
+        rhs = [
+            s.cr2 * Fraction(rho[i][j]) - vec_dot(w, mat_vec(m_mat, x))
+            for j, (w, x) in enumerate(zip(rows, s.x))
+        ]
+        res = solve_affine(rows, vec(rhs))
+        assert res.unique
+        translations.append(res.particular)
+    return mat_mul(gram, m_mat), tuple(translations)
+
+
 def test_engine_operator_matches_reference_solver():
-    # The operator precomputed at setup must give solve_treqn's answer
-    # Fraction for Fraction, on tables from grid rotations (after the
+    # The basis solutions of the stacked set-up, engine.solve and
+    # solve_treqn all equal the per-table procedure Fraction for Fraction,
+    # on the unit tables, on tables from grid rotations (after the
     # re-targeting iterations) and on random symmetric tables.
     rng = random.Random(41)
     engine = CoverEngine(build_anstar(3))
-    body = make_body([(4, 0, 0.005), (6, 2, 0.002)])
     tables = [
-        engine.construct(body, rotation=u).rho for u in rotation_grid(1000)[::250]
+        tuple(tuple(Fraction(int(c == k)) for c in keys) for keys in engine.index)
+        for k in range(len(engine.directions))
     ]
+    body = make_body([(4, 0, 0.005), (6, 2, 0.002)])
+    tables += [engine.construct(body, rotation=u).rho for u in rotation_grid(1000)[::250]]
     for _ in range(4):
         values = [
             Fraction(rng.randint(-99, 99), rng.randint(1, 2**20))
@@ -202,17 +242,24 @@ def test_engine_operator_matches_reference_solver():
         ]
         tables.append(tuple(tuple(values[k] for k in keys) for keys in engine.index))
     for table in tables:
-        ref = solve_treqn(table, engine.simplices, engine.upsilon, engine.gram)
+        ref = reference_treqn(table, engine.simplices, engine.gram)
         sol = engine.solve(table)
-        assert sol.m_form == ref.m_form
-        assert sol.translations == ref.translations
-    # A corrupted operator trips the per-solve trace identity check.
-    row = engine.m_operator[0]
-    engine.m_operator = (
-        (tuple(c + 1 for c in row[0]),) + row[1:],
-    ) + engine.m_operator[1:]
+        assert (sol.m_form, sol.translations) == ref
+        one = solve_treqn(table, engine.simplices, engine.upsilon, engine.gram)
+        assert (one.m_form, one.translations) == ref
+    # A corrupted basis map trips the per-solve trace identity check.
+    maps = engine.basis[0]
+    maps[0][0][0] += 1
     with pytest.raises(RuntimeError, match="trace identity"):
-        engine.solve(tables[-1])
+        engine.solve(tables[0])
+
+
+def forbid(monkeypatch, module, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a linear system was solved")
+
+    for name in names:
+        monkeypatch.setattr(module, name, forbidden)
 
 
 def test_construct_solves_no_system_per_rotation(monkeypatch):
@@ -220,17 +267,53 @@ def test_construct_solves_no_system_per_rotation(monkeypatch):
     import ballcover.perturbation
 
     engine = CoverEngine(build_anstar(3))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a linear system was solved per rotation")
-
-    monkeypatch.setattr(ballcover.perturbation, "solve_treqn", forbidden)
-    monkeypatch.setattr(ballcover.perturbation, "min_norm_solution", forbidden)
-    monkeypatch.setattr(ballcover.perturbation, "solve_affine", forbidden)
-    monkeypatch.setattr(ballcover.linalg, "solve_affine", forbidden)
+    forbid(monkeypatch, ballcover.perturbation, "solve_treqn", "_treqn_columns", "solve_columns")
+    forbid(monkeypatch, ballcover.linalg, "solve_affine", "solve_columns", "min_norm_solution")
     body = make_body([(4, 0, 0.01)])
     c = engine.construct(body, rotation=rotation_grid(8)[3])
     assert all(chk.lhs <= chk.rhs for chk in c.checks)
+
+
+def test_engine_setup_needs_no_per_table_solver(monkeypatch):
+    import ballcover.linalg
+
+    forbid(monkeypatch, ballcover.linalg, "min_norm_solution", "solve_affine")
+    engine = CoverEngine(build_anstar(3))
+    c = engine.construct(make_body([(4, 0, 0.01)]), rotation=rotation_grid(8)[3])
+    assert all(chk.lhs <= chk.rhs for chk in c.checks)
+
+
+def clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ballcover."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    assert _engine.cache_info().currsize == 0
+
+
+def test_engine_setup_elimination_count(monkeypatch):
+    # A count, not a time: the same on every machine.  Building A3* takes 4
+    # eliminations and classifying it 2; the 12 basis solutions take 7, one
+    # for the normal equations and one per simplex (the per-table loop took
+    # 84: 7 for each unit table).
+    import ballcover.linalg
+
+    calls = []
+    rref = ballcover.linalg._rref
+
+    def counted(tab):
+        calls.append(len(tab[0]))
+        return rref(tab)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ballcover.") and getattr(module, "_rref", None) is rref:
+            monkeypatch.setattr(module, "_rref", counted)
+    clear_package_caches()
+    CoverEngine(build_anstar(3))
+    assert len(calls) == 6 + 7
+    # The last 7 are the stacked solves: 3 + 12 and 3 + 12 columns.
+    assert calls[-7:] == [15] * 7
 
 
 def bits(xs):
@@ -264,6 +347,25 @@ DYADIC = st.builds(
 @given(st.lists(DYADIC, min_size=12, max_size=12))
 def test_integer_tables_match_fraction_path_on_dyadic_tables(values):
     assert_integer_tables_match(_engine(), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(DYADIC, min_size=12, max_size=12))
+def test_twin_sharing_matches_all_products(values):
+    # The screen forms one integer product per {x, -x} pair and negates it
+    # for the twin; the floats equal those of all 24 products bit for bit.
+    engine = _engine()
+    nums, shift = _dyadic(values)
+    den = (engine._embedding_scale * engine.scale) << shift
+    point = [1 << shift, *nums]
+    every = [
+        _unit([sum(map(mul, row, point)) / den for row in a]) for a in engine._embedded_maps
+    ]
+    shared = engine._directions_at(nums, shift)
+    # hex tells -0.0 from 0.0
+    assert [bits(d) + [ny.hex()] for d, ny in shared] == [
+        bits(d) + [ny.hex()] for d, ny in every
+    ]
 
 
 @settings(max_examples=15, deadline=None)

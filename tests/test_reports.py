@@ -2,20 +2,23 @@
 certificate must make `verify_certificate` fail."""
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballcover.bodies import make_body
 from ballcover.eutaxy import classification_certificate
 from ballcover.harmonic import zonal_spectrum
 from ballcover.lattice import build_anstar, covering_radius, lattice_report, voronoi_vertices
-from ballcover.perturbation import extension_witness
+from ballcover.perturbation import extension_witness, rotation_scan
 from ballcover.reports import (
     dump_json,
     parse_rat,
     rat_str,
+    scan_certificate,
     spectrum_certificate,
     verify_certificate,
     witness_certificate,
@@ -46,7 +49,8 @@ def _spectrum():
 @lru_cache(maxsize=None)
 def certificates():
     """The certificates as parsed JSON: witnesses in dimensions 2 and 3,
-    classifications and lattice reports in dimensions 2 to 4, a spectrum."""
+    classifications and lattice reports in dimensions 2 to 4, a spectrum
+    and a scan."""
     out = {}
     for dim in (2, 3, 4):
         lat = build_anstar(dim)
@@ -60,6 +64,8 @@ def certificates():
         extension_witness(build_anstar(3), 0, eps=Fraction(1, 7))
     )
     out["spectrum"] = _spectrum()
+    body = make_body([(4, 0, 0.005)])
+    out["scan"] = scan_certificate(body, rotation_scan(body, grid_size=8))
     return {name: json.loads(dump_json(c)) for name, c in out.items()}
 
 
@@ -118,6 +124,10 @@ def other_value(old):
         return st.integers(-3, 3).filter(bool).map(lambda d: old + d)
     if old is None:
         return st.sampled_from(["0", "1", []])
+    if isinstance(old, float):
+        # a few ulps either way, or any other float
+        near = st.integers(-4, 4).map(lambda n: old + n * math.ulp(old))
+        return (near | st.floats(-10, 10)).filter(lambda f: f != old)
     try:
         value = parse_rat(old)
     except (ValueError, ZeroDivisionError):
@@ -132,6 +142,8 @@ def fixed_change(old):
         return old + 1
     if old is None:
         return "1"
+    if isinstance(old, float):
+        return math.nextafter(old, math.inf)
     try:
         return rat_str(parse_rat(old) + Fraction(1, 3))
     except (ValueError, ZeroDivisionError):
