@@ -639,6 +639,20 @@ def test_scan_output_is_pinned(capsys, tmp_path):
     assert sha256(cert) == "e13e636b7831386db057d99af932f98e55de8aa1778d82b9d48234403ad1bb74"
 
 
+def test_non_zonal_scan_output_is_pinned(capsys, tmp_path):
+    # The m != 0 harmonics take the atan2, cos and sin path of rho, where two
+    # float routes to the same r_K could differ; same libm assumption as above.
+    body_file = tmp_path / "body.json"
+    save_body(make_body([(4, 1, 0.003), (6, -5, 0.002), (8, 8, 0.001)]), str(body_file))
+    cert = tmp_path / "scan.json"
+    code, out, _ = run(
+        capsys, "construct", "--body", str(body_file), "--grid", "8", "--out", str(cert)
+    )
+    assert code == 0
+    assert out == cert.read_text()
+    assert sha256(cert) == "8deee43cc3e48641cec1cd559d77df2e50c7686fd0d910e2cba471285f038a35"
+
+
 def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):
     # Zero the contraction, recompute every value that depends on it, and
     # pad the membership log with the vertices that still pass.
