@@ -171,10 +171,12 @@ def body_from_dict(data: dict) -> RadialBody:
         raise ValueError("body file must contain a 'harmonics' list")
     rows = data["harmonics"]
     if not isinstance(rows, list) or not all(
-        isinstance(r, (list, tuple)) and len(r) == 3 for r in rows
+        isinstance(r, (list, tuple)) and len(r) == 3 and type(r[0]) is type(r[1]) is int
+        and type(r[2]) in (int, float)
+        for r in rows
     ):
-        raise ValueError("'harmonics' must be a list of [degree, order, coefficient]")
-    return make_body((int(l), int(m), float(a)) for l, m, a in rows)
+        raise ValueError("'harmonics' must be a list of [int degree, int order, coefficient]")
+    return make_body(rows)
 
 
 def save_body(body: RadialBody, path: str) -> None:

@@ -141,7 +141,7 @@ def cmd_anstar(args) -> int:
 def cmd_construct(args) -> int:
     try:
         body = load_body(args.body)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, OverflowError, RecursionError) as e:
         print(f"usage error: cannot load body: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -202,7 +202,7 @@ def cmd_verify(args) -> int:
     else:
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             print(f"verification failure: not JSON or c_l CSV: {e}", file=sys.stderr)
             return EXIT_FAIL
         ok, failures = verify_certificate(data)

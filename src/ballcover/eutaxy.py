@@ -348,6 +348,12 @@ def ball_conclusion(cls: EutaxyClass) -> str:
 # How a classification certificate's maps are scaled, stated in it.
 MAP_NORMALIZATION = "maps scaled by 1/cr2 so each has unit trace"
 
+# The fields of a classification certificate (each removal's: RemovalOutcome).
+CLASSIFICATION_KEYS = frozenset(
+    "kind dimension gram mu2 num_simplices pairs maps classification pair_coefficients"
+    " simplex_coefficients unique farkas_form removals conclusion normalization".split()
+)
+
 
 def classification_certificate(lat: LatticeModel) -> dict:
     """Plain-data certificate for the lattice classification (values exact)."""

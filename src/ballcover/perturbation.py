@@ -300,13 +300,11 @@ class CoverConstruction:
 @dataclass(frozen=True)
 class Screen:
     """One rotation's float screen: pair values nums / 2^shift after the
-    re-targeting, the float contraction, and (r_K, |y|) at every deformed
-    vertex in position order."""
+    re-targeting, and the float contraction."""
 
     nums: list[int]
     shift: int
     delta_float: float
-    radial: list[tuple[float, float]]
 
 
 def check_body(body: RadialBody) -> None:
@@ -330,16 +328,19 @@ class CoverEngine:
     deformed vertex is affine in the same values v:
     y = x + sum_k v_k (M_k x + t_k).  Setup scales every vertex's map
     [x | M_0 x + t_0 | ...] to integers over one denominator, so at dyadic
-    values v = nums / 2^shift every y, its embedded direction and its Gram
-    products have exact integer numerators (`_directions_at`,
-    `_vertices_at`); each float is a quotient of integers, which Python
-    rounds correctly, exactly as float() rounds the equal Fraction.  The
-    vertex -x has the negated map, so the screen forms one per pair.
+    values v = nums / 2^shift the screen gets every embedded direction from
+    exact integer numerators (`_directions_at`); each float is a quotient
+    of integers, which Python rounds correctly, exactly as float() rounds
+    the equal Fraction.  The vertex -x has the negated map, so the screen
+    forms one per pair.
 
     `construct` is the float `screen` followed by the exact tail (solve,
-    `_certify_delta`, det and the vertex checks).  `rank_key` bounds the
-    tail's det_ratio from a screen alone, on the integer tables of the 12
-    basis maps, so a scan certifies only the rotations that can still win.
+    `deformed_vertices`, `_certify_delta`, det and the vertex checks), in
+    the verifier's own Fraction derivation: a scan certifies one rotation
+    on every body tried, so a faster tail would only duplicate it.
+    `rank_key` bounds the tail's det_ratio from a screen alone, on the
+    integer tables of the 12 basis maps, so a scan certifies only the
+    rotations that can still win.
     """
 
     def __init__(self, lat: LatticeModel):
@@ -375,9 +376,7 @@ class CoverEngine:
             )
         ints, self.scale = _lowest_terms(columns, den)
         width = len(maps) + 1
-        self._vertex_maps = [
-            tuple(zip(*ints[v : v + width])) for v in range(0, len(ints), width)
-        ]
+        vertex_maps = [tuple(zip(*ints[v : v + width])) for v in range(0, len(ints), width)]
         # M = sum_k v_k M_k; entry (r, c) of every basis map over one common
         # denominator, for rank_key's det(Id + M).
         entries, self._map_scale = _lowest_terms([row for m in maps for row in m], map_den)
@@ -386,7 +385,7 @@ class CoverEngine:
         embedding, self._embedding_scale = integer_scaled(lat.embedding)
         # The embedded vertex maps E A, so one integer product gives the
         # embedded numerators.
-        self._embedded_maps = [_int_mat_mul(embedding, a) for a in self._vertex_maps]
+        self._embedded_maps = [_int_mat_mul(embedding, a) for a in vertex_maps]
         # x and -x have negated maps, so the screen forms one product per pair.
         self._twins = [[v for v, p in enumerate(self.pair_of) if p == k] for k in range(width - 1)]
         for v, w in self._twins:
@@ -397,11 +396,6 @@ class CoverEngine:
         self.directions = tuple(
             at_rest[min(t, key=lambda v: self.positions[v][2])][0] for t in self._twins
         )
-        self._gram, self._gram_scale = integer_form(self.gram)
-        self._gram_points = [_int_mat_vec(self._gram, p) for p in ints[::width]]
-        self._point_norms = [
-            math.sqrt(float(gram_dot(self.gram, x, x))) for _, _, x in self.positions
-        ]
 
     def solve(self, rho: Sequence[Sequence[Rat]]) -> TreqnSolution:
         """solve_treqn(rho, simplices, upsilon, gram) by the precomputed operator.
@@ -428,32 +422,13 @@ class CoverEngine:
             embedded[twin] = [-c for c in embedded[v]]
         return [_unit([c / den for c in e]) for e in embedded]
 
-    def _vertices_at(self, nums: Sequence[int], shift: int) -> list[tuple[VecQ, Rat, float]]:
-        """Every deformed vertex y at the pair values nums / 2^shift, with
-        <y, y> and float(<x, y>), exactly, from the integer tables."""
-        den = self.scale << shift
-        point = [1 << shift, *nums]
-        out = []
-        for a, gram_x in zip(self._vertex_maps, self._gram_points):
-            num = _int_mat_vec(a, point)
-            norm2 = sum(map(mul, num, _int_mat_vec(self._gram, num)))
-            out.append(
-                (
-                    tuple(Fraction(c, den) for c in num),
-                    Fraction(norm2, self._gram_scale * den * den),
-                    sum(map(mul, gram_x, num)) / (self._gram_scale * self.scale * den),
-                )
-            )
-        return out
-
     def screen(
         self,
         body: RadialBody,
         rotation: Optional[tuple[tuple[float, ...], ...]] = None,
     ) -> Screen:
         """The float re-targeting of the per-vertex equations for the rotated
-        body: the pair values, the float contraction, and r_K and |y| at
-        every deformed vertex.  Forms no Fraction."""
+        body: the pair values and the float contraction.  Forms no Fraction."""
         directions = self.directions
         if rotation is not None:
             directions = [_apply_transposed(rotation, d) for d in directions]
@@ -464,13 +439,10 @@ class CoverEngine:
         # antipodal pair, keeping the +/- symmetry exact; the values stay
         # dyadic, held as integers over 2^shift.
         for step in range(4):
-            radial = [
-                (_radial(body, rotation, d), ny)
-                for d, ny in self._directions_at(nums, shift)
-            ]
             delta_float = 0.0
             excess: dict[int, float] = {}
-            for k, (r_val, ny) in zip(self.pair_of, radial):
+            for k, (d, ny) in zip(self.pair_of, self._directions_at(nums, shift)):
+                r_val = _radial(body, rotation, d)
                 delta_float = max(delta_float, 1.0 - self.mu * r_val / ny)
                 o = ny / (self.mu * r_val) - 1.0
                 if k not in excess or abs(o) > abs(excess[k]):
@@ -483,7 +455,7 @@ class CoverEngine:
                 (n << (top - shift)) - (m << (top - by)) for n, m in zip(nums, moved)
             ]
             shift = top
-        return Screen(nums=nums, shift=shift, delta_float=delta_float, radial=radial)
+        return Screen(nums=nums, shift=shift, delta_float=delta_float)
 
     def rank_key(self, screened: Screen) -> Rat:
         """K = (1 - delta0)^3 det(Id + M) at the screened pair values, or 0
@@ -520,32 +492,22 @@ class CoverEngine:
         the float screen, then the exact tail."""
         check_body(body)
         screened = self.screen(body, rotation)
-        nums, shift, radial = screened.nums, screened.shift, screened.radial
-        values = [Fraction(n, 1 << shift) for n in nums]
+        values = [Fraction(n, 1 << screened.shift) for n in screened.nums]
         table = tuple(tuple(values[k] for k in keys) for keys in self.index)
         sol = self.solve(table)
         m_mat = map_matrix(self.ginv, sol.m_form)
-        vertices = self._vertices_at(nums, shift)
-        records = [
-            (i, j, x, y, norm2, r_val, ny)
-            for (i, j, x), (y, norm2, _), (r_val, ny) in zip(
-                self.positions, vertices, radial
-            )
-        ]
+        records = deformed_vertices(
+            body, rotation, self.lat, self.simplices, m_mat, sol.translations
+        )
         trace_m = trace(m_mat)
         sum_abs = sum(abs(r) for row in table for r in row)
         delta = self._certify_delta(screened.delta_float, records)
-
-        floats = [
-            (r, ny, dot, nx)
-            for (_, _, dot), (r, ny), nx in zip(vertices, radial, self._point_norms)
-        ]
         delta_tan, eps_prime, lower_bound, margins = cover_floats(
-            body.eps, self.mu2, delta, trace_m, sum_abs, floats
+            body.eps, self.mu2, delta, trace_m, sum_abs, [v[4:] for v in records]
         )
         checks = []
         shrink2 = (1 - delta) ** 2
-        for (i, j, x, y, norm2, r_val, ny), margin in zip(records, margins):
+        for (i, j, y, norm2, r_val, *_), margin in zip(records, margins):
             lhs = shrink2 * norm2
             rhs = self.mu2 * Fraction(r_val) ** 2
             if lhs > rhs:
@@ -578,12 +540,30 @@ class CoverEngine:
                 raise RuntimeError("contraction reached 1")
             ok = all(
                 (1 - delta) ** 2 * norm2 <= self.mu2 * Fraction(r_val) ** 2
-                for _, _, _, _, norm2, r_val, _ in records
+                for _, _, _, norm2, r_val, *_ in records
             )
             if ok:
                 return delta
             delta += grain
         raise RuntimeError("contraction certification did not settle")
+
+
+def deformed_vertices(
+    body: RadialBody, rotation, lat: LatticeModel, simplices, m_mat: MatQ, translations
+) -> list[tuple]:
+    """(i, j, y, <y, y>, r_K(y), |y|, float <x, y>, |x|) for every vertex
+    x = simplices[i].x[j] in position order, y = x + M x + t_i, with r_K that
+    of the rotated body.  The construction and the verifier both take the
+    vertex checks and the inputs of cover_floats from it."""
+    gram = lat.gram
+    out = []
+    for i, s in enumerate(simplices):
+        for j, x in enumerate(s.x):
+            y = deformed_vertex(m_mat, x, translations[i])
+            d, ny = _unit_direction(lat.embedding, y)
+            dot, nx = float(gram_dot(gram, x, y)), math.sqrt(float(gram_dot(gram, x, x)))
+            out.append((i, j, y, gram_dot(gram, y, y), _radial(body, rotation, d), ny, dot, nx))
+    return out
 
 
 def cover_floats(eps: float, mu2: Rat, delta: Rat, trace_m: Rat, sum_abs: Rat, vertices):
@@ -658,21 +638,6 @@ def build_cover(
     rotation: Optional[tuple[tuple[float, ...], ...]] = None,
 ) -> CoverConstruction:
     return _engine().construct(body, rotation=rotation)
-
-
-def radial_value(
-    body: RadialBody,
-    rotation: Optional[Sequence[Sequence[float]]],
-    embedding: MatQ,
-    y: VecQ,
-) -> tuple[float, float]:
-    """Float r_K = 1 + rho of the rotated body toward lattice point y, and |y|.
-
-    Shared by the covering construction and the verifier, so a stored
-    radial value is re-derived from the certificate's body, rotation and y.
-    """
-    d, ny = _unit_direction(embedding, y)
-    return _radial(body, rotation, d), ny
 
 
 def _radial(

@@ -13,20 +13,20 @@ ambient context (the A_n* geometry, which is deterministic given the
 dimension) is rebuilt when a certificate refers to it.  Float-valued
 entries are treated as tagged inputs: exact-domain claims built on them
 (for instance membership inequalities against an exactly squared stored
-float) are re-verified in rational arithmetic.  Stored radial values are
-re-evaluated from the certificate's body, rotation and deformed vertex
-and must agree within FLOAT_TOLERANCE.  A cover's delta_tangent,
-epsilon_prime, lower_bound and margins are recomputed by the construction's
-own cover_floats from the exact data and the re-evaluated radial values and
-must be equal.  A scan's exact volume bound is re-derived from its body,
-and its densities, margin and Delta_K bound are recomputed from that bound
-and the exact det ratio and must be equal.
+float) are re-verified in rational arithmetic.  A cover's deformed vertices
+and their radial values come from the construction's own Fraction
+derivation, deformed_vertices (a scan certifies one rotation, so the
+construction needs no faster one); stored radial values must agree within
+FLOAT_TOLERANCE, and cover_floats re-derives the other floats, which must
+be equal.  A scan's exact volume bound is re-derived from its body, and its
+densities, margin and Delta_K bound are recomputed from that bound and the
+exact det ratio and must be equal.  Each kind's keys must be exactly those
+of its dataclass at every level (_SCHEMAS).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Callable
@@ -39,8 +39,10 @@ from .bodies import (
     volume_ratio,
 )
 from .eutaxy import (
+    CLASSIFICATION_KEYS,
     MAP_NORMALIZATION,
     EutaxyClass,
+    RemovalOutcome,
     ball_conclusion,
     eutaxy_coefficients_a3,
     forms_independent,
@@ -81,14 +83,14 @@ from .perturbation import (
     CoverConstruction,
     ExtensionWitness,
     ScanReport,
+    VertexCheck,
     AugmentedBall,
     cover_floats,
-    deformed_vertex,
+    deformed_vertices,
     exact_cr_after,
     grid_rotation,
     kept_simplices,
     member_augmented_ball,
-    radial_value,
     scan_densities,
     trace_identity_sum,
     witness_transform,
@@ -97,7 +99,6 @@ from .perturbation import (
 # Largest gap allowed between a stored radial value and its re-evaluation.
 FLOAT_TOLERANCE = 1e-12
 
-_SCAN_KEYS = {"kind", *(f.name for f in fields(ScanReport))}
 _DENSITY_KEYS = ("ball_density", "best_density", "margin", "delta_k_bound")
 
 
@@ -332,23 +333,17 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
     if data["float_tolerance"] != FLOAT_TOLERANCE:
         bad.append(f"float tolerance must be {FLOAT_TOLERANCE!r}")
     checks = data["checks"]
-    positions = [(i, j) for i, s in enumerate(simplices) for j in range(len(s.x))]
-    if [(k["simplex"], k["vertex"]) for k in checks] != positions:
+    vertices = deformed_vertices(body, data["rotation"], lat, simplices, m_matrix, translations)
+    if [(k["simplex"], k["vertex"]) for k in checks] != [v[:2] for v in vertices]:
         bad.append("membership log must check every vertex once, in order")
         return
     shrink2 = (1 - delta) ** 2
-    vertex_floats = []
-    for k in checks:
-        i, j = k["simplex"], k["vertex"]
-        x = simplices[i].x[j]
-        y = deformed_vertex(m_matrix, x, translations[i])
+    for k, (i, j, y, norm2, recomputed, *_) in zip(checks, vertices):
         if y != _parse_vec(k["y"]):
             bad.append(f"deformed vertex mismatch at ({i}, {j})")
-        norm2 = gram_dot(gram, y, y)
         if norm2 != parse_rat(k["norm2"]):
             bad.append(f"vertex norm mismatch at ({i}, {j})")
         r_val = float(k["radial_value"])
-        recomputed, ny = radial_value(body, data["rotation"], lat.embedding, y)
         if abs(r_val - recomputed) > FLOAT_TOLERANCE:
             bad.append(f"radial value does not match the body at ({i}, {j})")
         lhs = shrink2 * norm2
@@ -357,10 +352,10 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
             bad.append(f"membership sides mismatched at ({i}, {j})")
         if lhs > rhs:
             bad.append(f"membership fails at ({i}, {j})")
-        nx = math.sqrt(float(gram_dot(gram, x, x)))
-        vertex_floats.append((recomputed, ny, float(gram_dot(gram, x, y)), nx))
     try:
-        derived = cover_floats(body.eps, mu2, delta, expected_trace, rho_abs, vertex_floats)
+        derived = cover_floats(
+            body.eps, mu2, delta, expected_trace, rho_abs, [v[4:] for v in vertices]
+        )
     except RuntimeError as e:
         bad.append(f"cover floats cannot be re-derived: {e}")
         return
@@ -374,9 +369,6 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
 
 
 def _verify_scan(data: dict, bad: list[str]) -> None:
-    if data.keys() != _SCAN_KEYS:
-        bad.append(f"scan fields must be exactly {sorted(_SCAN_KEYS)}")
-        return
     if data["best"]["kind"] != "cover-construction":
         bad.append("the best construction must be of kind 'cover-construction'")
     _verify_cover(data["best"], bad)
@@ -493,15 +485,49 @@ _VERIFIERS: dict[str, Callable[[dict, list[str]], None]] = {
 }
 
 
+def _keys(cls, *extra: str) -> frozenset[str]:
+    return frozenset({*(f.name for f in fields(cls)), *extra})
+
+
+# Each kind's exact key set at every dict level, read off the dataclass it
+# serializes: (name, keys, {field: schema of that dict or of each dict in
+# that list}).  A lattice report is compared whole with its rebuilt model.
+_COVER_SCHEMA = ("cover", _keys(CoverConstruction, "kind", "body", "float_tolerance"),
+                 {"checks": ("check", _keys(VertexCheck), {})})
+_SCHEMAS = {
+    "eutaxy-classification": ("classification", CLASSIFICATION_KEYS,
+                              {"removals": ("removal", _keys(RemovalOutcome), {})}),
+    "cover-construction": _COVER_SCHEMA,
+    "scan-report": ("scan", _keys(ScanReport, "kind"), {"best": _COVER_SCHEMA}),
+    "extension-witness": ("witness", _keys(ExtensionWitness, "kind"), {}),
+    "zonal-spectrum": ("spectrum", _keys(MultiplierSpectrum, "kind"), {}),
+}
+
+
+def _check_keys(data: object, schema: tuple, bad: list[str]) -> None:
+    """Require exactly the schema's keys, at this level and every nested one."""
+    name, keys, nested = schema
+    if not isinstance(data, dict) or data.keys() != keys:
+        bad.append(f"{name} fields must be exactly {sorted(keys)}")
+        return
+    for key, inner in nested.items():
+        for item in data[key] if isinstance(data[key], list) else [data[key]]:
+            _check_keys(item, inner, bad)
+
+
 def verify_certificate(data: object) -> tuple[bool, list[str]]:
     """Re-check a parsed JSON certificate; returns (ok, failure messages)."""
     if not isinstance(data, dict):
         return False, ["certificate is not a JSON object"]
     bad: list[str] = []
     kind = data.get("kind")
-    checker = _VERIFIERS.get(kind)
+    checker = _VERIFIERS.get(kind) if isinstance(kind, str) else None
     if checker is None:
         return False, [f"unknown certificate kind: {kind!r}"]
+    if kind in _SCHEMAS:
+        _check_keys(data, _SCHEMAS[kind], bad)
+        if bad:
+            return False, bad
     try:
         checker(data, bad)
     except (

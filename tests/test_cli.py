@@ -186,6 +186,19 @@ def test_construct_rejects_bad_bodies(capsys, tmp_path):
     code, _, err = run(capsys, "construct", "--body", str(bad_order), "--grid", "4")
     assert code == 2
     assert "bad harmonic index" in err
+    deep = "[" * 200_000 + "]" * 200_000
+    malformed_rows = {
+        "deep": '{"harmonics": %s}' % deep,
+        "list_coefficient": '{"harmonics": [[4, 0, [1]]]}',
+        "float_degree": '{"harmonics": [[4.9, 0, 0.01]]}',
+        "huge_coefficient": '{"harmonics": [[4, 0, 1%s]]}' % ("0" * 400),
+    }
+    for name, text in malformed_rows.items():
+        bad_body = tmp_path / f"{name}.json"
+        bad_body.write_text(text)
+        code, out, err = run(capsys, "construct", "--body", str(bad_body), "--grid", "4")
+        assert (code, out) == (2, ""), name
+        assert err.count("\n") == 1 and err.startswith("usage error: cannot load body: "), name
     proc = run_optimized("construct", "--body", str(duplicate), "--grid", "4")
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
@@ -531,7 +544,14 @@ def test_verify_usage_errors(capsys, tmp_path):
     garbled.write_text("not json at all")
     code, _, _ = run(capsys, "verify", "--certificate", str(garbled))
     assert code == 1
-    odd_files = {"list": b"[]", "string": b'"x"', "utf16": b"\xff\xfe{\x00}\x00"}
+    odd_files = {
+        "list": b"[]",
+        "string": b'"x"',
+        "utf16": b"\xff\xfe{\x00}\x00",
+        "list_kind": b'{"kind": []}',
+        "dict_kind": b'{"kind": {}}',
+        "deep": b"[" * 200_000 + b"]" * 200_000,
+    }
     for name, content in odd_files.items():
         odd = tmp_path / f"{name}.json"
         odd.write_bytes(content)

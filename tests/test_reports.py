@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballcover.bodies import make_body
-from ballcover.eutaxy import classification_certificate
+from ballcover.eutaxy import CLASSIFICATION_KEYS, classification_certificate
 from ballcover.harmonic import zonal_spectrum
 from ballcover.lattice import build_anstar, covering_radius, lattice_report, voronoi_vertices
 from ballcover.perturbation import extension_witness, rotation_scan
@@ -177,3 +177,37 @@ def test_verify_rejects_any_one_leaf_change(data):
     value = data.draw(other_value(read(cert, path)))
     ok, _ = verify_changed(cert, path, value)
     assert not ok, (name, path, value)
+
+
+def dict_levels(obj, path=()):
+    """The path of every dict in a certificate, the certificate first."""
+    if isinstance(obj, dict):
+        yield path
+        for key, value in obj.items():
+            yield from dict_levels(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from dict_levels(value, path + (i,))
+
+
+def test_verify_rejects_an_inserted_or_dropped_key_at_every_level():
+    # The scan's best construction also stands alone as a cover certificate.
+    certs = dict(certificates(), cover=certificates()["scan"]["best"])
+    for name, data in certs.items():
+        assert verify_certificate(data) == (True, []), name
+        for path in dict_levels(data):
+            level = read(data, path)
+            forged = json.loads(json.dumps(data))
+            read(forged, path)["note"] = "forged claim: ball is worst covering in every dimension"
+            ok, _ = verify_certificate(forged)
+            assert not ok, (name, path, "note")
+            for key in level:
+                forged = json.loads(json.dumps(data))
+                del read(forged, path)[key]
+                ok, _ = verify_certificate(forged)
+                assert not ok, (name, path, key)
+
+
+def test_classification_keys_are_the_emitted_keys():
+    for dim in (2, 3, 4):
+        assert certificates()[f"classification-{dim}"].keys() == CLASSIFICATION_KEYS
