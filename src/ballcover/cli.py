@@ -5,35 +5,51 @@ optionally write it to --out.  Every emitted certificate is re-checked
 in-process by the same verifier behind the `verify` command before the
 process exits 0.  Exit codes: 0 verified, 1 verification failure (or an
 outcome with no witness), 2 usage error.
+
+Each command imports the modules it runs inside its own function, and
+`verify` imports a certificate's verifier once it has read its kind, so a
+process compiles and runs only the modules its command needs.  Every other
+module of the package is registered with a lazy loader (_register_lazy):
+it is in sys.modules and bound on the package, as an import leaves it, but
+its code runs only on first attribute access.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .bodies import load_body
-from .eutaxy import classification_certificate
-from .harmonic import certify_c_range, zonal_spectrum
-from .lattice import build_anstar, covering_radius, lattice_report, voronoi_vertices
-from .perturbation import (
-    WitnessSearchError,
-    WitnessUnavailableError,
-    extension_witness,
-    rotation_scan,
+# The package's modules besides this one.
+_MODULES = (
+    "bodies", "eutaxy", "harmonic", "lattice", "linalg", "lp", "perturbation", "reports", "witness",
 )
-from .reports import (
-    cl_csv,
-    dump_json,
-    scan_certificate,
-    spectrum_certificate,
-    verify_certificate,
-    verify_cl_csv,
-    witness_certificate,
-)
+
+
+def _register_lazy() -> None:
+    """Register each module of _MODULES not yet imported with
+    importlib.util.LazyLoader, bound on the package as an import binds it.
+
+    A module already imported is left alone: a second copy would split its
+    classes and functions from the ones in use.
+    """
+    package = sys.modules[__package__]
+    for name in _MODULES:
+        full = f"{__package__}.{name}"
+        if full in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(package, name, module)
+
+
+_register_lazy()
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -118,6 +134,8 @@ def _finish(text: str, out: str | None, ok: bool, failures: list[str]) -> int:
 
 
 def _emit_json(cert: dict, out: str | None) -> int:
+    from .reports import dump_json, verify_certificate
+
     text = dump_json(cert)
     ok, failures = verify_certificate(json.loads(text))
     sys.stdout.write(text)
@@ -125,6 +143,10 @@ def _emit_json(cert: dict, out: str | None) -> int:
 
 
 def cmd_ball_class(args) -> int:
+    from .eutaxy import classification_certificate
+    from .lattice import build_anstar
+    from .reports import dump_json, verify_certificate
+
     cert = classification_certificate(build_anstar(args.dim))
     print(f"dimension: {args.dim}")
     print(f"classification: {cert['classification']}")
@@ -135,10 +157,16 @@ def cmd_ball_class(args) -> int:
 
 
 def cmd_anstar(args) -> int:
+    from .lattice import build_anstar, lattice_report
+
     return _emit_json(lattice_report(build_anstar(args.dim)), args.out)
 
 
 def cmd_construct(args) -> int:
+    from .bodies import load_body
+    from .perturbation import rotation_scan
+    from .reports import scan_certificate
+
     try:
         body = load_body(args.body)
     except (OSError, ValueError, KeyError, OverflowError, RecursionError) as e:
@@ -156,6 +184,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .lattice import build_anstar
+    from .reports import witness_certificate
+    from .witness import WitnessSearchError, WitnessUnavailableError, extension_witness
+
     lat = build_anstar(args.dim)
     try:
         w = extension_witness(lat, args.pair, eps=args.eps)
@@ -172,6 +204,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_cl_certify(args) -> int:
+    from .harmonic import certify_c_range
+    from .reports import cl_csv, verify_cl_csv
+
     text = cl_csv(certify_c_range(args.lmax))
     ok, failures = verify_cl_csv(text)
     sys.stdout.write(text)
@@ -179,6 +214,10 @@ def cmd_cl_certify(args) -> int:
 
 
 def cmd_zonal(args) -> int:
+    from .harmonic import zonal_spectrum
+    from .lattice import build_anstar, covering_radius, voronoi_vertices
+    from .reports import spectrum_certificate
+
     lat = build_anstar(3)
     points = voronoi_vertices(lat)
     _, simplices = covering_radius(lat)
@@ -188,6 +227,8 @@ def cmd_zonal(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .reports import verify_certificate, verify_cl_csv
+
     try:
         with open(args.certificate, encoding="utf-8") as fh:
             text = fh.read()

@@ -15,6 +15,9 @@ failures carry strict separating certificates.
 Maps are stored through their bilinear forms: for a map with matrix A in
 lattice coordinates the form is S = G A, which is symmetric; the identity
 map has form G.  Pairings: trace(A B) = trace(G^-1 S_A G^-1 S_B).
+
+The LP solver is imported by the functions that run it, so checking a
+classification, which runs no LP, does not load it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .linalg import (
     trace,
     trace_product,
 )
-from .lp import Feasible, Infeasible, lp_feasible_nonneg
 
 
 class EutaxyClass(enum.Enum):
@@ -163,6 +165,8 @@ def removal_class(removable: Sequence[bool]) -> EutaxyClass:
 
 def _removal(forms: Sequence[MatQ], k: int, gram: MatQ) -> RemovalOutcome:
     """Removal k decided by its own exact feasibility run."""
+    from .lp import Feasible, lp_feasible_nonneg
+
     res = lp_feasible_nonneg([f for i, f in enumerate(forms) if i != k], gram)
     if isinstance(res, Feasible):
         return RemovalOutcome(
@@ -218,6 +222,8 @@ def classify(
     The kernel test cross-checks the outcomes: removals are all infeasible
     exactly when the full combination is unique and positive.
     """
+    from .lp import Infeasible, lp_feasible_nonneg
+
     if not maps:
         raise ValueError("no maps to classify")
     forms = [m.form for m in maps]

@@ -17,6 +17,8 @@ The rescaled polynomials Q_l(t) = 5^l l! P_l(t) satisfy the integer
 recurrence Q_{l+1} = (2l+1)(5t) Q_l - 25 l^2 Q_{l-1}, so at t = k/5 they
 take integer values.  They are computed here exactly, one pass per node for
 all degrees at once (the exact c_l table), and modulo 16 (the residues).
+Only the spectrum needs the linear algebra module, so the c_l table and its
+check run without it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .linalg import MatQ, Rat, VecQ, gram_dot
+if TYPE_CHECKING:
+    from .linalg import MatQ, Rat, VecQ
 
 # per-sign weights of the cosine nodes k/5, k = 5..0
 NODE_WEIGHTS = ((5, 1), (4, 3), (3, 1), (2, 4), (1, 2), (0, 1))
@@ -216,6 +219,8 @@ def zonal_spectrum(
     `points` must be the full vertex set (closed under negation) on the
     sphere of squared radius mu2 = <pole, pole>, and pole one of them.
     """
+    from .linalg import gram_dot
+
     mu2 = gram_dot(gram, pole, pole)
     counts: dict[Rat, int] = {}
     for x in points:

@@ -1,11 +1,9 @@
-"""Covering lattices for perturbed balls and extensibility witnesses.
+"""Covering lattices for perturbed balls.
 
-Two constructions are implemented on top of the three dimensional lattice
-model, both emitting exactly verifiable data.
-
-Covering construction.  Given a star body r_K = 1 + rho with small rho, read
-rho at the 24 Voronoi vertex directions, solve for a symmetric M and per
-simplex translations t_i with
+The construction works on the three dimensional lattice model and emits
+exactly verifiable data.  Given a star body r_K = 1 + rho with small rho,
+read rho at the 24 Voronoi vertex directions, solve for a symmetric M and
+per simplex translations t_i with
 
     <x_ij, M x_ij + t_i> = cr2 * rho_ij        (all maximal simplices i),
 
@@ -16,13 +14,8 @@ ratio.  The first order term of the ratio is trace M = sum ups_i a_ij rho_ij
 by construction; a tangent-line bound on the needed contraction gives the
 reported lower bound for the ratio.
 
-Extensibility witness.  For a dimension where some sign pair of maximal
-simplices cannot be removed from the identity resolution, the removal's
-strict separating map M gives T = Id + (s/2) M with det T > 1 for small s;
-all kept simplices then have circumradius strictly below mu, and the removed
-pair, suitably translated along a vertex direction, fits inside the ball
-augmented by antipodal cone caps reaching +/-(1+eps) pole.  All checks are
-exact, so a returned witness needs no further trust.
+The extensibility witness is in `witness`; the names of it that the
+acceptance gate imports from here are re-exported.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bodies import (
     RadialBody,
@@ -42,8 +35,6 @@ from .bodies import (
     volume_ratio,
 )
 from .eutaxy import (
-    classified,
-    eutaxy_coefficients_a3,
     gram_inverse,
     map_inner,
     map_matrix,
@@ -54,59 +45,36 @@ from .lattice import (
     PrimitiveSimplex,
     build_anstar,
     covering_radius,
-    integer_circumsphere,
     negative_pairs,
 )
 from .linalg import (
     MatQ,
     Rat,
     VecQ,
+    combination_test,
     det,
     gram_dot,
     identity,
     integer_form,
     integer_scaled,
     mat_add,
-    mat_mul,
-    mat_scale,
     mat_vec,
     solve_columns,
     trace,
     trace_product,
-    transpose,
     vec_add,
     vec_scale,
+)
+from .witness import (  # re-exported
+    AugmentedBall,
+    exact_cr_after,
+    extension_witness,
+    member_augmented_ball,
 )
 
 
 # _certify_delta raises the contraction in grains of 2^-DELTA_BITS.
 DELTA_BITS = 40
-
-
-class WitnessUnavailableError(ValueError):
-    """The requested pair is removable, so no strict witness exists."""
-
-
-class WitnessSearchError(RuntimeError):
-    """No scale passed all exact checks above the search cutoff."""
-
-
-def exact_cr_after(t_map: MatQ, simplex: PrimitiveSimplex, gram: MatQ) -> Rat:
-    """Exact squared circumradius of the image simplex t_map(S).
-
-    It is that of S itself under the pulled-back form T^T G T, which is
-    formed once per map; a singular map raises DegenerateSimplexError.
-    """
-    form, scale = _pulled_back_form(t_map, gram)
-    xz, den = simplex.x_integer
-    _, d, r = integer_circumsphere(xz, form)
-    return Fraction(r, d * d * den * den * scale)
-
-
-@lru_cache(maxsize=8)
-def _pulled_back_form(t_map: MatQ, gram: MatQ) -> tuple[list[list[int]], int]:
-    """integer_scaled(T^T G T), computed once per map (read-only)."""
-    return integer_scaled(mat_mul(transpose(t_map), mat_mul(gram, t_map)))
 
 
 def first_order_cr(m_form: MatQ, simplex: PrimitiveSimplex, gram: MatQ) -> Rat:
@@ -122,6 +90,25 @@ def first_order_cr(m_form: MatQ, simplex: PrimitiveSimplex, gram: MatQ) -> Rat:
 def _simplex_form(simplex: PrimitiveSimplex, gram: MatQ) -> MatQ:
     """Form of Q_S, computed once per simplex and Gram matrix."""
     return q_map(simplex, gram).form
+
+
+def simplex_weights(lat: LatticeModel, simplices: Sequence[PrimitiveSimplex]) -> tuple[Rat, ...]:
+    """Weights ups_i with sum_i ups_i Q_i = Id over the maximal simplices,
+    all equal to n / len(simplices).
+
+    The class maps carry class 0 onto every class, so the lattice's
+    automorphisms act transitively on the simplices and averaging a
+    resolution over them gives equal weights; each Q_i has unit trace, so
+    they sum to n.  One exact re-sum against G, the target classify
+    resolves, confirms them; RuntimeError if it fails.
+    """
+    if any(u is None for u in lat.class_maps[1:]):
+        raise RuntimeError("the class maps do not reach every simplex class")
+    weights = (Fraction(lat.n, len(simplices)),) * len(simplices)
+    forms = [_simplex_form(s, lat.gram) for s in simplices]
+    if not combination_test(forms, lat.gram)(weights):
+        raise RuntimeError("equal simplex weights do not resolve the identity")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -350,7 +337,7 @@ class CoverEngine:
         self.gram = lat.gram
         self.ginv = gram_inverse(lat.gram)
         self.mu2, self.simplices = covering_radius(lat)
-        self.upsilon = eutaxy_coefficients_a3(lat)
+        self.upsilon = simplex_weights(lat, self.simplices)
         self.mu = math.sqrt(float(self.mu2))
         self.index = _antipodal_index(self.simplices)
         pairs = range(1 + max(map(max, self.index)))
@@ -788,186 +775,3 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
         margin=margin,
         delta_k_bound=delta_k,
     )
-
-
-@dataclass(frozen=True)
-class AugmentedBall:
-    """conv(ball of squared radius <pole,pole>, +/-(1+eps) pole)."""
-
-    eps: Rat
-    pole: VecQ
-    gram: MatQ
-
-
-def member_augmented_ball(q: VecQ, ball: AugmentedBall) -> bool:
-    """Exact membership test for the augmented ball: the integer kernel
-    _in_augmented_ball at tau = 0 of the search line through q."""
-    return _shift_fits(ball, (q,))(0)
-
-
-def _in_augmented_ball(qq: int, qp: int, pp: int, e: int, d: int) -> bool:
-    """Whether q lies in conv(ball, +/-z), z = (1 + e/d) pole, e, d > 0.
-
-    qq = <q,q>, qp = <q,pole> and pp = <pole,pole> = r^2 are integers on
-    one positive scale.  For an apex z outside the ball, q is in
-    conv(ball, z) iff f(lam) = |q - lam z|^2 - (1 - lam)^2 r^2 =
-    (qq - r^2) - 2 lam (qz - r^2) + lam^2 (zz - r^2) is <= 0 for some lam
-    in [0, 1].  f is an upward parabola, so it suffices to test its
-    minimizer (qz - r^2) / (zz - r^2) clamped to [0, 1]: at 0, qq <= r^2;
-    inside, (qq - r^2)(zz - r^2) <= (qz - r^2)^2; at 1, f(1) = |q - z|^2
-    <= 0, that is q = z.  Every term is multiplied by d^2 to stay integer.
-    """
-    c = (qq - pp) * d * d
-    if c <= 0:
-        return True
-    a = e * (2 * d + e) * pp
-    for sign in (1, -1):
-        b = sign * (d + e) * d * qp - pp * d * d
-        if 0 < b < a:
-            if c * a <= b * b:
-                return True
-        elif b >= a and c - 2 * b + a <= 0:
-            return True
-    return False
-
-
-# The witness search moves the removed simplex by tau * pole, with
-# tau = k * eps / TAU_STEPS for k in TAU_RANGE.
-TAU_STEPS = 64
-TAU_RANGE = range(-32, 65)
-
-
-def _shift_fits(ball: AugmentedBall, points: Sequence[VecQ]) -> Callable[[int], bool]:
-    """Whether every point + tau * pole lies in the augmented ball, with
-    tau = k * eps / TAU_STEPS, as a test on the integer k.
-
-    With a = <y,y>, b = <y,pole> and c = <pole,pole> on one integer scale,
-    u = TAU_STEPS * den(eps) and t = k * num(eps), so that tau = t / u, the
-    shifted point q = y + tau * pole has <q,q> = a u^2 + 2 t b u + t^2 c,
-    <q,pole> = u (b u + t c) and <pole,pole> = c u^2 on that scale times
-    u^2.  So each k costs a few integer products.
-    """
-    eps = Fraction(ball.eps)
-    e, d = eps.numerator, eps.denominator
-    gz, _ = integer_form(ball.gram)
-    (*yz, pz), _ = integer_scaled([*points, ball.pole])
-    gp = [sum(map(mul, row, pz)) for row in gz]
-    c = sum(map(mul, pz, gp))
-    if e <= 0 or c <= 0:
-        raise ValueError("augmented ball needs eps > 0 and a nonzero pole")
-    dots = [
-        (sum(yi * sum(map(mul, row, y)) for yi, row in zip(y, gz)), sum(map(mul, y, gp)))
-        for y in yz
-    ]
-    u = TAU_STEPS * d
-    pp = c * u * u
-
-    def fits(k: int) -> bool:
-        t = k * e
-        return all(
-            _in_augmented_ball(a * u * u + 2 * t * b * u + t * t * c, u * (b * u + t * c), pp, e, d)
-            for a, b in dots
-        )
-
-    return fits
-
-
-@dataclass(frozen=True)
-class ExtensionWitness:
-    dimension: int
-    pair_index: int
-    removed_simplices: tuple[int, int]
-    farkas_form: MatQ
-    scale: Rat
-    transform: MatQ
-    det_t: Rat
-    mu2: Rat
-    kept_cr2: tuple[Rat, ...]
-    grown_cr2: Rat
-    eps: Rat
-    pole: VecQ
-    tau: Rat
-    translated_points: tuple[VecQ, ...]
-
-
-def kept_simplices(
-    simplices: Sequence[PrimitiveSimplex],
-    pairs: Sequence[tuple[int, int]],
-    pair_index: int,
-) -> tuple[PrimitiveSimplex, ...]:
-    """Both members of every +/- pair but pair_index, in pair order."""
-    return tuple(
-        simplices[m] for k, pair in enumerate(pairs) if k != pair_index for m in pair
-    )
-
-
-def witness_transform(gram: MatQ, farkas_form: MatQ, scale: Rat) -> MatQ:
-    """T = Id + (scale/2) M, M the map of the Farkas form divided by its
-    largest absolute entry."""
-    m_mat = map_matrix(gram_inverse(gram), farkas_form)
-    top = max(abs(x) for row in m_mat for x in row)
-    return mat_add(identity(len(gram)), mat_scale(Fraction(scale) / (2 * top), m_mat))
-
-
-def extension_witness(
-    lat: LatticeModel, pair_index: int, eps: Rat = Fraction(1, 100)
-) -> ExtensionWitness:
-    """Exact witness that growing the ball at one vertex pair frees volume.
-
-    Finds s with T = witness_transform(G, Y, s) (Y the strict separating
-    form of the unremovable pair) satisfying: det T > 1; all kept simplices
-    keep their squared circumradius strictly below mu2; and the removed
-    simplex, translated by tau * pole, fits inside the ball augmented at
-    +/-(1+eps) pole.  The mirrored simplex fits at -tau by symmetry, so
-    T Lambda covers the augmented ball with determinant above det Lambda.
-    Raises WitnessUnavailableError when the pair is removable (then the
-    redundancy coefficients already certify extension) and
-    WitnessSearchError when no scale above the cutoff passes.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ctx = classified(lat)
-    if pair_index < 0 or pair_index >= len(ctx.pairs):
-        raise ValueError("pair index out of range")
-    removal = ctx.report.removals[pair_index]
-    if removal.feasible:
-        raise WitnessUnavailableError(
-            "pair is removable; the redundancy coefficients certify extension"
-        )
-    i0, j0 = ctx.pairs[pair_index]
-    s0 = ctx.simplices[i0]
-    pole = s0.x[0]
-    ball = AugmentedBall(eps=eps, pole=pole, gram=lat.gram)
-    kept = kept_simplices(ctx.simplices, ctx.pairs, pair_index)
-    scale = Fraction(1, 4)
-    while scale >= Fraction(1, 2**30):
-        t_map = witness_transform(lat.gram, removal.farkas_form, scale)
-        det_t = det(t_map)
-        if det_t > 1:
-            kept_cr2 = tuple(exact_cr_after(t_map, s, lat.gram) for s in kept)
-            if all(c < ctx.mu2 for c in kept_cr2):
-                images = tuple(mat_vec(t_map, x) for x in s0.x)
-                fits = _shift_fits(ball, images)
-                k = next((k for k in TAU_RANGE if fits(k)), None)
-                if k is not None:
-                    tau = Fraction(k, TAU_STEPS) * eps
-                    move = vec_scale(tau, pole)
-                    return ExtensionWitness(
-                        dimension=lat.n,
-                        pair_index=pair_index,
-                        removed_simplices=(i0, j0),
-                        farkas_form=removal.farkas_form,
-                        scale=scale,
-                        transform=t_map,
-                        det_t=det_t,
-                        mu2=ctx.mu2,
-                        kept_cr2=kept_cr2,
-                        grown_cr2=exact_cr_after(t_map, s0, lat.gram),
-                        eps=eps,
-                        pole=pole,
-                        tau=tau,
-                        translated_points=tuple(vec_add(y, move) for y in images),
-                    )
-        scale /= 2
-    raise WitnessSearchError("no scale above cutoff passed all exact checks")

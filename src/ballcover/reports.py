@@ -22,6 +22,11 @@ be equal.  A scan's exact volume bound is re-derived from its body, and its
 densities, margin and Delta_K bound are recomputed from that bound and the
 exact det ratio and must be equal.  Each kind's keys must be exactly those
 of its dataclass at every level (_SCHEMAS).
+
+Only the standard library is imported at load.  verify_certificate reads a
+certificate's kind first; only then do that kind's schema and verifier
+import the modules they read, so a process checks one kind without
+compiling the others' (the c_l table's check needs harmonic alone).
 """
 
 from __future__ import annotations
@@ -29,72 +34,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .bodies import (
-    RadialBody,
-    body_from_dict,
-    body_to_dict,
-    is_normalized,
-    volume_ratio,
-)
-from .eutaxy import (
-    CLASSIFICATION_KEYS,
-    MAP_NORMALIZATION,
-    EutaxyClass,
-    RemovalOutcome,
-    ball_conclusion,
-    eutaxy_coefficients_a3,
-    forms_independent,
-    gram_inverse,
-    map_inner,
-    map_matrix,
-    map_trace,
-    q_map,
-    removal_class,
-    split_pair_weights,
-)
-from .harmonic import (
-    CLCertificate,
-    MultiplierSpectrum,
-    c_l_residues,
-    c_l_values,
-    legendre_values,
-    scaled_c_l_values,
-)
-from .lattice import build_anstar, covering_radius, lattice_report, negative_pairs
-from .linalg import (
-    MatQ,
-    Rat,
-    VecQ,
-    det,
-    gram_dot,
-    identity,
-    combination_test,
-    mat,
-    mat_add,
-    mat_vec,
-    trace,
-    vec,
-    vec_add,
-    vec_scale,
-)
-from .perturbation import (
-    CoverConstruction,
-    ExtensionWitness,
-    ScanReport,
-    VertexCheck,
-    AugmentedBall,
-    cover_floats,
-    deformed_vertices,
-    exact_cr_after,
-    grid_rotation,
-    kept_simplices,
-    member_augmented_ball,
-    scan_densities,
-    trace_identity_sum,
-    witness_transform,
-)
+if TYPE_CHECKING:
+    from .bodies import RadialBody
+    from .eutaxy import EutaxyClass
+    from .harmonic import CLCertificate, MultiplierSpectrum
+    from .linalg import MatQ, Rat, VecQ
+    from .perturbation import CoverConstruction, ScanReport
+    from .witness import ExtensionWitness
 
 # Largest gap allowed between a stored radial value and its re-evaluation.
 FLOAT_TOLERANCE = 1e-12
@@ -136,14 +84,18 @@ def dump_json(data: dict) -> str:
 
 
 def _parse_vec(obj) -> VecQ:
-    return vec([parse_rat(x) for x in obj])
+    return tuple(parse_rat(x) for x in obj)
 
 
 def _parse_mat(obj) -> MatQ:
+    from .linalg import mat
+
     return mat([[parse_rat(x) for x in row] for row in obj])
 
 
 def cover_certificate(body: RadialBody, c: CoverConstruction) -> dict:
+    from .bodies import body_to_dict
+
     return {
         "kind": "cover-construction",
         "body": body_to_dict(body),
@@ -178,11 +130,27 @@ def cl_csv(certs: list[CLCertificate]) -> str:
 
 def _check_conclusion(data: dict, derived: EutaxyClass, bad: list[str]) -> None:
     """Apply eutaxy's rule to the class re-derived from the evidence."""
+    from .eutaxy import ball_conclusion
+
     if data["conclusion"] != ball_conclusion(derived):
         bad.append("conclusion does not match the classification rule")
 
 
 def _verify_classification(data: dict, bad: list[str]) -> None:
+    from .eutaxy import (
+        MAP_NORMALIZATION,
+        EutaxyClass,
+        forms_independent,
+        gram_inverse,
+        map_inner,
+        map_trace,
+        q_map,
+        removal_class,
+        split_pair_weights,
+    )
+    from .lattice import build_anstar, covering_radius, negative_pairs
+    from .linalg import combination_test
+
     gram = _parse_mat(data["gram"])
     dim = data["dimension"]
     if dim != len(gram):
@@ -284,6 +252,8 @@ def _verify_classification(data: dict, bad: list[str]) -> None:
 
 
 def _verify_lattice_report(data: dict, bad: list[str]) -> None:
+    from .lattice import build_anstar, lattice_report
+
     dim = data["dimension"]
     if type(dim) is not int or not 2 <= dim <= 5:
         bad.append(f"dimension {dim!r} is not an integer from 2 to 5")
@@ -296,6 +266,12 @@ def _verify_lattice_report(data: dict, bad: list[str]) -> None:
 
 
 def _verify_cover(data: dict, bad: list[str]) -> None:
+    from .bodies import body_from_dict, body_to_dict, is_normalized
+    from .eutaxy import gram_inverse, map_matrix
+    from .lattice import build_anstar, covering_radius
+    from .linalg import det, gram_dot, identity, mat_add, mat_vec, trace, vec_add
+    from .perturbation import cover_floats, deformed_vertices, simplex_weights, trace_identity_sum
+
     body = body_from_dict(data["body"])
     if data["body"] != body_to_dict(body):
         bad.append("body is not written as the construction writes it")
@@ -306,7 +282,7 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
     lat = build_anstar(3)
     gram = lat.gram
     mu2, simplices = covering_radius(lat)
-    upsilon = eutaxy_coefficients_a3(lat)
+    upsilon = simplex_weights(lat, simplices)
     m_form = _parse_mat(data["m_form"])
     m_matrix = _parse_mat(data["m_matrix"])
     if m_matrix != map_matrix(gram_inverse(gram), m_form):
@@ -343,7 +319,10 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
             bad.append(f"deformed vertex mismatch at ({i}, {j})")
         if norm2 != parse_rat(k["norm2"]):
             bad.append(f"vertex norm mismatch at ({i}, {j})")
-        r_val = float(k["radial_value"])
+        r_val = k["radial_value"]
+        if type(r_val) is not float:
+            bad.append(f"radial value at ({i}, {j}) is not a JSON float")
+            continue
         if abs(r_val - recomputed) > FLOAT_TOLERANCE:
             bad.append(f"radial value does not match the body at ({i}, {j})")
         lhs = shrink2 * norm2
@@ -369,6 +348,11 @@ def _verify_cover(data: dict, bad: list[str]) -> None:
 
 
 def _verify_scan(data: dict, bad: list[str]) -> None:
+    from .bodies import body_from_dict, volume_ratio
+    from .lattice import build_anstar, covering_radius
+    from .linalg import det
+    from .perturbation import grid_rotation, scan_densities
+
     if data["best"]["kind"] != "cover-construction":
         bad.append("the best construction must be of kind 'cover-construction'")
     _verify_cover(data["best"], bad)
@@ -392,6 +376,17 @@ def _verify_scan(data: dict, bad: list[str]) -> None:
 
 
 def _verify_witness(data: dict, bad: list[str]) -> None:
+    from .eutaxy import gram_inverse, map_inner, map_trace, q_map
+    from .lattice import build_anstar, covering_radius, negative_pairs
+    from .linalg import det, mat_vec, vec_add, vec_scale
+    from .witness import (
+        AugmentedBall,
+        exact_cr_after,
+        kept_simplices,
+        member_augmented_ball,
+        witness_transform,
+    )
+
     dim = data["dimension"]
     if type(dim) is not int or not 2 <= dim <= 5:
         bad.append(f"dimension {dim!r} is not an integer from 2 to 5")
@@ -457,7 +452,12 @@ def _verify_witness(data: dict, bad: list[str]) -> None:
 
 
 def _verify_spectrum(data: dict, bad: list[str]) -> None:
+    from .harmonic import c_l_values, legendre_values
+
     counts = [(parse_rat(c), n) for c, n in data["cosine_counts"]]
+    if type(data["lmax"]) is not int or any(type(n) is not int for _, n in counts):
+        bad.append("lmax and every cosine count must be JSON integers")
+        return
     mass = parse_rat(data["mass"])
     if sum(n for _, n in counts) != 2 * mass:
         bad.append("mass is not half the vertex count")
@@ -491,16 +491,47 @@ def _keys(cls, *extra: str) -> frozenset[str]:
 
 # Each kind's exact key set at every dict level, read off the dataclass it
 # serializes: (name, keys, {field: schema of that dict or of each dict in
-# that list}).  A lattice report is compared whole with its rebuilt model.
-_COVER_SCHEMA = ("cover", _keys(CoverConstruction, "kind", "body", "float_tolerance"),
-                 {"checks": ("check", _keys(VertexCheck), {})})
-_SCHEMAS = {
-    "eutaxy-classification": ("classification", CLASSIFICATION_KEYS,
-                              {"removals": ("removal", _keys(RemovalOutcome), {})}),
-    "cover-construction": _COVER_SCHEMA,
-    "scan-report": ("scan", _keys(ScanReport, "kind"), {"best": _COVER_SCHEMA}),
-    "extension-witness": ("witness", _keys(ExtensionWitness, "kind"), {}),
-    "zonal-spectrum": ("spectrum", _keys(MultiplierSpectrum, "kind"), {}),
+# that list}).  Built for the kind being verified only, so the dataclasses
+# of other kinds stay unimported.  A lattice report is compared whole with
+# its rebuilt model.
+def _classification_schema() -> tuple:
+    from .eutaxy import CLASSIFICATION_KEYS, RemovalOutcome
+
+    return ("classification", CLASSIFICATION_KEYS,
+            {"removals": ("removal", _keys(RemovalOutcome), {})})
+
+
+def _cover_schema() -> tuple:
+    from .perturbation import CoverConstruction, VertexCheck
+
+    return ("cover", _keys(CoverConstruction, "kind", "body", "float_tolerance"),
+            {"checks": ("check", _keys(VertexCheck), {})})
+
+
+def _scan_schema() -> tuple:
+    from .perturbation import ScanReport
+
+    return ("scan", _keys(ScanReport, "kind"), {"best": _cover_schema()})
+
+
+def _witness_schema() -> tuple:
+    from .witness import ExtensionWitness
+
+    return ("witness", _keys(ExtensionWitness, "kind"), {})
+
+
+def _spectrum_schema() -> tuple:
+    from .harmonic import MultiplierSpectrum
+
+    return ("spectrum", _keys(MultiplierSpectrum, "kind"), {})
+
+
+_SCHEMAS: dict[str, Callable[[], tuple]] = {
+    "eutaxy-classification": _classification_schema,
+    "cover-construction": _cover_schema,
+    "scan-report": _scan_schema,
+    "extension-witness": _witness_schema,
+    "zonal-spectrum": _spectrum_schema,
 }
 
 
@@ -525,7 +556,7 @@ def verify_certificate(data: object) -> tuple[bool, list[str]]:
     if checker is None:
         return False, [f"unknown certificate kind: {kind!r}"]
     if kind in _SCHEMAS:
-        _check_keys(data, _SCHEMAS[kind], bad)
+        _check_keys(data, _SCHEMAS[kind](), bad)
         if bad:
             return False, bad
     try:
@@ -543,6 +574,8 @@ def verify_cl_csv(text: str) -> tuple[bool, list[str]]:
     Stored exact values are checked against the integers 5^l l! c_l, which
     are stepped one degree at a time up to the last row claiming a value.
     """
+    from .harmonic import c_l_residues, scaled_c_l_values
+
     bad: list[str] = []
     lines = text.strip().split("\n")
     if not lines or lines[0] != "l,c_l,residue_mod16,status":

@@ -381,6 +381,91 @@ def test_traced_names_resolve():
                 assert callable(getattr(mod, func, None)), f"{mod_name}.{func}"
 
 
+def test_traced_commands_run(tmp_path):
+    # trace_cli.py looks up every traced module in sys.modules right after
+    # importing the CLI, and the commands must call the wrapped functions.
+    path = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    for args, traced in (
+        (["cl-certify", "--lmax", "30"], {"harmonic.certify_c_range", "reports.verify_cl_csv"}),
+        (["ball-class", "--dim", "2"], {"eutaxy.classify_lattice", "reports.verify_certificate"}),
+    ):
+        spans = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(path), str(spans), *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(spans.read_text())
+        assert traced <= {doc["names"][span[0]] for span in doc["spans"]}, args
+
+
+# Run one command in a fresh process; print its exit code and the package
+# modules whose code ran.  A module registered lazily but never used is not
+# a plain module yet, and type() reads that without loading it.
+LOADED_MODULES = """
+import contextlib, io, json, sys, types
+from ballcover.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+ran = [n for n, m in sys.modules.items() if n.startswith("ballcover.") and type(m) is types.ModuleType]
+print(json.dumps([code, sorted(n.split(".", 1)[1] for n in ran)]))
+"""
+
+
+def test_each_command_runs_only_the_modules_it_needs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+
+    def ran(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, argv
+        # every command runs cli and reports
+        return set(modules) - {"cli", "reports"}
+
+    save_body(make_body([(4, 0, 0.005)]), str(tmp_path / "body.json"))
+    cover = {"bodies", "eutaxy", "lattice", "linalg", "perturbation", "witness"}
+    emitted = {
+        "class.json": (["ball-class", "--dim", "2"], {"eutaxy", "lattice", "linalg", "lp"}),
+        "anstar.json": (["anstar", "--dim", "2"], {"lattice", "linalg"}),
+        "scan.json": (["construct", "--body", "body.json", "--grid", "2"], cover),
+        "witness.json": (
+            ["witness", "--dim", "2", "--pair", "0"], {"eutaxy", "lattice", "linalg", "lp", "witness"}
+        ),
+        "cl.csv": (["cl-certify", "--lmax", "30"], {"harmonic"}),
+        "zonal.json": (["zonal", "--lmax", "4"], {"harmonic", "lattice", "linalg"}),
+    }
+    for out, (argv, expected) in emitted.items():
+        assert ran(*argv, "--out", out) == expected, argv
+    scan = json.loads((tmp_path / "scan.json").read_text())
+    (tmp_path / "cover.json").write_text(json.dumps(scan["best"]))
+    # No verify runs lp; the scan and cover checks load witness only through
+    # perturbation's re-exports.
+    checked = {
+        "class.json": {"eutaxy", "lattice", "linalg"},
+        "anstar.json": {"lattice", "linalg"},
+        "scan.json": cover,
+        "cover.json": cover,
+        "witness.json": {"eutaxy", "lattice", "linalg", "witness"},
+        "cl.csv": {"harmonic"},
+        "zonal.json": {"harmonic"},
+    }
+    for cert, expected in checked.items():
+        assert ran("verify", "--certificate", cert) == expected, cert
+
+
+def test_cli_registers_every_package_module():
+    import ballcover.cli
+
+    package = Path(ballcover.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__", "cli"}
+    assert sorted(ballcover.cli._MODULES) == sorted(modules)
+
+
 def test_zonal_roundtrip(capsys, tmp_path):
     cert = tmp_path / "zonal.json"
     code, out, _ = run(capsys, "zonal", "--lmax", "8", "--out", str(cert))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ballcover
-from ballcover import eutaxy
+from ballcover import eutaxy, lp
 from ballcover.eutaxy import (
     EutaxyClass,
     EutaxyMap,
@@ -205,13 +205,13 @@ def test_five_dimensional_classification_runtime():
 
 def test_removals_cost_two_lp_runs_where_pair_zero_is_removable(monkeypatch):
     runs = []
-    real = eutaxy.lp_feasible_nonneg
+    real = lp.lp_feasible_nonneg
 
     def counting(maps, target):
         runs.append(len(maps))
         return real(maps, target)
 
-    monkeypatch.setattr(eutaxy, "lp_feasible_nonneg", counting)
+    monkeypatch.setattr(lp, "lp_feasible_nonneg", counting)
     # dims 4 and 5: the full run and removal 0; the rest are moved weights.
     # dims 2 and 3: removal 0 is infeasible, so each removal has its own run
     # and its own separating form.

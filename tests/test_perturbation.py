@@ -40,30 +40,33 @@ from ballcover.linalg import (
 )
 from ballcover.perturbation import (
     DELTA_BITS,
-    TAU_RANGE,
-    TAU_STEPS,
-    AugmentedBall,
     CoverEngine,
-    WitnessUnavailableError,
     _antipodal_index,
     _dyadic,
     _engine,
     _pair_values,
-    _shift_fits,
     _start_grains,
     _unit,
     _unit_direction,
     build_cover,
     deformed_vertex,
-    exact_cr_after,
-    extension_witness,
     first_order_cr,
     grid_rotation,
-    member_augmented_ball,
     rotation_grid,
     rotation_scan,
     scan_densities,
+    simplex_weights,
     solve_treqn,
+)
+from ballcover.witness import (
+    TAU_RANGE,
+    TAU_STEPS,
+    AugmentedBall,
+    WitnessUnavailableError,
+    _shift_fits,
+    exact_cr_after,
+    extension_witness,
+    member_augmented_ball,
 )
 
 
@@ -294,9 +297,10 @@ def clear_package_caches():
 
 def test_engine_setup_elimination_count(monkeypatch):
     # A count, not a time: the same on every machine.  Building A3* takes 4
-    # eliminations and classifying it 2; the 12 basis solutions take 7, one
-    # for the normal equations and one per simplex (the per-table loop took
-    # 84: 7 for each unit table).
+    # eliminations and G^-1 one; the simplex weights take none (one integer
+    # re-sum; classifying the lattice took one more, its rank test); the 12
+    # basis solutions take 7, one for the normal equations and one per
+    # simplex (the per-table loop took 84: 7 for each unit table).
     import ballcover.linalg
 
     calls = []
@@ -311,7 +315,7 @@ def test_engine_setup_elimination_count(monkeypatch):
             monkeypatch.setattr(module, "_rref", counted)
     clear_package_caches()
     CoverEngine(build_anstar(3))
-    assert len(calls) == 6 + 7
+    assert len(calls) == 5 + 7
     # The last 7 are the stacked solves: 3 + 12 and 3 + 12 columns.
     assert calls[-7:] == [15] * 7
 

@@ -13,7 +13,7 @@ from ballcover.bodies import make_body
 from ballcover.eutaxy import CLASSIFICATION_KEYS, classification_certificate
 from ballcover.harmonic import zonal_spectrum
 from ballcover.lattice import build_anstar, covering_radius, lattice_report, voronoi_vertices
-from ballcover.perturbation import extension_witness, rotation_scan
+from ballcover.perturbation import rotation_scan
 from ballcover.reports import (
     dump_json,
     parse_rat,
@@ -23,6 +23,7 @@ from ballcover.reports import (
     verify_certificate,
     witness_certificate,
 )
+from ballcover.witness import extension_witness
 
 # Leaves a one-leaf change may leave valid, as (kind, field), where a field
 # is a leaf path with its list indices written "*".  Each with its reason.
@@ -177,6 +178,21 @@ def test_verify_rejects_any_one_leaf_change(data):
     value = data.draw(other_value(read(cert, path)))
     ok, _ = verify_changed(cert, path, value)
     assert not ok, (name, path, value)
+
+
+def test_verify_rejects_a_leaf_of_the_wrong_json_type():
+    # Each forged leaf is equal in value to the true one, so only its JSON
+    # type is wrong.
+    scan, spectrum = certificates()["scan"], certificates()["spectrum"]
+    radial = ("best", "checks", 0, "radial_value")
+    count = ("cosine_counts", 0, 1)
+    integers = ["lmax and every cosine count must be JSON integers"]
+    for data, path, value, message in (
+        (scan, radial, repr(read(scan, radial)), ["radial value at (0, 0) is not a JSON float"]),
+        (spectrum, ("lmax",), float(spectrum["lmax"]), integers),
+        (spectrum, count, float(read(spectrum, count)), integers),
+    ):
+        assert verify_changed(data, path, value) == (False, message), path
 
 
 def dict_levels(obj, path=()):
