@@ -354,31 +354,43 @@ def ball_conclusion(cls: EutaxyClass) -> str:
 # How a classification certificate's maps are scaled, stated in it.
 MAP_NORMALIZATION = "maps scaled by 1/cr2 so each has unit trace"
 
-# The fields of a classification certificate (each removal's: RemovalOutcome).
-CLASSIFICATION_KEYS = frozenset(
-    "kind dimension gram mu2 num_simplices pairs maps classification pair_coefficients"
-    " simplex_coefficients unique farkas_form removals conclusion normalization".split()
-)
+
+@dataclass(frozen=True)
+class Classification:
+    dimension: int
+    gram: MatQ
+    mu2: Rat
+    num_simplices: int
+    pairs: tuple[tuple[int, int], ...]
+    maps: tuple[MatQ, ...]
+    classification: str
+    pair_coefficients: Optional[tuple[Rat, ...]]
+    simplex_coefficients: Optional[tuple[Rat, ...]]
+    unique: bool
+    farkas_form: Optional[MatQ]
+    removals: tuple[RemovalOutcome, ...]
+    conclusion: str
+    normalization: str
 
 
 def classification_certificate(lat: LatticeModel) -> dict:
     """Plain-data certificate for the lattice classification (values exact)."""
     ctx = classify_lattice(lat)
     rep = ctx.report
-    return {
-        "kind": "eutaxy-classification",
-        "dimension": lat.n,
-        "gram": lat.gram,
-        "mu2": ctx.mu2,
-        "num_simplices": len(ctx.simplices),
-        "pairs": ctx.pairs,
-        "maps": [m.form for m in ctx.maps],
-        "classification": rep.classification.value,
-        "pair_coefficients": rep.coefficients,
-        "simplex_coefficients": ctx.simplex_coefficients,
-        "unique": rep.unique,
-        "farkas_form": rep.farkas_form,
-        "removals": [asdict(r) for r in rep.removals],
-        "conclusion": ball_conclusion(rep.classification),
-        "normalization": MAP_NORMALIZATION,
-    }
+    record = Classification(
+        dimension=lat.n,
+        gram=lat.gram,
+        mu2=ctx.mu2,
+        num_simplices=len(ctx.simplices),
+        pairs=ctx.pairs,
+        maps=tuple(m.form for m in ctx.maps),
+        classification=rep.classification.value,
+        pair_coefficients=rep.coefficients,
+        simplex_coefficients=ctx.simplex_coefficients,
+        unique=rep.unique,
+        farkas_form=rep.farkas_form,
+        removals=rep.removals,
+        conclusion=ball_conclusion(rep.classification),
+        normalization=MAP_NORMALIZATION,
+    )
+    return {"kind": "eutaxy-classification", **asdict(record)}

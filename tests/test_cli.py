@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ from ballcover.perturbation import build_cover, rotation_grid, scan_densities
 from ballcover.reports import (
     cover_certificate,
     dump_json,
-    parse_rat,
     rat_str,
     verify_certificate,
 )
@@ -57,7 +57,7 @@ def refit_densities(data, det_ratio):
     # as the emitter does.
     lat = build_anstar(3)
     mu2, _ = covering_radius(lat)
-    derived = scan_densities(mu2, det(lat.gram), parse_rat(data["volume_bound"]), det_ratio)
+    derived = scan_densities(mu2, det(lat.gram), Fraction(data["volume_bound"]), det_ratio)
     for key, value in zip(("ball_density", "best_density", "margin", "delta_k_bound"), derived):
         data[key] = value
 
@@ -139,7 +139,7 @@ def test_anstar_roundtrip(capsys, tmp_path):
     assert sha256(out_file) == "3879c14d583773ee22f6a5802c4f4dba05d212ebeb32b55365cfdecb929038ad"
     data = json.loads(out)
     assert data["kind"] == "lattice-report"
-    assert parse_rat(data["mu2"]) == parse_rat("5/4")
+    assert Fraction(data["mu2"]) == Fraction("5/4")
     code, out, _ = run(capsys, "verify", "--certificate", str(out_file))
     assert code == 0
     assert out.strip() == "verified"
@@ -233,7 +233,7 @@ def test_witness_roundtrip_and_redundant_branch(capsys, tmp_path):
     assert sha256(cert) == "c921d0fc3d3cbceea46956b9108393917360d844f890f6491a8b01370dd62922"
     data = json.loads(out)
     assert data["kind"] == "extension-witness"
-    assert parse_rat(data["det_t"]) > 1
+    assert Fraction(data["det_t"]) > 1
     code, out, _ = run(capsys, "verify", "--certificate", str(cert))
     assert code == 0
     code, _, err = run(capsys, "witness", "--dim", "4", "--pair", "0")
@@ -472,8 +472,8 @@ def test_zonal_roundtrip(capsys, tmp_path):
     assert code == 0
     assert sha256(cert) == "f98fd9daa0a0c518b7dac4627465e106ecfa58f25ef2d7c8e049a9a89f58eb00"
     data = json.loads(out)
-    assert parse_rat(data["multipliers"][4]) == parse_rat("7/25")
-    assert parse_rat(data["multipliers"][2]) == 0
+    assert Fraction(data["multipliers"][4]) == Fraction("7/25")
+    assert Fraction(data["multipliers"][2]) == 0
     code, out, _ = run(capsys, "verify", "--certificate", str(cert))
     assert code == 0
 
@@ -540,7 +540,7 @@ def test_verify_ties_the_classification_to_anstar(capsys, tmp_path):
             for _ in data["pairs"]
         ],
     )
-    third = [[rat_str(parse_rat(x) / 3) for x in row] for row in data["gram"]]
+    third = [[rat_str(Fraction(x) / 3) for x in row] for row in data["gram"]]
     foreign_maps = dict(
         relabelled,
         maps=[third] * 3,
@@ -549,11 +549,12 @@ def test_verify_ties_the_classification_to_anstar(capsys, tmp_path):
             for k in range(3)
         ],
     )
-    doubled = [[rat_str(2 * parse_rat(x)) for x in row] for row in data["gram"]]
+    doubled = [[rat_str(2 * Fraction(x)) for x in row] for row in data["gram"]]
     for forged, message in (
         (removes_nothing, "removals must list the pair indices in order, one per pair"),
         (foreign_maps, "map 0 is not the simplex map of pair 0"),
-        (dict(data, dimension=True, gram=[["4"]]), "dimension True is not an integer from 2 to 5"),
+        (dict(data, dimension=True, gram=[["4"]]), "dimension must be a JSON integer, not a JSON boolean"),
+        (dict(data, dimension=1, gram=[["4"]]), "dimension 1 is not an integer from 2 to 5"),
         (dict(data, gram=doubled), "gram matrix is not the A_n* gram matrix"),
         (dict(data, mu2="5/3"), "covering radius mismatched"),
         (dict(data, pairs=[[0, 5], [2, 4], [1, 3]]), "pairs do not match the pair table"),
@@ -614,12 +615,17 @@ def test_verify_ties_the_lattice_report_to_anstar(capsys, tmp_path):
             f"verification failure: {key} does not match the rebuilt A_n* model\n"
             for key in messages
         )
-    for dim in (True, 6, "2"):
+    for dim, message in (
+        (True, "dimension must be a JSON integer, not a JSON boolean"),
+        (2.0, "dimension must be a JSON integer, not a JSON float"),
+        ("2", "dimension must be a JSON integer, not a JSON string"),
+        (6, "dimension 6 is not an integer from 2 to 5"),
+    ):
         path = tmp_path / "forged.json"
         path.write_text(json.dumps(dict(data, dimension=dim)))
         code, _, err = run(capsys, "verify", "--certificate", str(path))
         assert code == 1
-        assert err == f"verification failure: dimension {dim!r} is not an integer from 2 to 5\n"
+        assert err == f"verification failure: {message}\n"
 
 
 def test_verify_usage_errors(capsys, tmp_path):
@@ -722,7 +728,11 @@ def test_verify_rejects_unsupported_witness_dimension(capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--certificate", str(forged))
         assert code == 1
         assert out == ""
-        message = f"dimension {dim!r} is not an integer from 2 to 5"
+        message = (
+            "dimension must be a JSON integer, not a JSON boolean"
+            if dim is True
+            else f"dimension {dim!r} is not an integer from 2 to 5"
+        )
         assert err == f"verification failure: {message}\n"
     proc = run_optimized("verify", "--certificate", str(tmp_path / "dim-9.json"))
     assert proc.returncode == 1, proc.stderr
@@ -770,14 +780,14 @@ def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):
     assert code == 0
     data = json.loads(cert.read_text())
     best = data["best"]
-    m_matrix = [[parse_rat(x) for x in row] for row in best["m_matrix"]]
+    m_matrix = [[Fraction(x) for x in row] for row in best["m_matrix"]]
     det_ratio = det(mat_add(identity(3), m_matrix))
     best["delta"] = "0"
     best["det_ratio"] = rat_str(det_ratio)
     passing = []
     for k in best["checks"]:
         k["lhs"] = k["norm2"]
-        if parse_rat(k["lhs"]) <= parse_rat(k["rhs"]):
+        if Fraction(k["lhs"]) <= Fraction(k["rhs"]):
             passing.append(k)
     assert 0 < len(passing) < len(best["checks"])
     best["checks"] = [passing[n % len(passing)] for n in range(len(best["checks"]))]
@@ -795,13 +805,16 @@ def test_verify_rejects_bad_witness_pair_index(capsys, tmp_path):
     assert code == 0
     data = json.loads(cert.read_text())
     # True would index pair 1, -1 the last pair, 3 past the end
-    for index in (True, -1, 3):
+    for index, message in (
+        (True, "pair_index must be a JSON integer, not a JSON boolean"),
+        (-1, "pair index -1 is not an integer from 0 to 2"),
+        (3, "pair index 3 is not an integer from 0 to 2"),
+    ):
         forged = tmp_path / "forged.json"
         forged.write_text(json.dumps(dict(data, pair_index=index)))
         code, out, err = run(capsys, "verify", "--certificate", str(forged))
         assert code == 1
         assert out == ""
-        message = f"pair index {index!r} is not an integer from 0 to 2"
         assert err == f"verification failure: {message}\n"
 
 
@@ -824,9 +837,14 @@ def test_verify_ties_the_scan_rotation_to_the_grid(capsys, tmp_path):
     assert out == ""
     assert err == "verification failure: stored rotation is not grid rotation best_index\n"
     index_error = "best rotation index must be an integer in [0, grid_size)"
-    for index, size in ((True, 40), (data["best_index"], 40.0), (40, 40), (-1, 40)):
+    for index, size, message in (
+        (True, 40, "best_index must be a JSON integer, not a JSON boolean"),
+        (data["best_index"], 40.0, "grid_size must be a JSON integer, not a JSON float"),
+        (40, 40, index_error),
+        (-1, 40, index_error),
+    ):
         ok, bad = verify_certificate(dict(data, best_index=index, grid_size=size))
-        assert (ok, bad) == (False, [index_error])
+        assert (ok, bad) == (False, [message])
     ok, bad = verify_certificate(dict(data, grid_size=10**400))
     assert not ok and bad[0].startswith("malformed certificate: OverflowError")
 
@@ -847,9 +865,9 @@ def test_verify_rederives_the_volume_bound(capsys, tmp_path):
     # densities agree with each other, so only re-deriving the bound from
     # the body can catch the forgery.
     cert, data = scan_of(capsys, tmp_path, [(4, 0, 0.005)], 8)
-    assert parse_rat(data["volume_bound"]) > 1
+    assert Fraction(data["volume_bound"]) > 1
     data["volume_bound"] = "1/2"
-    refit_densities(data, parse_rat(data["best"]["det_ratio"]))
+    refit_densities(data, Fraction(data["best"]["det_ratio"]))
     cert.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 1
@@ -870,13 +888,17 @@ def test_verify_rejects_a_stray_scan_field(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 1
     assert out == ""
-    assert err.startswith("verification failure: scan fields must be exactly [")
+    assert err == (
+        "verification failure: certificate keys must be exactly ['ball_density', 'best',"
+        " 'best_density', 'best_index', 'delta_k_bound', 'grid_size', 'kind', 'margin',"
+        " 'volume_bound']\n"
+    )
 
 
 def changed(value):
     # A different value of the same JSON type.
     if isinstance(value, str):
-        return rat_str(parse_rat(value) + parse_rat("1/1000"))
+        return rat_str(Fraction(value) + Fraction("1/1000"))
     if isinstance(value, float):
         return value * (1 + 2**-40)
     return value + 1

@@ -3,27 +3,29 @@ certificate must make `verify_certificate` fail."""
 
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballcover.bodies import make_body
-from ballcover.eutaxy import CLASSIFICATION_KEYS, classification_certificate
-from ballcover.harmonic import zonal_spectrum
+from ballcover.bodies import body_from_dict, make_body
+from ballcover.eutaxy import Classification, classification_certificate
+from ballcover.harmonic import MultiplierSpectrum, zonal_spectrum
 from ballcover.lattice import build_anstar, covering_radius, lattice_report, voronoi_vertices
-from ballcover.perturbation import rotation_scan
+from ballcover.perturbation import CoverConstruction, ScanReport, rotation_scan
 from ballcover.reports import (
+    cover_certificate,
+    decode,
     dump_json,
-    parse_rat,
     rat_str,
     scan_certificate,
     spectrum_certificate,
     verify_certificate,
     witness_certificate,
 )
-from ballcover.witness import extension_witness
+from ballcover.witness import ExtensionWitness, extension_witness
 
 # Leaves a one-leaf change may leave valid, as (kind, field), where a field
 # is a leaf path with its list indices written "*".  Each with its reason.
@@ -130,7 +132,7 @@ def other_value(old):
         near = st.integers(-4, 4).map(lambda n: old + n * math.ulp(old))
         return (near | st.floats(-10, 10)).filter(lambda f: f != old)
     try:
-        value = parse_rat(old)
+        value = Fraction(old)
     except (ValueError, ZeroDivisionError):
         return st.text(max_size=8).filter(lambda s: s != old)
     return NONZERO.map(lambda d: rat_str(value + d))
@@ -146,7 +148,7 @@ def fixed_change(old):
     if isinstance(old, float):
         return math.nextafter(old, math.inf)
     try:
-        return rat_str(parse_rat(old) + Fraction(1, 3))
+        return rat_str(Fraction(old) + Fraction(1, 3))
     except (ValueError, ZeroDivisionError):
         return old + "!"
 
@@ -180,19 +182,59 @@ def test_verify_rejects_any_one_leaf_change(data):
     assert not ok, (name, path, value)
 
 
+def same_value_in_another_json_type(old):
+    """The values equal to the leaf old that have another JSON type."""
+    if isinstance(old, bool):
+        return [int(old)]
+    if isinstance(old, int):
+        return [float(old)] + ([bool(old)] if old in (0, 1) else [])
+    if isinstance(old, float):
+        return [repr(old)]
+    try:
+        value = Fraction(old)
+    except (TypeError, ValueError, ZeroDivisionError):  # null, or a string not a rational
+        return []
+    return [value.numerator] if value.denominator == 1 else []
+
+
 def test_verify_rejects_a_leaf_of_the_wrong_json_type():
     # Each forged leaf is equal in value to the true one, so only its JSON
-    # type is wrong.
+    # type is wrong.  The scan's best construction also stands alone.
+    certs = dict(certificates(), cover=certificates()["scan"]["best"])
+    forged = 0
+    for name, data in certs.items():
+        for path in leaves(data):
+            for value in same_value_in_another_json_type(read(data, path)):
+                ok, _ = verify_changed(data, path, value)
+                assert not ok, (name, path, value)
+                forged += 1
+    assert forged > 1000
     scan, spectrum = certificates()["scan"], certificates()["spectrum"]
     radial = ("best", "checks", 0, "radial_value")
     count = ("cosine_counts", 0, 1)
-    integers = ["lmax and every cosine count must be JSON integers"]
     for data, path, value, message in (
-        (scan, radial, repr(read(scan, radial)), ["radial value at (0, 0) is not a JSON float"]),
-        (spectrum, ("lmax",), float(spectrum["lmax"]), integers),
-        (spectrum, count, float(read(spectrum, count)), integers),
+        (scan, radial, repr(read(scan, radial)),
+         "best.checks[0].radial_value must be a JSON float, not a JSON string"),
+        (spectrum, ("lmax",), float(spectrum["lmax"]), "lmax must be a JSON integer, not a JSON float"),
+        (spectrum, count, float(read(spectrum, count)),
+         "cosine_counts[0][1] must be a JSON integer, not a JSON float"),
     ):
-        assert verify_changed(data, path, value) == (False, message), path
+        assert verify_changed(data, path, value) == (False, [message]), path
+
+
+def test_a_decoding_failure_names_its_path():
+    classification, witness = certificates()["classification-3"], certificates()["witness-3-0"]
+    scan = certificates()["scan"]
+    check_keys = sorted(read(scan, ("best", "checks", 3)))
+    for data, path, value, message in (
+        (classification, ("mu2",), "2/0", "mu2 must be a rational string, not '2/0'"),
+        (classification, ("gram", 0), ["1"], "gram must be a rectangular JSON list"),
+        (classification, ("maps", 1), [["1", "0"]] * 3, "maps must be a rectangular JSON list"),
+        (classification, ("removals", 2), None, "removals[2] must be a JSON object, not null"),
+        (witness, ("removed_simplices",), [0, 1, 2], "removed_simplices must be a JSON list of 2 items"),
+        (scan, ("best", "checks", 3), {}, f"best.checks[3] keys must be exactly {check_keys}"),
+    ):
+        assert verify_changed(data, path, value) == (False, [message]), path
 
 
 def dict_levels(obj, path=()):
@@ -224,6 +266,22 @@ def test_verify_rejects_an_inserted_or_dropped_key_at_every_level():
                 assert not ok, (name, path, key)
 
 
-def test_classification_keys_are_the_emitted_keys():
-    for dim in (2, 3, 4):
-        assert certificates()[f"classification-{dim}"].keys() == CLASSIFICATION_KEYS
+def test_every_certificate_round_trips_through_its_dataclass():
+    # Decoded and emitted again by its builder, each certificate keeps its
+    # bytes: the dataclasses hold every field with its type.
+    def body(data):
+        return body_from_dict(data["body"])
+
+    emit = {
+        "eutaxy-classification": lambda d: {
+            "kind": "eutaxy-classification", **asdict(decode(Classification, d))
+        },
+        "cover-construction": lambda d: cover_certificate(body(d), decode(CoverConstruction, d)),
+        "scan-report": lambda d: scan_certificate(body(d["best"]), decode(ScanReport, d)),
+        "extension-witness": lambda d: witness_certificate(decode(ExtensionWitness, d)),
+        "zonal-spectrum": lambda d: spectrum_certificate(decode(MultiplierSpectrum, d)),
+    }
+    certs = dict(certificates(), cover=certificates()["scan"]["best"])
+    for name, data in certs.items():
+        if data["kind"] != "lattice-report":
+            assert dump_json(emit[data["kind"]](data)) == dump_json(data), name
