@@ -7,6 +7,12 @@ the module's float boundary: coefficients and evaluations are floats, while
 everything downstream that must be exact converts sampled values to
 rationals explicitly.
 
+Evaluation uses no angle (harmonic_sum): products of the unit direction's
+coordinates and the associated Legendre recurrence in z, so it stays
+accurate near the poles and Y_lm(-d) = (-1)^l Y_lm(d) bit for bit.  The rho
+of a body with even degrees only is then exactly even, rho(-d) == rho(d),
+and the cover screen evaluates one direction of each antipodal pair.
+
 The certified asphericity `eps` of a body is sum |a_lm| sqrt(2l+1), a true
 upper bound for sup |rho|, not a sampled estimate.  `volume_ratio` turns
 the same bound into an exact rational upper bound on vol K / vol B.
@@ -59,48 +65,23 @@ def is_normalized(body: RadialBody) -> bool:
     return all(l not in (0, 2) for l, _, _ in body.coeffs)
 
 
-def _assoc_legendre(l: int, m: int, x: float) -> float:
-    """P_lm without the (-1)^m phase."""
-    if not 0 <= m <= l:
-        raise ValueError(f"order {m} outside 0..{l}")
-    somx2 = (1.0 - x * x) ** 0.5
-    pmm = 1.0
-    fact = 1.0
-    for _ in range(m):
-        pmm = pmm * fact * somx2
-        fact += 2.0
-    if l == m:
-        return pmm
-    pmmp1 = x * (2 * m + 1) * pmm
-    if l == m + 1:
-        return pmmp1
-    for ll in range(m + 2, l + 1):
-        pmm, pmmp1 = pmmp1, (x * (2 * ll - 1) * pmmp1 - (ll + m - 1) * pmm) / (ll - m)
-    return pmmp1
-
-
 @lru_cache(maxsize=None)
 def _norm_lm(l: int, m: int) -> float:
+    """sqrt(c (2l+1) (l-m)! / (l+m)!) (2m-1)!! for the order m >= 0, with c = 1
+    for m = 0 and 2 otherwise: the factor that turns Q_lm into Y_lm."""
+    odd = math.prod(range(1, 2 * m, 2))
     return math.sqrt(
-        (2 * l + 1) * math.factorial(l - m) / math.factorial(l + m)
+        (1 if m == 0 else 2) * (2 * l + 1) * math.factorial(l - m) * odd * odd
+        / math.factorial(l + m)
     )
 
 
 def real_sph_harm(l: int, m: int, xyz: Sequence[float]) -> float:
-    """Real harmonic with unit quadratic mean over the sphere."""
-    x, y, z = xyz
-    r = math.sqrt(x * x + y * y + z * z)
-    if not r > 0:
-        raise ValueError("direction must be nonzero")
-    ct = max(-1.0, min(1.0, z / r))
-    phi = math.atan2(y, x)
-    am = abs(m)
-    base = _norm_lm(l, am) * _assoc_legendre(l, am, ct)
-    if m == 0:
-        return base
-    if m > 0:
-        return math.sqrt(2.0) * base * math.cos(am * phi)
-    return math.sqrt(2.0) * base * math.sin(am * phi)
+    """Real harmonic with unit quadratic mean over the sphere: the one-row
+    harmonic_sum."""
+    if not abs(m) <= l:
+        raise ValueError(f"order {m} outside -{l}..{l}")
+    return harmonic_sum(((l, m, 1.0),), xyz)
 
 
 def rho(body: RadialBody, xyz: Sequence[float]) -> float:
@@ -112,8 +93,12 @@ def harmonic_sum(
 ) -> float:
     """sum a * Y_lm(xyz) over the (l, m, a) rows, in row order.
 
-    The direction's cos theta and phi are computed once, not once per
-    harmonic; every term is real_sph_harm's value bit for bit.
+    Angle-free, from the unit direction (x, y, z): Y_lm is _norm_lm times
+    Q_lm(z) = P_lm(z) / (sin^|m| theta (2|m|-1)!!) times Re (m > 0) or
+    Im (m < 0) of (x + iy)^|m| = sin^|m| theta e^{i|m| phi}, whose powers
+    come from complex products, once per direction.  Every step is odd or
+    even in the direction and IEEE rounding is sign-symmetric, so each term
+    at -d is (-1)^l times its value at d, bit for bit.
     """
     if not coeffs:
         return 0
@@ -122,20 +107,29 @@ def harmonic_sum(
     if not r > 0:
         raise ValueError("direction must be nonzero")
     ct = max(-1.0, min(1.0, z / r))
-    phi = math.atan2(y, x)
-    return sum(a * _harmonic(l, m, ct, phi) for l, m, a in coeffs)
+    powers = [(1.0, 0.0), (x / r, y / r)]
+    return sum(a * _harmonic(l, m, ct, powers) for l, m, a in coeffs)
 
 
-def _harmonic(l: int, m: int, ct: float, phi: float) -> float:
-    """real_sph_harm(l, m, .) at the direction with cos theta ct and
-    azimuth phi."""
+def _harmonic(l: int, m: int, ct: float, powers: list[tuple[float, float]]) -> float:
+    """Y_lm at the unit direction with z = ct, where powers[k] is (x + iy)^k
+    as (real, imaginary) parts; extends powers as far as |m|.
+
+    Q_lm runs the associated Legendre recurrence in the degree from
+    Q_mm = 1 (and Q_{m-1,m} = 0); for m = 0 its values are P_l's, bit for
+    bit as the recurrence started at P_0 = 1 and P_1 = z gives them.
+    """
     am = abs(m)
-    base = _norm_lm(l, am) * _assoc_legendre(l, am, ct)
+    q0, q1 = 0.0, 1.0
+    for ll in range(am + 1, l + 1):
+        q0, q1 = q1, (ct * (2 * ll - 1) * q1 - (ll + am - 1) * q0) / (ll - am)
+    base = _norm_lm(l, am) * q1
     if m == 0:
         return base
-    if m > 0:
-        return math.sqrt(2.0) * base * math.cos(am * phi)
-    return math.sqrt(2.0) * base * math.sin(am * phi)
+    while len(powers) <= am:
+        (re, im), (x, y) = powers[-1], powers[1]
+        powers.append((re * x - im * y, re * y + im * x))
+    return base * powers[am][0 if m > 0 else 1]
 
 
 def volume_ratio(body: RadialBody) -> Fraction:

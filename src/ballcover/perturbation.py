@@ -316,10 +316,11 @@ class CoverEngine:
     y = x + sum_k v_k (M_k x + t_k).  Setup scales every vertex's map
     [x | M_0 x + t_0 | ...] to integers over one denominator, so at dyadic
     values v = nums / 2^shift the screen gets every embedded direction from
-    exact integer numerators (`_directions_at`); each float is a quotient
+    exact integer numerators (`_pair_directions`); each float is a quotient
     of integers, which Python rounds correctly, exactly as float() rounds
-    the equal Fraction.  The vertex -x has the negated map, so the screen
-    forms one per pair.
+    the equal Fraction.  The vertex -x has the negated map, and bodies.rho
+    is exactly even, so the screen works once per {x, -x} pair: one
+    integer direction, one rotation and one radial evaluation.
 
     `construct` is the float `screen` followed by the exact tail (solve,
     `deformed_vertices`, `_certify_delta`, det and the vertex checks), in
@@ -373,16 +374,13 @@ class CoverEngine:
         # The embedded vertex maps E A, so one integer product gives the
         # embedded numerators.
         self._embedded_maps = [_int_mat_mul(embedding, a) for a in vertex_maps]
-        # x and -x have negated maps, so the screen forms one product per pair.
+        # x and -x have negated maps, so the screen forms one product per
+        # pair, with the map of the pair's first vertex.
         self._twins = [[v for v, p in enumerate(self.pair_of) if p == k] for k in range(width - 1)]
         for v, w in self._twins:
             if self._embedded_maps[w] != [[-c for c in row] for row in self._embedded_maps[v]]:
                 raise RuntimeError("a vertex map is not the negated map of its antipode")
-        # Each pair's direction: that of its smaller vertex min(x, -x).
-        at_rest = self._directions_at([0] * len(pairs), 0)
-        self.directions = tuple(
-            at_rest[min(t, key=lambda v: self.positions[v][2])][0] for t in self._twins
-        )
+        self.directions = tuple(d for d, _ in self._pair_directions([0] * len(pairs), 0))
 
     def solve(self, rho: Sequence[Sequence[Rat]]) -> TreqnSolution:
         """solve_treqn(rho, simplices, upsilon, gram) by the precomputed operator.
@@ -396,18 +394,19 @@ class CoverEngine:
         _check_trace_identity(trace_product(self.ginv, sol.m_form), expected)
         return sol
 
-    def _directions_at(
+    def _pair_directions(
         self, nums: Sequence[int], shift: int
     ) -> list[tuple[tuple[float, ...], float]]:
-        """_unit_direction of every deformed vertex at the pair values
-        nums / 2^shift, float for float, from the integer tables."""
+        """_unit_direction of each pair's first deformed vertex at the pair
+        values nums / 2^shift, float for float, from the integer tables.
+        The twin's is its exact negation: the integer product negates, and
+        IEEE rounding is sign-symmetric."""
         den = (self._embedding_scale * self.scale) << shift
         point = [1 << shift, *nums]
-        embedded: list[list[int]] = [[]] * len(self._embedded_maps)
-        for v, twin in self._twins:
-            embedded[v] = _int_mat_vec(self._embedded_maps[v], point)
-            embedded[twin] = [-c for c in embedded[v]]
-        return [_unit([c / den for c in e]) for e in embedded]
+        return [
+            _unit([c / den for c in _int_mat_vec(self._embedded_maps[v], point)])
+            for v, _ in self._twins
+        ]
 
     def screen(
         self,
@@ -427,16 +426,14 @@ class CoverEngine:
         # dyadic, held as integers over 2^shift.
         for step in range(4):
             delta_float = 0.0
-            excess: dict[int, float] = {}
-            for k, (d, ny) in zip(self.pair_of, self._directions_at(nums, shift)):
+            excess = []
+            for d, ny in self._pair_directions(nums, shift):
                 r_val = _radial(body, rotation, d)
                 delta_float = max(delta_float, 1.0 - self.mu * r_val / ny)
-                o = ny / (self.mu * r_val) - 1.0
-                if k not in excess or abs(o) > abs(excess[k]):
-                    excess[k] = o
-            if step == 3 or max(abs(o) for o in excess.values()) <= 2.0**-34:
+                excess.append(ny / (self.mu * r_val) - 1.0)
+            if step == 3 or max(map(abs, excess)) <= 2.0**-34:
                 break
-            moved, by = _dyadic([excess[k] for k in range(len(nums))])
+            moved, by = _dyadic(excess)
             top = max(shift, by)
             nums = [
                 (n << (top - shift)) - (m << (top - by)) for n, m in zip(nums, moved)

@@ -2,7 +2,8 @@
 
 A certificate is its dataclass turned into a dict by dataclasses.asdict
 and tagged with its kind; the field list lives in the dataclass alone.
-Rationals serialize as strings "p" or "p/q" so exactness survives JSON;
+Rationals serialize as strings "p" or "p/q" in lowest terms so exactness
+survives JSON, and are read back only in that form (parse_rat);
 floats stay native JSON numbers (CPython emits the shortest round-trip
 repr, so identical inputs give byte-identical reports).  CSV is used for
 the degree-indexed c_l table.
@@ -33,6 +34,7 @@ compiling the others' (the c_l table's check needs harmonic alone).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -49,10 +51,26 @@ if TYPE_CHECKING:
 FLOAT_TOLERANCE = 1e-12
 
 def rat_str(x: Rat) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_rat(text: str) -> Fraction:
+    """The rational written as rat_str writes it, 'p' or 'p/q' in lowest
+    terms with q > 1 and each part as str(int) writes it; ValueError for any
+    other string."""
+    p, slash, q = text.partition("/")
+    try:
+        num, den = int(p), int(q or 1)
+        ok = str(num) == p and not (
+            slash and (str(den) != q or den <= 1 or math.gcd(num, den) != 1)
+        )
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"not a rational as written: {text!r}")
+    return Fraction(num, den)
 
 
 def rationalize(obj):
@@ -148,8 +166,8 @@ def _check(json_type: type, value: object):
 def _read_rat(value: object) -> Fraction:
     text = _check(str, value)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rat(text)
+    except ValueError:
         raise DecodeError(f"must be a rational string, not {text!r}") from None
 
 
@@ -581,8 +599,8 @@ def verify_cl_csv(text: str) -> tuple[bool, list[str]]:
         l_str, value, residue_str, status = parts
         try:
             l, residue = int(l_str), int(residue_str)
-            exact = Fraction(value) if value else None
-        except (ValueError, ZeroDivisionError) as e:
+            exact = parse_rat(value) if value else None
+        except ValueError as e:
             bad.append(f"row {idx}: malformed field: {e}")
             continue
         if l != idx:

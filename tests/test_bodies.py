@@ -1,6 +1,8 @@
 """Spherical harmonic basis normalization and body bookkeeping."""
 
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +52,56 @@ def test_harmonic_peak_values():
     # zonal harmonics attain sqrt(2l+1) at the pole
     for l in range(7):
         assert abs(real_sph_harm(l, 0, (0, 0, 1)) - math.sqrt(2 * l + 1)) < 1e-12
+
+
+def reference_harmonic(l, m, xyz):
+    """Y_lm at xyz in 60-digit decimals, independently of the program:
+    Q = d^|m|/dt^|m| P_l(t) from P_l(t) = 2^-l sum_k (-1)^k C(l, k)
+    C(2l - 2k, l) t^(l - 2k), and sin^|m| theta e^{i|m| phi} = (x + iy)^|m|
+    by the binomial theorem."""
+    am = abs(m)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y, z = map(Decimal, xyz)
+        r = (x * x + y * y + z * z).sqrt()
+        x, y, t = x / r, y / r, z / r
+
+        def power(v, n):
+            return v**n if n else Decimal(1)
+
+        q = sum(
+            (-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l)
+            * math.perm(l - 2 * k, am) * power(t, l - 2 * k - am)
+            for k in range((l - am) // 2 + 1)
+        ) / Decimal(2) ** l
+        # i^j = (-1)^(j // 2), times i for odd j
+        part = sum(
+            math.comb(am, j) * power(x, am - j) * power(y, j) * (-1) ** (j // 2)
+            for j in range(0 if m >= 0 else 1, am + 1, 2)
+        )
+        c = 1 if m == 0 else 2
+        norm = (Decimal(c * (2 * l + 1) * math.factorial(l - am)) / math.factorial(l + am)).sqrt()
+        return norm * q * part
+
+
+def test_harmonics_match_a_decimal_reference():
+    # Generic directions, and directions within 1e-9 to 1e-2 of a pole,
+    # where sin theta is not cancellation-free from cos theta.
+    rng = random.Random(7)
+    generic = [tuple(rng.gauss(0, 1) for _ in range(3)) for _ in range(20)]
+    near_pole = []
+    for _ in range(20):
+        z = rng.choice((-1, 1)) * rng.uniform(0.5, 2.0)
+        x, y = (
+            rng.choice((-1, 1)) * abs(z) * 10 ** rng.uniform(-9, -2) for _ in range(2)
+        )
+        near_pole.append((x, y, z))
+    worst = Decimal(0)
+    for d in generic + near_pole:
+        for l in range(13):
+            for m in range(-l, l + 1):
+                worst = max(worst, abs(Decimal(real_sph_harm(l, m, d)) - reference_harmonic(l, m, d)))
+    assert worst <= Decimal("1e-13")
 
 
 def test_certified_eps_dominates_samples():

@@ -755,8 +755,10 @@ def test_scan_output_is_pinned(capsys, tmp_path):
 
 
 def test_non_zonal_scan_output_is_pinned(capsys, tmp_path):
-    # The m != 0 harmonics take the atan2, cos and sin path of rho, where two
-    # float routes to the same r_K could differ; same libm assumption as above.
+    # The m != 0 harmonics take the angle-free path of rho, which makes the
+    # screen's one radial value per {x, -x} pair serve both vertices; this
+    # pins the pair values it settles on, to their last bit.  Same libm
+    # assumption as above.
     body_file = tmp_path / "body.json"
     save_body(make_body([(4, 1, 0.003), (6, -5, 0.002), (8, 8, 0.001)]), str(body_file))
     cert = tmp_path / "scan.json"
@@ -765,7 +767,7 @@ def test_non_zonal_scan_output_is_pinned(capsys, tmp_path):
     )
     assert code == 0
     assert out == cert.read_text()
-    assert sha256(cert) == "8deee43cc3e48641cec1cd559d77df2e50c7686fd0d910e2cba471285f038a35"
+    assert sha256(cert) == "f259e18b3d172ef59365c97f9d92fbf08e44f26fb96b9978ae88330c3bc35141"
 
 
 def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):

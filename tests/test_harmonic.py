@@ -218,6 +218,11 @@ def test_verify_cl_csv_checks_every_exact_row():
     assert with_row(210, "1", "nonzero-exact") == (False, ["row 210: stored value wrong"])
     # a correct exact value above the default exact range is still checked and accepted
     assert with_row(210, reports.rat_str(c_l(210)), "nonzero-exact") == (True, [])
+    # c_0 = 12, accepted only as rat_str writes it
+    assert with_row(0, "12", "nonzero-exact") == (True, [])
+    for text in ("24/2", "12/1", " 12", "12.0", "+12", "1.2e1"):
+        ok, bad = with_row(0, text, "nonzero-exact")
+        assert (ok, bad) == (False, [f"row 0: malformed field: not a rational as written: {text!r}"])
 
 
 def test_verify_cl_csv_steps_only_to_the_last_exact_row(monkeypatch):

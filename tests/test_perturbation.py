@@ -41,6 +41,8 @@ from ballcover.linalg import (
 from ballcover.perturbation import (
     DELTA_BITS,
     CoverEngine,
+    Screen,
+    _apply_transposed,
     _antipodal_index,
     _dyadic,
     _engine,
@@ -324,6 +326,16 @@ def bits(xs):
     return [x.hex() for x in xs]
 
 
+def every_vertex(engine, pairs):
+    # The screen's pair form spread over the 24 vertices in position order:
+    # a pair's second vertex has the first's direction negated, same length.
+    # 0.0 - c, as the twin's integer numerators are negated: 0 stays 0.0.
+    out = [None] * len(engine.positions)
+    for (v, w), (d, ny) in zip(engine._twins, pairs):
+        out[v], out[w] = (d, ny), (tuple(0.0 - c for c in d), ny)
+    return out
+
+
 def assert_screen_directions_match(engine, values):
     # The screen's integer direction tables against the Fraction path of the
     # exact tail, bit for bit: the float unit direction and length of every
@@ -331,7 +343,8 @@ def assert_screen_directions_match(engine, values):
     nums, shift = _dyadic(values)
     sol = engine.solve(tuple(tuple(values[k] for k in keys) for keys in engine.index))
     m_mat = map_matrix(engine.ginv, sol.m_form)
-    for (i, _, x), (d, ny) in zip(engine.positions, engine._directions_at(nums, shift)):
+    shared = every_vertex(engine, engine._pair_directions(nums, shift))
+    for (i, _, x), (d, ny) in zip(engine.positions, shared):
         ref = deformed_vertex(m_mat, x, sol.translations[i])
         ref_d, ref_ny = _unit_direction(engine.lat.embedding, ref)
         assert bits(d) + [ny.hex()] == bits(ref_d) + [ref_ny.hex()]
@@ -348,6 +361,15 @@ def test_screen_directions_match_fraction_path_on_dyadic_tables(values):
     assert_screen_directions_match(_engine(), values)
 
 
+def all_products(engine, nums, shift):
+    # Every vertex's unit direction and length from its own integer product.
+    den = (engine._embedding_scale * engine.scale) << shift
+    point = [1 << shift, *nums]
+    return [
+        _unit([sum(map(mul, row, point)) / den for row in a]) for a in engine._embedded_maps
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(DYADIC, min_size=12, max_size=12))
 def test_twin_sharing_matches_all_products(values):
@@ -355,16 +377,73 @@ def test_twin_sharing_matches_all_products(values):
     # for the twin; the floats equal those of all 24 products bit for bit.
     engine = _engine()
     nums, shift = _dyadic(values)
-    den = (engine._embedding_scale * engine.scale) << shift
-    point = [1 << shift, *nums]
-    every = [
-        _unit([sum(map(mul, row, point)) / den for row in a]) for a in engine._embedded_maps
-    ]
-    shared = engine._directions_at(nums, shift)
+    shared = every_vertex(engine, engine._pair_directions(nums, shift))
     # hex tells -0.0 from 0.0
     assert [bits(d) + [ny.hex()] for d, ny in shared] == [
-        bits(d) + [ny.hex()] for d, ny in every
+        bits(d) + [ny.hex()] for d, ny in all_products(engine, nums, shift)
     ]
+
+
+def vertex_screen(engine, body, rotation):
+    # The 24-vertex re-targeting loop the per-pair screen replaced: each
+    # vertex from its own product, rotated and evaluated on its own, and
+    # each pair's excess the larger in magnitude of its two vertices'.
+    # Returns the screen and its number of passes.
+    def rotated(d):
+        return d if rotation is None else _apply_transposed(rotation, d)
+
+    # At rest, each pair's smaller vertex min(x, -x).
+    at_rest = all_products(engine, [0] * len(engine.directions), 0)
+    nums, shift = _dyadic([
+        rho(body, rotated(at_rest[min(t, key=lambda v: engine.positions[v][2])][0]))
+        for t in engine._twins
+    ])
+    for step in range(4):
+        delta_float = 0.0
+        excess = {}
+        for k, (d, ny) in zip(engine.pair_of, all_products(engine, nums, shift)):
+            r_val = 1.0 + rho(body, rotated(d))
+            delta_float = max(delta_float, 1.0 - engine.mu * r_val / ny)
+            o = ny / (engine.mu * r_val) - 1.0
+            if k not in excess or abs(o) > abs(excess[k]):
+                excess[k] = o
+        if step == 3 or max(abs(o) for o in excess.values()) <= 2.0**-34:
+            break
+        moved, by = _dyadic([excess[k] for k in range(len(nums))])
+        top = max(shift, by)
+        nums = [(n << (top - shift)) - (m << (top - by)) for n, m in zip(nums, moved)]
+        shift = top
+    return Screen(nums=nums, shift=shift, delta_float=delta_float), step + 1
+
+
+@pytest.mark.parametrize(
+    "coeffs", [((4, 0, 0.02 / 3),), ((4, 1, 0.003), (6, -5, 0.002), (8, 8, 0.001))]
+)
+def test_pair_screen_equals_the_vertex_screen(coeffs, monkeypatch):
+    # The screen evaluates rho once per pair: 12 calls at rest and 12 per
+    # pass, where the vertex loop made 24 per pass, and settles on the same
+    # pair values and contraction.
+    import ballcover.perturbation
+
+    calls = []
+
+    def counted(body, d):
+        calls.append(d)
+        return rho(body, d)
+
+    monkeypatch.setattr(ballcover.perturbation, "body_rho", counted)
+    engine, body = _engine(), make_body(coeffs)
+    passes = set()
+    for u in (None, *rotation_grid(40)):
+        want, n = vertex_screen(engine, body, u)
+        calls.clear()
+        got = engine.screen(body, u)
+        assert (got.nums, got.shift, got.delta_float.hex()) == (
+            want.nums, want.shift, want.delta_float.hex()
+        )
+        assert len(calls) == 12 + 12 * n
+        passes.add(n)
+    assert max(passes) == 4
 
 
 @settings(max_examples=15, deadline=None)
@@ -773,3 +852,17 @@ def test_rho_is_the_per_harmonic_sum_bit_for_bit(coeffs, d):
     got = rho(body, d)
     # repr tells the int 0 of an empty sum from 0.0, and -0.0 from 0.0.
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HARMONICS.map(lambda rows: [h for h in rows if h[0] % 2 == 0]), DIRECTIONS)
+def test_rho_is_exactly_even(coeffs, d):
+    # Every body the cover accepts has even degrees only, and its rho at -d
+    # is its rho at d bit for bit, so the screen evaluates one direction of
+    # each antipodal pair.
+    body = make_body(coeffs)
+    minus = tuple(-c for c in d)
+    assert repr(rho(body, minus)) == repr(rho(body, d))
+    for l in range(13):
+        for m in range(-l, l + 1):
+            assert real_sph_harm(l, m, minus) == (-1) ** l * real_sph_harm(l, m, d)

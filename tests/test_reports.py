@@ -19,6 +19,7 @@ from ballcover.reports import (
     cover_certificate,
     decode,
     dump_json,
+    parse_rat,
     rat_str,
     scan_certificate,
     spectrum_certificate,
@@ -235,6 +236,20 @@ def test_a_decoding_failure_names_its_path():
         (scan, ("best", "checks", 3), {}, f"best.checks[3] keys must be exactly {check_keys}"),
     ):
         assert verify_changed(data, path, value) == (False, [message]), path
+
+
+def test_rationals_are_read_only_as_written():
+    # mu2 is 5/4; a rational is read back only in the form rat_str writes,
+    # so an equal value written another way is a forgery, and so are "4/2"
+    # and "3/1", which are not in lowest terms.
+    classification = certificates()["classification-3"]
+    assert classification["mu2"] == "5/4"
+    for text in ("10/8", " 5/4 ", "1.25", "125e-2", "+5/4", "4/2", "3/1", "5/4\n", "5_0/4"):
+        assert verify_changed(classification, ("mu2",), text) == (
+            False, [f"mu2 must be a rational string, not {text!r}"]
+        ), text
+    for x in (Fraction(5, 4), Fraction(-3, 7), Fraction(0), Fraction(-12), Fraction(10**40 + 1, 3)):
+        assert parse_rat(rat_str(x)) == x
 
 
 def dict_levels(obj, path=()):
