@@ -22,17 +22,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Binary precision of the rounded-up square roots in volume_ratio.
 SQRT_BITS = 32
 
 
-@dataclass(frozen=True)
-class RadialBody:
+class RadialBody(NamedTuple):
     coeffs: tuple[tuple[int, int, float], ...]
     eps: float
     lmax: int
@@ -99,6 +97,12 @@ def harmonic_sum(
     come from complex products, once per direction.  Every step is odd or
     even in the direction and IEEE rounding is sign-symmetric, so each term
     at -d is (-1)^l times its value at d, bit for bit.
+
+    Q_lm runs the associated Legendre recurrence in the degree from
+    Q_mm = 1 (and Q_{m-1,m} = 0), once per order |m|: each row steps it on
+    to its degree, so the rows of one order share it when, as make_body
+    sorts them, their degrees increase.  For m = 0 its values are P_l's,
+    bit for bit as the recurrence started at P_0 = 1 and P_1 = z gives them.
     """
     if not coeffs:
         return 0
@@ -108,28 +112,25 @@ def harmonic_sum(
         raise ValueError("direction must be nonzero")
     ct = max(-1.0, min(1.0, z / r))
     powers = [(1.0, 0.0), (x / r, y / r)]
-    return sum(a * _harmonic(l, m, ct, powers) for l, m, a in coeffs)
-
-
-def _harmonic(l: int, m: int, ct: float, powers: list[tuple[float, float]]) -> float:
-    """Y_lm at the unit direction with z = ct, where powers[k] is (x + iy)^k
-    as (real, imaginary) parts; extends powers as far as |m|.
-
-    Q_lm runs the associated Legendre recurrence in the degree from
-    Q_mm = 1 (and Q_{m-1,m} = 0); for m = 0 its values are P_l's, bit for
-    bit as the recurrence started at P_0 = 1 and P_1 = z gives them.
-    """
-    am = abs(m)
-    q0, q1 = 0.0, 1.0
-    for ll in range(am + 1, l + 1):
-        q0, q1 = q1, (ct * (2 * ll - 1) * q1 - (ll + am - 1) * q0) / (ll - am)
-    base = _norm_lm(l, am) * q1
-    if m == 0:
-        return base
-    while len(powers) <= am:
-        (re, im), (x, y) = powers[-1], powers[1]
-        powers.append((re * x - im * y, re * y + im * x))
-    return base * powers[am][0 if m > 0 else 1]
+    recurrences = {}  # |m| -> (degree ll, Q_{ll-1,|m|}, Q_{ll,|m|})
+    terms = []
+    for l, m, a in coeffs:
+        am = abs(m)
+        ll, q0, q1 = recurrences.get(am) or (am, 0.0, 1.0)
+        if ll > l:  # a lower degree than the last row's starts it again
+            ll, q0, q1 = am, 0.0, 1.0
+        while ll < l:
+            ll += 1
+            q0, q1 = q1, (ct * (2 * ll - 1) * q1 - (ll + am - 1) * q0) / (ll - am)
+        recurrences[am] = ll, q0, q1
+        value = _norm_lm(l, am) * q1
+        if m:
+            while len(powers) <= am:
+                (re, im), (px, py) = powers[-1], powers[1]
+                powers.append((re * px - im * py, re * py + im * px))
+            value *= powers[am][0 if m > 0 else 1]
+        terms.append(a * value)
+    return sum(terms)
 
 
 def volume_ratio(body: RadialBody) -> Fraction:

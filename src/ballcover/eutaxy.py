@@ -23,11 +23,10 @@ classification, which runs no LP, does not load it.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .lattice import (
     LatticeModel,
@@ -58,8 +57,7 @@ class EutaxyClass(enum.Enum):
     REDUNDANTLY_SEMI_EUTACTIC = "redundantly-semi-eutactic"
 
 
-@dataclass(frozen=True)
-class EutaxyMap:
+class EutaxyMap(NamedTuple):
     """Normalized simplex map, stored as its symmetric form matrix."""
 
     form: MatQ
@@ -116,8 +114,7 @@ def q_map(simplex: PrimitiveSimplex, gram: MatQ) -> EutaxyMap:
     return EutaxyMap(form=form, cr2=simplex.cr2)
 
 
-@dataclass(frozen=True)
-class RemovalOutcome:
+class RemovalOutcome(NamedTuple):
     """Feasibility of the identity over the maps with one pair removed."""
 
     pair_index: int
@@ -126,8 +123,7 @@ class RemovalOutcome:
     farkas_form: Optional[MatQ]
 
 
-@dataclass(frozen=True)
-class EutaxyReport:
+class EutaxyReport(NamedTuple):
     classification: EutaxyClass
     coefficients: Optional[tuple[Rat, ...]]
     farkas_form: Optional[MatQ]
@@ -260,8 +256,7 @@ def classify(
     )
 
 
-@dataclass(frozen=True)
-class LatticeEutaxy:
+class LatticeEutaxy(NamedTuple):
     """Classification of a lattice model with its supporting geometry."""
 
     lat: LatticeModel
@@ -355,8 +350,7 @@ def ball_conclusion(cls: EutaxyClass) -> str:
 MAP_NORMALIZATION = "maps scaled by 1/cr2 so each has unit trace"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     dimension: int
     gram: MatQ
     mu2: Rat
@@ -393,4 +387,4 @@ def classification_certificate(lat: LatticeModel) -> dict:
         conclusion=ball_conclusion(rep.classification),
         normalization=MAP_NORMALIZATION,
     )
-    return {"kind": "eutaxy-classification", **asdict(record)}
+    return {"kind": "eutaxy-classification", **record._asdict()}

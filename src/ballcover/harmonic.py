@@ -23,10 +23,9 @@ check run without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .linalg import MatQ, Rat, VecQ
@@ -157,8 +156,7 @@ def c_l_scaled_residue(l: int) -> int:
     return c_l_residues(l)[l]
 
 
-@dataclass(frozen=True)
-class CLCertificate:
+class CLCertificate(NamedTuple):
     """Decision for one degree: is c_l zero, and why is that certain."""
 
     l: int
@@ -201,8 +199,7 @@ def certify_c_range(lmax: int, exact_limit: int = 200) -> list[CLCertificate]:
     return out
 
 
-@dataclass(frozen=True)
-class MultiplierSpectrum:
+class MultiplierSpectrum(NamedTuple):
     """Multipliers of convolution with the normalized vertex measure."""
 
     lmax: int

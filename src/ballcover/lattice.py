@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
     MatQ,
@@ -53,16 +52,22 @@ class DegenerateSimplexError(ValueError):
     """Raised when claimed simplex vertices are affinely dependent."""
 
 
-@dataclass(frozen=True)
-class DeloneSimplex:
+class DeloneSimplex(NamedTuple):
     """One translation class of Delone simplices, vertices in lattice coords."""
 
     vertices: tuple[VecQ, ...]
     label: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrimitiveSimplex:
+class _PrimitiveSimplexFields(NamedTuple):
+    x: tuple[VecQ, ...]
+    alpha: tuple[Rat, ...]
+    cr2: Rat
+    source: DeloneSimplex
+    center: VecQ
+
+
+class PrimitiveSimplex(_PrimitiveSimplexFields):
     """A Delone simplex recentered at its circumcenter.
 
     x[j] = center - vertex[j], center the circumcenter; these points lie on
@@ -72,13 +77,8 @@ class PrimitiveSimplex:
     sum(alpha[j] * x[j]) = 0.
     """
 
-    x: tuple[VecQ, ...]
-    alpha: tuple[Rat, ...]
-    cr2: Rat
-    source: DeloneSimplex
-    center: VecQ
-
-    # Not a field, so equality and hashing ignore it.
+    # A subclass without __slots__ has a __dict__ to cache in; equality and
+    # hashing read the fields alone.
     @cached_property
     def x_integer(self) -> tuple[list[list[int]], int]:
         """integer_scaled(x), computed once per simplex (read-only)."""
@@ -88,14 +88,16 @@ class PrimitiveSimplex:
 IntMat = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class LatticeModel:
+class _LatticeModelFields(NamedTuple):
     n: int
     gram: MatQ
     embedding: Optional[MatQ]
     delone_classes: tuple[DeloneSimplex, ...]
 
-    # Not fields, so equality, hashing and caches keyed on models ignore them.
+
+class LatticeModel(_LatticeModelFields):
+    # Cached in the subclass's __dict__, not fields, so equality, hashing and
+    # caches keyed on models ignore them.
     @cached_property
     def simplices(self) -> tuple[PrimitiveSimplex, ...]:
         """primitive_simplex of every Delone class, in class order.

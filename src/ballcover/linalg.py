@@ -8,11 +8,10 @@ failure).  Floats are rejected unless converted explicitly by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 Rat = Fraction
 VecQ = tuple[Rat, ...]
@@ -132,8 +131,7 @@ def is_symmetric(a: MatQ) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class LinSolveResult:
+class LinSolveResult(NamedTuple):
     """Full solution set of A x = b: particular + span(nullspace), where
     `particular` has the free variables zero, or is None when the system is
     inconsistent, and `nullspace` is a basis of solutions of A x = 0."""

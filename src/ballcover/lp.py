@@ -9,9 +9,8 @@ exactly before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .linalg import (
     MatQ,
@@ -33,13 +32,11 @@ class StrongAlternativeError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Feasible:
+class Feasible(NamedTuple):
     coefficients: tuple[Rat, ...]
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     certificate: MatQ
 
 

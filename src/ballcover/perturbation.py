@@ -21,12 +21,11 @@ acceptance gate imports from here are re-exported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bodies import (
     RadialBody,
@@ -111,8 +110,7 @@ def simplex_weights(lat: LatticeModel, simplices: Sequence[PrimitiveSimplex]) ->
     return weights
 
 
-@dataclass(frozen=True)
-class TreqnSolution:
+class TreqnSolution(NamedTuple):
     m_form: MatQ
     translations: tuple[VecQ, ...]
 
@@ -253,8 +251,7 @@ def deformed_vertex(m_mat: MatQ, x: VecQ, t: VecQ) -> VecQ:
     return vec_add(vec_add(x, mat_vec(m_mat, x)), t)
 
 
-@dataclass(frozen=True)
-class VertexCheck:
+class VertexCheck(NamedTuple):
     """One exact membership check of a contracted deformed vertex."""
 
     simplex: int
@@ -267,8 +264,7 @@ class VertexCheck:
     margin: float
 
 
-@dataclass(frozen=True)
-class CoverConstruction:
+class CoverConstruction(NamedTuple):
     rotation: Optional[tuple[tuple[float, ...], ...]]
     rho: tuple[tuple[Rat, ...], ...]
     m_form: MatQ
@@ -284,8 +280,7 @@ class CoverConstruction:
     checks: tuple[VertexCheck, ...]
 
 
-@dataclass(frozen=True)
-class Screen:
+class Screen(NamedTuple):
     """One rotation's float screen: pair values nums / 2^shift after the
     re-targeting, and the float contraction."""
 
@@ -693,8 +688,7 @@ def rotation_grid(size: int) -> tuple[tuple[tuple[float, ...], ...], ...]:
     return tuple(grid_rotation(i, size) for i in range(size))
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     grid_size: int
     volume_bound: Rat
     ball_density: float

@@ -1,7 +1,7 @@
 """Certificate serialization and independent re-checking.
 
-A certificate is its dataclass turned into a dict by dataclasses.asdict
-and tagged with its kind; the field list lives in the dataclass alone.
+A certificate is its record (typing.NamedTuple) rendered by rationalize
+and tagged with its kind; the field list lives in the record alone.
 Rationals serialize as strings "p" or "p/q" in lowest terms so exactness
 survives JSON, and are read back only in that form (parse_rat);
 floats stay native JSON numbers (CPython emits the shortest round-trip
@@ -22,12 +22,12 @@ FLOAT_TOLERANCE, and cover_floats re-derives the other floats, which must
 be equal.  A scan's exact volume bound is re-derived from its body, and its
 densities, margin and Delta_K bound are recomputed from that bound and the
 exact det ratio and must be equal.  First, a certificate is read back
-through its dataclass (decode), which fixes its keys and each leaf's JSON
+through its record (decode), which fixes its keys and each leaf's JSON
 type; the lattice report, which has none, is compared whole with its model.
 
 Only the standard library is imported at load.  verify_certificate reads a
 certificate's kind first; only then does that kind's verifier import its
-dataclass and the modules it reads, so a process checks one kind without
+record and the modules it reads, so a process checks one kind without
 compiling the others' (the c_l table's check needs harmonic alone).
 """
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Sequence, Union, get_args, get_origin, get_type_hints
@@ -73,13 +72,29 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def parse_int(text: str) -> int:
+    """The integer written as str(int) writes it; ValueError for any other
+    string."""
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if str(value) == text:
+            return value
+    raise ValueError(f"not an integer as written: {text!r}")
+
+
 def rationalize(obj):
-    """Deep-copy a report, rendering every Fraction as a 'p/q' string and
-    every tuple as a list."""
+    """Copy a report into JSON data, rendering every record as an object of
+    its fields, every Fraction as a 'p/q' string and every other tuple as a
+    list."""
     if isinstance(obj, Fraction):
         return rat_str(obj)
     if isinstance(obj, dict):
         return {k: rationalize(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a record
+        return {k: rationalize(v) for k, v in zip(obj._fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [rationalize(v) for v in obj]
     return obj
@@ -95,7 +110,7 @@ def cover_certificate(body: RadialBody, c: CoverConstruction) -> dict:
     return {
         "kind": "cover-construction",
         "body": body_to_dict(body),
-        **asdict(c),
+        **c._asdict(),
         "float_tolerance": FLOAT_TOLERANCE,
     }
 
@@ -103,17 +118,17 @@ def cover_certificate(body: RadialBody, c: CoverConstruction) -> dict:
 def scan_certificate(body: RadialBody, report: ScanReport) -> dict:
     return {
         "kind": "scan-report",
-        **asdict(report),
+        **report._asdict(),
         "best": cover_certificate(body, report.best),
     }
 
 
 def witness_certificate(w: ExtensionWitness) -> dict:
-    return {"kind": "extension-witness", **asdict(w)}
+    return {"kind": "extension-witness", **w._asdict()}
 
 
 def spectrum_certificate(spec: MultiplierSpectrum) -> dict:
-    return {"kind": "zonal-spectrum", **asdict(spec)}
+    return {"kind": "zonal-spectrum", **spec._asdict()}
 
 
 def cl_csv(certs: list[CLCertificate]) -> str:
@@ -129,7 +144,7 @@ _JSON_TYPES = {
     list: "a JSON list", dict: "a JSON object", type(None): "null",
 }
 
-# The keys each builder writes beside its dataclass's fields, by class name.
+# The keys each builder writes beside its record's fields, by class name.
 _ADDED_KEYS = dict.fromkeys(
     ("Classification", "ScanReport", "ExtensionWitness", "MultiplierSpectrum"), ("kind",)
 ) | {"CoverConstruction": ("kind", "body", "float_tolerance")}
@@ -147,7 +162,7 @@ class DecodeError(ValueError):
 
 def decode(tp, value: object, *path: str | int):
     """Read a parsed JSON value, found at `path`, as the annotation tp: each
-    object with exactly its dataclass's fields and its builder's keys, each
+    object with exactly its record's fields and its builder's keys, each
     list a tuple, rectangular when nested, and each leaf of its JSON type."""
     try:
         return _reader(tp)(value)
@@ -190,10 +205,10 @@ def _shape(t: tuple) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _reader(tp) -> Callable[[object], object]:
     """The decoder of annotation tp, built once per annotation."""
-    if is_dataclass(tp):
+    if hasattr(tp, "_fields"):  # a record
         # Rat is Fraction; harmonic imports it for type checkers only
         hints = get_type_hints(tp, localns={"Rat": Fraction})
-        names = [f.name for f in fields(tp)]
+        names = tp._fields
         reads = [_reader(hints[name]) for name in names]
         keys = {*names, *_ADDED_KEYS.get(tp.__name__, ())}
 
@@ -598,7 +613,7 @@ def verify_cl_csv(text: str) -> tuple[bool, list[str]]:
             continue
         l_str, value, residue_str, status = parts
         try:
-            l, residue = int(l_str), int(residue_str)
+            l, residue = parse_int(l_str), parse_int(residue_str)
             exact = parse_rat(value) if value else None
         except ValueError as e:
             bad.append(f"row {idx}: malformed field: {e}")

@@ -11,11 +11,10 @@ needs no further trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .eutaxy import classified, gram_inverse, map_matrix
 from .lattice import LatticeModel, PrimitiveSimplex, integer_circumsphere
@@ -63,8 +62,7 @@ def _pulled_back_form(t_map: MatQ, gram: MatQ) -> tuple[list[list[int]], int]:
     return integer_scaled(mat_mul(transpose(t_map), mat_mul(gram, t_map)))
 
 
-@dataclass(frozen=True)
-class AugmentedBall:
+class AugmentedBall(NamedTuple):
     """conv(ball of squared radius <pole,pole>, +/-(1+eps) pole)."""
 
     eps: Rat
@@ -145,8 +143,7 @@ def _shift_fits(ball: AugmentedBall, points: Sequence[VecQ]) -> Callable[[int], 
     return fits
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(NamedTuple):
     dimension: int
     pair_index: int
     removed_simplices: tuple[int, int]

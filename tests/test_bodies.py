@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from ballcover.bodies import (
+    _norm_lm,
     ball_body,
     body_from_dict,
     body_to_dict,
+    harmonic_sum,
     is_normalized,
     load_body,
     make_body,
@@ -102,6 +104,46 @@ def test_harmonics_match_a_decimal_reference():
             for m in range(-l, l + 1):
                 worst = max(worst, abs(Decimal(real_sph_harm(l, m, d)) - reference_harmonic(l, m, d)))
     assert worst <= Decimal("1e-13")
+
+
+def per_row_harmonic_sum(coeffs, xyz):
+    """harmonic_sum with each row's own recurrence from Q_mm = 1: the
+    per-row evaluation whose bits a recurrence shared by the rows of one
+    order must reproduce."""
+    x, y, z = xyz
+    r = math.sqrt(x * x + y * y + z * z)
+    ct = max(-1.0, min(1.0, z / r))
+    powers = [(1.0, 0.0), (x / r, y / r)]
+    terms = []
+    for l, m, a in coeffs:
+        am = abs(m)
+        q0, q1 = 0.0, 1.0
+        for ll in range(am + 1, l + 1):
+            q0, q1 = q1, (ct * (2 * ll - 1) * q1 - (ll + am - 1) * q0) / (ll - am)
+        value = _norm_lm(l, am) * q1
+        if m:
+            while len(powers) <= am:
+                (re, im), (px, py) = powers[-1], powers[1]
+                powers.append((re * px - im * py, re * py + im * px))
+            value *= powers[am][0 if m > 0 else 1]
+        terms.append(a * value)
+    return sum(terms)
+
+
+def test_rows_of_one_order_share_its_recurrence_bit_for_bit():
+    rng = random.Random(11)
+    directions = [tuple(rng.gauss(0, 1) for _ in range(3)) for _ in range(200)]
+    directions += [(0, 0, 1), (0, 0, -1), (1, 0, 0), (1e-9, -2e-9, 1)]
+    bodies = (
+        make_body([(6, 0, 0.003), (4, 0, -0.002)]),
+        make_body([(4, 3, 0.002), (4, -3, -0.001), (6, 3, 0.0015), (6, -3, 0.0005), (6, 1, 0.0007)]),
+    )
+    for body in bodies:
+        for d in directions:
+            assert repr(rho(body, d)) == repr(per_row_harmonic_sum(body.coeffs, d)), d
+            # rows out of degree order start their order's recurrence again
+            rows = body.coeffs[::-1]
+            assert repr(harmonic_sum(rows, d)) == repr(per_row_harmonic_sum(rows, d)), d
 
 
 def test_certified_eps_dominates_samples():

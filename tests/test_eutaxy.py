@@ -1,6 +1,5 @@
 """Eutaxy classification of the A_n* families and synthetic map sets."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -58,19 +57,18 @@ def test_q_map_unit_trace_and_symmetry():
 def test_q_map_rejects_a_wrong_simplex_radius():
     lat = build_anstar(3)
     _, simplices = covering_radius(lat)
-    inflated = dataclasses.replace(simplices[0], cr2=2 * simplices[0].cr2)
+    inflated = simplices[0]._replace(cr2=2 * simplices[0].cr2)
     with pytest.raises(RuntimeError, match="unit trace"):
         q_map(inflated, lat.gram)
     # python -O strips asserts; the check must not depend on them.
     script = textwrap.dedent(
         """
-        import dataclasses
         from ballcover.eutaxy import q_map
         from ballcover.lattice import build_anstar, covering_radius
         lat = build_anstar(3)
         s = covering_radius(lat)[1][0]
         try:
-            q_map(dataclasses.replace(s, cr2=2 * s.cr2), lat.gram)
+            q_map(s._replace(cr2=2 * s.cr2), lat.gram)
         except RuntimeError as exc:
             print(exc)
         """

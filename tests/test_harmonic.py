@@ -225,6 +225,27 @@ def test_verify_cl_csv_checks_every_exact_row():
         assert (ok, bad) == (False, [f"row 0: malformed field: not a rational as written: {text!r}"])
 
 
+def test_verify_cl_csv_reads_integers_only_as_written():
+    lines = cl_csv(certify_c_range(20)).split("\n")
+
+    def forged(row, field, text):
+        out = list(lines)
+        parts = out[row + 1].split(",")
+        parts[field] = text
+        out[row + 1] = ",".join(parts)
+        return verify_cl_csv("\n".join(out))
+
+    assert forged(0, 0, "0") == (True, [])
+    for text in (" 0", "+0", "00", "0_0"):
+        assert forged(0, 0, text) == (
+            False, [f"row 0: malformed field: not an integer as written: {text!r}"]
+        )
+    residue = lines[5].split(",")[2]
+    assert forged(4, 2, "+" + residue) == (
+        False, [f"row 4: malformed field: not an integer as written: '+{residue}'"]
+    )
+
+
 def test_verify_cl_csv_steps_only_to_the_last_exact_row(monkeypatch):
     stepped = []
     text = cl_csv(certify_c_range(300))

@@ -3,7 +3,6 @@ certificate must make `verify_certificate` fail."""
 
 import json
 import math
-from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -281,15 +280,15 @@ def test_verify_rejects_an_inserted_or_dropped_key_at_every_level():
                 assert not ok, (name, path, key)
 
 
-def test_every_certificate_round_trips_through_its_dataclass():
+def test_every_certificate_round_trips_through_its_record():
     # Decoded and emitted again by its builder, each certificate keeps its
-    # bytes: the dataclasses hold every field with its type.
+    # bytes: the records hold every field with its type.
     def body(data):
         return body_from_dict(data["body"])
 
     emit = {
         "eutaxy-classification": lambda d: {
-            "kind": "eutaxy-classification", **asdict(decode(Classification, d))
+            "kind": "eutaxy-classification", **decode(Classification, d)._asdict()
         },
         "cover-construction": lambda d: cover_certificate(body(d), decode(CoverConstruction, d)),
         "scan-report": lambda d: scan_certificate(body(d["best"]), decode(ScanReport, d)),
