@@ -124,8 +124,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def _finish(text: str, out: str | None, ok: bool, failures: list[str]) -> int:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"usage error: cannot write --out: {e}", file=sys.stderr)
+            return EXIT_USAGE
     if not ok:
         for msg in failures:
             print(f"verification failure: {msg}", file=sys.stderr)
@@ -249,10 +253,7 @@ def cmd_verify(args) -> int:
         ok, failures = verify_certificate(data)
     if ok:
         print("verified")
-        return EXIT_OK
-    for msg in failures:
-        print(f"verification failure: {msg}", file=sys.stderr)
-    return EXIT_FAIL
+    return _finish("", None, ok, failures)
 
 
 _COMMANDS = {

@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .lattice import (
     LatticeModel,
     PrimitiveSimplex,
+    build_anstar,
     covering_radius,
     negative_pairs,
     pair_orbit,
@@ -388,3 +389,102 @@ def classification_certificate(lat: LatticeModel) -> dict:
         normalization=MAP_NORMALIZATION,
     )
     return {"kind": "eutaxy-classification", **record._asdict()}
+
+
+def verify_classification(data: dict, bad: list[str]) -> None:
+    """Check a classification certificate against A_n*, rebuilt here: its
+    maps, pairs and radius.  Every weight vector must re-sum its maps to the
+    identity exactly, and every separating form, trusted as evidence, must
+    have positive trace and separate strictly; the classification and the
+    conclusion are derived again from the removals."""
+    from .reports import decode
+
+    c = decode(Classification, data)
+    if c.dimension != len(c.gram):
+        bad.append("dimension does not match the gram matrix")
+        return
+    if not 2 <= c.dimension <= 5:
+        bad.append(f"dimension {c.dimension!r} is not an integer from 2 to 5")
+        return
+    if c.normalization != MAP_NORMALIZATION:
+        bad.append(f"normalization must read {MAP_NORMALIZATION!r}")
+    lat = build_anstar(c.dimension)
+    gram = lat.gram
+    mu2, simplices = covering_radius(lat)
+    pairs = negative_pairs(simplices)
+    if c.gram != gram:
+        bad.append("gram matrix is not the A_n* gram matrix")
+        return
+    if c.mu2 != mu2:
+        bad.append("covering radius mismatched")
+    if c.pairs != pairs:
+        bad.append("pairs do not match the pair table")
+        return
+    forms = c.maps
+    if len(forms) != len(pairs):
+        bad.append("one map per pair expected")
+        return
+    if c.num_simplices != 2 * len(pairs):
+        bad.append("pair count inconsistent with simplex count")
+    for k, f in enumerate(forms):
+        if f != q_map(simplices[pairs[k][0]], gram).form:
+            bad.append(f"map {k} is not the simplex map of pair {k}")
+    if c.unique != forms_independent(forms):
+        bad.append("unique must say whether the maps are linearly independent")
+    ginv = gram_inverse(gram)
+    cs = c.pair_coefficients
+    if c.simplex_coefficients != split_pair_weights(cs, pairs):
+        bad.append("simplex coefficients are not the pair weights split over each pair")
+    if c.classification == "not-semi-eutactic":
+        if c.removals:
+            bad.append("an infeasible classification lists no removals")
+        y = c.farkas_form
+        if map_trace(ginv, y) <= 0:
+            bad.append("separating map has nonpositive trace")
+        for k, f in enumerate(forms):
+            if map_inner(ginv, y, f) >= 0:
+                bad.append(f"separating map not strict against map {k}")
+        if c.conclusion != ball_conclusion(EutaxyClass.NOT_SEMI_EUTACTIC):
+            bad.append("conclusion does not match the classification rule")
+        return
+    if cs is None:
+        bad.append("feasible classification without coefficients")
+        return
+    if c.farkas_form is not None:
+        bad.append("feasible classification with a separating map")
+    if any(x < 0 for x in cs):
+        bad.append("negative coefficient in identity resolution")
+    resums = combination_test(forms, gram)
+    if not resums(cs):
+        bad.append("coefficients do not resolve the identity form")
+    if [r.pair_index for r in c.removals] != list(range(len(pairs))):
+        bad.append("removals must list the pair indices in order, one per pair")
+        return
+    removable = []
+    for k, r in enumerate(c.removals):
+        kept = forms[:k] + forms[k + 1 :]
+        if (r.coefficients is not None, r.farkas_form is not None) != (r.feasible, not r.feasible):
+            bad.append(f"removal {k}: needs coefficients if feasible, else a separating map")
+            continue
+        removable.append(r.feasible)
+        if r.feasible:
+            if len(r.coefficients) != len(kept) or any(x < 0 for x in r.coefficients):
+                bad.append(f"removal {k}: bad coefficient vector")
+                continue
+            if not resums(r.coefficients, k):
+                bad.append(f"removal {k}: coefficients do not resolve identity")
+        else:
+            y = r.farkas_form
+            if map_trace(ginv, y) <= 0:
+                bad.append(f"removal {k}: separating map has nonpositive trace")
+            for i, f in enumerate(kept):
+                if map_inner(ginv, y, f) >= 0:
+                    bad.append(f"removal {k}: not strict against kept map {i}")
+    expected = removal_class(removable)
+    if expected is EutaxyClass.CRITICALLY_SEMI_EUTACTIC:
+        if not c.unique or any(x <= 0 for x in cs):
+            bad.append("critical case requires unique all-positive coefficients")
+    if c.classification != expected.value:
+        bad.append(f"classification {c.classification!r} but evidence says {expected.value!r}")
+    if c.conclusion != ball_conclusion(expected):
+        bad.append("conclusion does not match the classification rule")

@@ -237,3 +237,25 @@ def zonal_spectrum(
         cosine_counts=tuple(sorted(counts.items())),
         mass=multipliers[0],
     )
+
+
+def verify_spectrum(data: dict, bad: list[str]) -> None:
+    """Check a spectrum certificate: every multiplier is re-summed exactly
+    from the stated cosine counts, and must vanish in odd degrees and equal
+    c_l in even ones; the mass is half the vertex count."""
+    from .reports import decode
+
+    s = decode(MultiplierSpectrum, data)
+    if sum(n for _, n in s.cosine_counts) != 2 * s.mass:
+        bad.append("mass is not half the vertex count")
+    if len(s.multipliers) != s.lmax + 1:
+        bad.append("multiplier list length off")
+    series = [(n, legendre_values(c)) for c, n in s.cosine_counts]
+    for (l, m), c in zip(enumerate(s.multipliers), c_l_values()):
+        from_counts = sum(n * next(p) for n, p in series) / 2
+        if m != from_counts:
+            bad.append(f"multiplier {l} disagrees with the cosine data")
+        if l % 2 == 1 and m != 0:
+            bad.append(f"odd multiplier {l} nonzero")
+        if l % 2 == 0 and m != c:
+            bad.append(f"even multiplier {l} differs from c_{l}")

@@ -469,3 +469,17 @@ def lattice_report(lat: LatticeModel) -> dict:
         "num_maximal": len(maximal),
         "voronoi_vertices": voronoi_vertices(lat),
     }
+
+
+def verify_lattice_report(data: dict, bad: list[str]) -> None:
+    """Check a lattice report: each field must be the rebuilt A_n*'s, as JSON text."""
+    from .reports import _same_json, decode, rationalize
+
+    dim = decode(int, data["dimension"], "dimension")
+    if not 2 <= dim <= 5:
+        bad.append(f"dimension {dim!r} is not an integer from 2 to 5")
+        return
+    expected = rationalize(lattice_report(build_anstar(dim)))
+    for key in sorted(expected.keys() | data.keys()):
+        if key not in data or key not in expected or not _same_json(data[key], expected[key]):
+            bad.append(f"{key} does not match the rebuilt A_n* model")

@@ -14,8 +14,9 @@ ratio.  The first order term of the ratio is trace M = sum ups_i a_ij rho_ij
 by construction; a tangent-line bound on the needed contraction gives the
 reported lower bound for the ratio.
 
-The extensibility witness is in `witness`; the names of it that the
-acceptance gate imports from here are re-exported.
+The extensibility witness is in `witness`.  The names of it that the
+acceptance gate imports from here are served by the module's __getattr__,
+so loading this module does not run `witness`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .bodies import (
     RadialBody,
+    body_from_dict,
+    body_to_dict,
     is_normalized,
     rho as body_rho,
     volume_ratio,
@@ -64,12 +67,17 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .witness import (  # re-exported
-    AugmentedBall,
-    exact_cr_after,
-    extension_witness,
-    member_augmented_ball,
-)
+
+# The witness names served from here, loaded with `witness` on first use.
+_WITNESS_NAMES = ("AugmentedBall", "exact_cr_after", "extension_witness", "member_augmented_ball")
+
+
+def __getattr__(name: str):
+    if name in _WITNESS_NAMES:
+        from . import witness
+
+        return getattr(witness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # _certify_delta raises the contraction in grains of 2^-DELTA_BITS.
@@ -766,3 +774,105 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
         margin=margin,
         delta_k_bound=delta_k,
     )
+
+
+def verify_scan(data: dict, bad: list[str]) -> None:
+    """Check a scan certificate: its best construction (_verify_cover), the
+    volume bound re-derived from the body, the four floats from that bound
+    and the exact det ratio, which must be equal, and the rotation, which
+    must be grid rotation best_index (one rotation is computed, not the
+    grid)."""
+    from .reports import decode
+
+    s = decode(ScanReport, data)
+    if data["best"]["kind"] != "cover-construction":
+        bad.append("the best construction must be of kind 'cover-construction'")
+    lat = build_anstar(3)
+    mu2, simplices = covering_radius(lat)
+    body = body_from_dict(data["best"]["body"])
+    _verify_cover(data["best"], s.best, body, lat, mu2, simplices, bad)
+    volume_bound = volume_ratio(body)
+    if s.volume_bound != volume_bound:
+        bad.append("volume bound is not the exact bound of the body")
+    derived = scan_densities(mu2, det(lat.gram), volume_bound, s.best.det_ratio)
+    for key, want in zip(("ball_density", "best_density", "margin", "delta_k_bound"), derived):
+        if getattr(s, key) != want:
+            bad.append(f"{key} is not its value from the exact volume bound and det ratio")
+    if (s.margin > 0) != (s.best.det_ratio > volume_bound):
+        bad.append("margin sign contradicts det_ratio > volume_bound")
+    if not 0 <= s.best_index < s.grid_size:
+        bad.append("best rotation index must be an integer in [0, grid_size)")
+    elif s.best.rotation != grid_rotation(s.best_index, s.grid_size):
+        bad.append("stored rotation is not grid rotation best_index")
+
+
+def _verify_cover(
+    data: dict, c: CoverConstruction, body: RadialBody, lat: LatticeModel, mu2: Rat, simplices, bad
+) -> None:
+    """Check a scan's best construction c, decoded from data, for body.  The
+    residuals, trace identity, sum |rho| and det ratio are re-derived
+    exactly, and the deformed vertices by the construction's own
+    deformed_vertices.  A stored radial value must agree with the body
+    within FLOAT_TOLERANCE, and membership is re-checked in rationals on it;
+    cover_floats re-derives the other floats, which must be equal."""
+    from .reports import FLOAT_TOLERANCE, _same_json
+
+    if not _same_json(data["body"], body_to_dict(body)):
+        bad.append("body is not written as the construction writes it")
+    if not is_normalized(body) or any(l % 2 for l, _, _ in body.coeffs):
+        bad.append("body outside the normalized even class")
+    if body.eps > 0.1:
+        bad.append("body asphericity above threshold")
+    gram = lat.gram
+    upsilon = simplex_weights(lat, simplices)
+    if c.m_matrix != map_matrix(gram_inverse(gram), c.m_form):
+        bad.append("matrix and form views of M disagree")
+    if not (0 <= c.delta < 1):
+        bad.append("contraction outside [0, 1)")
+    for i, s in enumerate(simplices):
+        for j, x in enumerate(s.x):
+            lhs = gram_dot(gram, x, vec_add(mat_vec(c.m_matrix, x), c.translations[i]))
+            if lhs != s.cr2 * c.rho[i][j]:
+                bad.append(f"linear system residual at ({i}, {j})")
+    expected_trace = trace_identity_sum(c.rho, simplices, upsilon)
+    if c.trace_m != expected_trace or trace(c.m_matrix) != expected_trace:
+        bad.append("trace identity fails")
+    rho_abs = sum(abs(r) for row in c.rho for r in row)
+    if c.sum_abs_rho != rho_abs:
+        bad.append("sum of |rho| mismatched")
+    if c.det_ratio != (1 - c.delta) ** 3 * det(mat_add(identity(3), c.m_matrix)):
+        bad.append("determinant ratio mismatched")
+    if data["float_tolerance"] != FLOAT_TOLERANCE:
+        bad.append(f"float tolerance must be {FLOAT_TOLERANCE!r}")
+    vertices = deformed_vertices(body, c.rotation, lat, simplices, c.m_matrix, c.translations)
+    if [(k.simplex, k.vertex) for k in c.checks] != [v[:2] for v in vertices]:
+        bad.append("membership log must check every vertex once, in order")
+        return
+    shrink2 = (1 - c.delta) ** 2
+    for k, (i, j, y, norm2, recomputed, *_) in zip(c.checks, vertices):
+        if y != k.y:
+            bad.append(f"deformed vertex mismatch at ({i}, {j})")
+        if norm2 != k.norm2:
+            bad.append(f"vertex norm mismatch at ({i}, {j})")
+        if abs(k.radial_value - recomputed) > FLOAT_TOLERANCE:
+            bad.append(f"radial value does not match the body at ({i}, {j})")
+        lhs = shrink2 * norm2
+        rhs = mu2 * Fraction(k.radial_value) ** 2
+        if lhs != k.lhs or rhs != k.rhs:
+            bad.append(f"membership sides mismatched at ({i}, {j})")
+        if lhs > rhs:
+            bad.append(f"membership fails at ({i}, {j})")
+    try:
+        derived = cover_floats(
+            body.eps, mu2, c.delta, expected_trace, rho_abs, [v[4:] for v in vertices]
+        )
+    except RuntimeError as e:
+        bad.append(f"cover floats cannot be re-derived: {e}")
+        return
+    *stored, margins = derived
+    for key, want in zip(("delta_tangent", "epsilon_prime", "lower_bound"), stored):
+        if getattr(c, key) != want:
+            bad.append(f"{key} is not its value from the certificate's exact data")
+    for k, want in zip(c.checks, margins):
+        if k.margin != want:
+            bad.append(f"margin at ({k.simplex}, {k.vertex}) is not its re-derived value")

@@ -16,8 +16,9 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .eutaxy import classified, gram_inverse, map_matrix
-from .lattice import LatticeModel, PrimitiveSimplex, integer_circumsphere
+from .eutaxy import classified, gram_inverse, map_inner, map_matrix, map_trace, q_map
+from .lattice import LatticeModel, PrimitiveSimplex, build_anstar, covering_radius
+from .lattice import integer_circumsphere, negative_pairs
 from .linalg import (
     MatQ,
     Rat,
@@ -241,3 +242,66 @@ def extension_witness(
                     )
         scale /= 2
     raise WitnessSearchError("no scale above cutoff passed all exact checks")
+
+
+def verify_witness(data: dict, bad: list[str]) -> None:
+    """Check a witness certificate against A_n*, rebuilt here.  The transform
+    is rebuilt from the stated form and scale; its determinant, the
+    circumradii, the separation and the translated points are re-derived
+    exactly, and each point must lie in the ball augmented at the declared
+    eps."""
+    from .reports import decode
+
+    w = decode(ExtensionWitness, data)
+    if not 2 <= w.dimension <= 5:
+        bad.append(f"dimension {w.dimension!r} is not an integer from 2 to 5")
+        return
+    lat = build_anstar(w.dimension)
+    gram = lat.gram
+    ginv = gram_inverse(gram)
+    mu2, simplices = covering_radius(lat)
+    pairs = negative_pairs(simplices)
+    if w.mu2 != mu2:
+        bad.append("covering radius mismatched")
+    if not 0 <= w.pair_index < len(pairs):
+        bad.append(f"pair index {w.pair_index!r} is not an integer from 0 to {len(pairs) - 1}")
+        return
+    if w.removed_simplices != pairs[w.pair_index]:
+        bad.append("removed pair does not match the pair table")
+        return
+    if map_trace(ginv, w.farkas_form) <= 0:
+        bad.append("separating map has nonpositive trace")
+        return
+    if w.transform != witness_transform(gram, w.farkas_form, w.scale):
+        bad.append("transform is not Id + (scale/2) times the normalized separating map")
+    if det(w.transform) != w.det_t:
+        bad.append("stored determinant disagrees with the transform")
+    if w.det_t <= 1:
+        bad.append("transform does not grow the determinant")
+    kept = kept_simplices(simplices, pairs, w.pair_index)
+    # a pair's two members share one map
+    for i, s in enumerate(kept[::2]):
+        if map_inner(ginv, w.farkas_form, q_map(s, gram).form) >= 0:
+            bad.append(f"separating map not strict against kept pair {i}")
+    if len(w.kept_cr2) != len(kept):
+        bad.append("kept circumradius list incomplete")
+    for idx, (s, c) in enumerate(zip(kept, w.kept_cr2)):
+        if exact_cr_after(w.transform, s, gram) != c:
+            bad.append(f"kept circumradius {idx} mismatched")
+        if c >= mu2:
+            bad.append(f"kept simplex {idx} no longer strictly inside")
+    s0 = simplices[pairs[w.pair_index][0]]
+    if w.grown_cr2 != exact_cr_after(w.transform, s0, gram):
+        bad.append("grown circumradius mismatched")
+    if w.pole != s0.x[0]:
+        bad.append("pole is not the first vertex of the removed simplex")
+    if w.eps <= 0:
+        bad.append("eps must be positive")
+        return
+    ball = AugmentedBall(eps=w.eps, pole=w.pole, gram=gram)
+    rebuilt = tuple(vec_add(mat_vec(w.transform, x), vec_scale(w.tau, w.pole)) for x in s0.x)
+    if w.translated_points != rebuilt:
+        bad.append("translated points do not match transform and tau")
+    for idx, p in enumerate(w.translated_points):
+        if not member_augmented_ball(p, ball):
+            bad.append(f"translated vertex {idx} outside the augmented ball")

@@ -17,13 +17,8 @@ from ballcover.bodies import make_body, save_body
 from ballcover.cli import main
 from ballcover.linalg import det, identity, mat_add
 from ballcover.lattice import build_anstar, covering_radius
-from ballcover.perturbation import build_cover, rotation_grid, scan_densities
-from ballcover.reports import (
-    cover_certificate,
-    dump_json,
-    rat_str,
-    verify_certificate,
-)
+from ballcover.perturbation import build_cover, rotation_scan, scan_densities
+from ballcover.reports import dump_json, rat_str, scan_certificate, verify_certificate
 
 
 def run(capsys, *argv):
@@ -431,7 +426,7 @@ def test_each_command_runs_only_the_modules_it_needs(tmp_path):
         return set(modules) - {"cli", "reports"}
 
     save_body(make_body([(4, 0, 0.005)]), str(tmp_path / "body.json"))
-    cover = {"bodies", "eutaxy", "lattice", "linalg", "perturbation", "witness"}
+    cover = {"bodies", "eutaxy", "lattice", "linalg", "perturbation"}
     emitted = {
         "class.json": (["ball-class", "--dim", "2"], {"eutaxy", "lattice", "linalg", "lp"}),
         "anstar.json": (["anstar", "--dim", "2"], {"lattice", "linalg"}),
@@ -444,21 +439,40 @@ def test_each_command_runs_only_the_modules_it_needs(tmp_path):
     }
     for out, (argv, expected) in emitted.items():
         assert ran(*argv, "--out", out) == expected, argv
-    scan = json.loads((tmp_path / "scan.json").read_text())
-    (tmp_path / "cover.json").write_text(json.dumps(scan["best"]))
-    # No verify runs lp; the scan and cover checks load witness only through
-    # perturbation's re-exports.
+    # No verify runs lp, and only a witness's verify runs witness.
     checked = {
         "class.json": {"eutaxy", "lattice", "linalg"},
         "anstar.json": {"lattice", "linalg"},
         "scan.json": cover,
-        "cover.json": cover,
         "witness.json": {"eutaxy", "lattice", "linalg", "witness"},
         "cl.csv": {"harmonic"},
         "zonal.json": {"harmonic"},
     }
     for cert, expected in checked.items():
         assert ran("verify", "--certificate", cert) == expected, cert
+
+
+def test_perturbation_serves_the_witness_names_lazily():
+    # Loading perturbation does not run witness; importing a witness name
+    # from it gives witness's own object.
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    code = (
+        "import sys, ballcover.perturbation as p\n"
+        "before = 'ballcover.witness' in sys.modules\n"
+        "from ballcover.perturbation import extension_witness\n"
+        "import ballcover.witness as w\n"
+        "print(before, extension_witness is w.extension_witness)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False True\n"), proc.stderr
+    from ballcover import perturbation, witness
+
+    for name in ("AugmentedBall", "exact_cr_after", "extension_witness", "member_augmented_ball"):
+        assert getattr(perturbation, name) is getattr(witness, name)
+    with pytest.raises(AttributeError):
+        perturbation.no_such_name
 
 
 def test_cli_registers_every_package_module():
@@ -667,23 +681,61 @@ def test_verify_usage_errors(capsys, tmp_path):
         assert "row 0: malformed field" in err
 
 
-def test_verify_ties_radial_values_to_the_body():
-    body = make_body([(4, 0, 0.02 / 3)])
-    cert = json.loads(dump_json(cover_certificate(body, build_cover(body, rotation_grid(8)[5]))))
+def test_verify_ties_radial_values_to_the_body(capsys, tmp_path):
+    _, cert = scan_of(capsys, tmp_path, [(4, 0, 0.02 / 3)], 8)
     assert verify_certificate(cert) == (True, [])
     forged = json.loads(json.dumps(cert))
-    for k in forged["checks"]:
+    for k in forged["best"]["checks"]:
         k["radial_value"] = 5.0
         k["rhs"] = "125/4"  # mu2 * 5^2, so the membership sides still match
     ok, bad = verify_certificate(forged)
     assert not ok
-    assert len(bad) == len(cert["checks"])
+    assert len(bad) == len(cert["best"]["checks"]) == 24
     assert all("radial value does not match the body" in m for m in bad)
     loose = json.loads(json.dumps(cert))
-    loose["float_tolerance"] = 10.0
+    loose["best"]["float_tolerance"] = 10.0
     ok, bad = verify_certificate(loose)
     assert not ok
     assert bad == ["float tolerance must be 1e-12"]
+
+
+def test_verify_checks_a_cover_only_inside_its_scan(capsys, tmp_path):
+    # A construction on the non-orthogonal rotation diag(2, 1, 1) claims a
+    # det ratio the identity does not give; emitted as a scan's best, with
+    # every derived float refit, it passes every check but the grid's.
+    body = make_body([(4, 0, 0.005)])
+    report = rotation_scan(body, grid_size=8)
+    stretched = build_cover(body, ((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    assert stretched.det_ratio != build_cover(body).det_ratio
+    data = json.loads(dump_json(scan_certificate(body, report._replace(best=stretched))))
+    refit_densities(data, stretched.det_ratio)
+    assert verify_certificate(data) == (False, ["stored rotation is not grid rotation best_index"])
+    # No command emits a cover on its own, and verify accepts none.
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(data["best"]))
+    code, out, err = run(capsys, "verify", "--certificate", str(cover))
+    assert (code, out) == (1, "")
+    assert err == "verification failure: unknown certificate kind: 'cover-construction'\n"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    # The command's work is done before --out is written; a path that cannot
+    # be written ends in one usage line, not a traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv in (
+        ["anstar", "--dim", "2", "--out", missing],
+        ["ball-class", "--dim", "2", "--out", missing],
+        ["cl-certify", "--lmax", "5", "--out", str(tmp_path)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballcover.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, argv
+        assert "Traceback" not in proc.stderr, argv
+        assert proc.stderr.startswith("usage error: cannot write --out: "), argv
+        assert proc.stderr.count("\n") == 1, argv
 
 
 def test_verify_ties_the_witness_transform_to_its_scale(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Field coverage of the verifier: a change to any one leaf of a
 certificate must make `verify_certificate` fail."""
 
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -13,9 +14,9 @@ from ballcover.bodies import body_from_dict, make_body
 from ballcover.eutaxy import Classification, classification_certificate
 from ballcover.harmonic import MultiplierSpectrum, zonal_spectrum
 from ballcover.lattice import build_anstar, covering_radius, lattice_report, voronoi_vertices
-from ballcover.perturbation import CoverConstruction, ScanReport, rotation_scan
+from ballcover.perturbation import ScanReport, rotation_scan
 from ballcover.reports import (
-    cover_certificate,
+    _VERIFIERS,
     decode,
     dump_json,
     parse_rat,
@@ -199,10 +200,9 @@ def same_value_in_another_json_type(old):
 
 def test_verify_rejects_a_leaf_of_the_wrong_json_type():
     # Each forged leaf is equal in value to the true one, so only its JSON
-    # type is wrong.  The scan's best construction also stands alone.
-    certs = dict(certificates(), cover=certificates()["scan"]["best"])
+    # type is wrong.
     forged = 0
-    for name, data in certs.items():
+    for name, data in certificates().items():
         for path in leaves(data):
             for value in same_value_in_another_json_type(read(data, path)):
                 ok, _ = verify_changed(data, path, value)
@@ -263,9 +263,7 @@ def dict_levels(obj, path=()):
 
 
 def test_verify_rejects_an_inserted_or_dropped_key_at_every_level():
-    # The scan's best construction also stands alone as a cover certificate.
-    certs = dict(certificates(), cover=certificates()["scan"]["best"])
-    for name, data in certs.items():
+    for name, data in certificates().items():
         assert verify_certificate(data) == (True, []), name
         for path in dict_levels(data):
             level = read(data, path)
@@ -290,12 +288,22 @@ def test_every_certificate_round_trips_through_its_record():
         "eutaxy-classification": lambda d: {
             "kind": "eutaxy-classification", **decode(Classification, d)._asdict()
         },
-        "cover-construction": lambda d: cover_certificate(body(d), decode(CoverConstruction, d)),
         "scan-report": lambda d: scan_certificate(body(d["best"]), decode(ScanReport, d)),
         "extension-witness": lambda d: witness_certificate(decode(ExtensionWitness, d)),
         "zonal-spectrum": lambda d: spectrum_certificate(decode(MultiplierSpectrum, d)),
     }
-    certs = dict(certificates(), cover=certificates()["scan"]["best"])
-    for name, data in certs.items():
+    for name, data in certificates().items():
         if data["kind"] != "lattice-report":
             assert dump_json(emit[data["kind"]](data)) == dump_json(data), name
+
+
+def test_every_emitted_kind_has_a_verifier_in_its_module():
+    # Each entry names a callable of its module, and every kind a command
+    # emits has one.
+    for kind, (module, name) in _VERIFIERS.items():
+        assert callable(getattr(importlib.import_module(f"ballcover.{module}"), name)), kind
+    emitted = {data["kind"] for data in certificates().values()}
+    assert emitted == {
+        "eutaxy-classification", "lattice-report", "scan-report", "extension-witness", "zonal-spectrum"
+    }
+    assert emitted == _VERIFIERS.keys()
