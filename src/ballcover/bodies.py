@@ -174,12 +174,6 @@ def body_from_dict(data: dict) -> RadialBody:
     return make_body(rows)
 
 
-def save_body(body: RadialBody, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(body_to_dict(body), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_body(path: str) -> RadialBody:
     with open(path) as fh:
         return body_from_dict(json.load(fh))

@@ -25,7 +25,8 @@ from fractions import Fraction
 
 # The package's modules besides this one.
 _MODULES = (
-    "bodies", "eutaxy", "harmonic", "lattice", "linalg", "lp", "perturbation", "reports", "witness",
+    "bodies", "eutaxy", "harmonic", "lattice", "linalg", "lp", "perturbation", "reports", "search",
+    "witness",
 )
 
 
@@ -168,8 +169,8 @@ def cmd_anstar(args) -> int:
 
 def cmd_construct(args) -> int:
     from .bodies import load_body
-    from .perturbation import rotation_scan
     from .reports import scan_certificate
+    from .search import rotation_scan
 
     try:
         body = load_body(args.body)

@@ -14,7 +14,11 @@ failures carry strict separating certificates.
 
 Maps are stored through their bilinear forms: for a map with matrix A in
 lattice coordinates the form is S = G A, which is symmetric; the identity
-map has form G.  Pairings: trace(A B) = trace(G^-1 S_A G^-1 S_B).
+map has form G.  Pairings: trace(A B) = trace(G^-1 S_A G^-1 S_B).  The
+simplex map (`q_map`, `EutaxyMap`) lives beside the simplex in `lattice`,
+and the map pairings (`map_inner`, `map_trace`, `map_matrix`,
+`gram_inverse`) in `linalg`; they are imported here, so
+`eutaxy.map_matrix` and the others still resolve.
 
 The LP solver is imported by the functions that run it, so checking a
 classification, which runs no LP, does not load it.
@@ -25,29 +29,29 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .lattice import (
+    EutaxyMap,
     LatticeModel,
     PrimitiveSimplex,
     build_anstar,
     covering_radius,
     negative_pairs,
     pair_orbit,
+    q_map,
 )
 from .linalg import (
     MatQ,
     Rat,
     _rref,
-    integer_form,
-    integer_scaled,
     combination_test,
-    is_symmetric,
-    mat_inv,
+    gram_inverse,
+    integer_scaled,
+    map_inner,
+    map_matrix,
+    map_trace,
     mat_mul,
-    trace,
-    trace_product,
 )
 
 
@@ -56,63 +60,6 @@ class EutaxyClass(enum.Enum):
     SEMI_EUTACTIC = "semi-eutactic"
     CRITICALLY_SEMI_EUTACTIC = "critically-semi-eutactic"
     REDUNDANTLY_SEMI_EUTACTIC = "redundantly-semi-eutactic"
-
-
-class EutaxyMap(NamedTuple):
-    """Normalized simplex map, stored as its symmetric form matrix."""
-
-    form: MatQ
-    cr2: Rat
-
-
-def map_inner(gram_inv: MatQ, a: MatQ, b: MatQ) -> Rat:
-    """Trace pairing of two maps given by their forms."""
-    x = mat_mul(gram_inv, a)
-    y = mat_mul(gram_inv, b)
-    return trace(mat_mul(x, y))
-
-
-def map_trace(gram_inv: MatQ, a: MatQ) -> Rat:
-    return trace_product(gram_inv, a)
-
-
-def map_matrix(gram_inv: MatQ, form: MatQ) -> MatQ:
-    """Matrix of the map in lattice coordinates."""
-    return mat_mul(gram_inv, form)
-
-
-@lru_cache(maxsize=8)
-def gram_inverse(gram: MatQ) -> MatQ:
-    """G^-1 of a fixed lattice's Gram matrix, computed once per matrix."""
-    return mat_inv(gram)
-
-
-def q_map(simplex: PrimitiveSimplex, gram: MatQ) -> EutaxyMap:
-    """The form sum_j alpha_j (G x_j)(G x_j)^T / cr2 of the simplex map.
-
-    Summed on integers: with G as L G, each x_j times the lcm X of the
-    vertex denominators and each alpha_j times the lcm A of theirs,
-    w_j = (L G)(X x_j) is an integer vector and the sum of (A alpha_j)
-    w_j w_j^T is the form times A L^2 X^2 cr2.
-    """
-    gz, scale = integer_form(gram)
-    xs, xden = integer_scaled(simplex.x)
-    (alphas,), aden = integer_scaled([simplex.alpha])
-    total = [[0] * len(gram) for _ in gram]
-    for a, x in zip(alphas, xs):
-        w = [sum(map(mul, row, x)) for row in gz]
-        for wi, row in zip(w, total):
-            awi = a * wi
-            for k, wk in enumerate(w):
-                row[k] += awi * wk
-    cr2 = simplex.cr2
-    den = aden * scale * scale * xden * xden * cr2.numerator
-    form = tuple(tuple(Fraction(t * cr2.denominator, den) for t in row) for row in total)
-    if not is_symmetric(form):
-        raise RuntimeError("simplex map form is not symmetric")
-    if map_trace(gram_inverse(gram), form) != 1:
-        raise RuntimeError("simplex map does not have unit trace")
-    return EutaxyMap(form=form, cr2=simplex.cr2)
 
 
 class RemovalOutcome(NamedTuple):
@@ -290,13 +237,8 @@ def classify_lattice(lat: LatticeModel) -> LatticeEutaxy:
     """Build the maximal simplices of the model and classify their maps."""
     mu2, simplices = covering_radius(lat)
     pairs = negative_pairs(simplices)
-    reps = []
-    for idx, (i, j) in enumerate(pairs):
-        mi = q_map(simplices[i], lat.gram)
-        mj = q_map(simplices[j], lat.gram)
-        if mi.form != mj.form:
-            raise RuntimeError("negative pair with distinct maps")
-        reps.append(mi)
+    # The two members of a pair share a map, checked on q_map's integer sums.
+    reps = [q_map(simplices[i], lat.gram, twin=simplices[j]) for i, j in pairs]
     report = classify(reps, lat.gram, pair_orbit(lat, simplices, pairs))
     return LatticeEutaxy(
         lat=lat,

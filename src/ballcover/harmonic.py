@@ -104,11 +104,6 @@ def legendre_values(t: Rat) -> Iterator[Rat]:
         den *= (l + 1) * t.denominator
 
 
-def legendre_table(lmax: int, t: Rat) -> list[Rat]:
-    """Exact [P_0(t), ..., P_lmax(t)]."""
-    return list(islice(legendre_values(t), lmax + 1))
-
-
 def legendre_rational(l: int, t: Rat) -> Rat:
     """Exact P_l(t)."""
     return next(islice(legendre_values(t), l, None))

@@ -33,8 +33,8 @@ from .linalg import (
     Rat,
     VecQ,
     _rref,
-    det,
     gram_dot,
+    gram_inverse,
     integer_form,
     integer_scaled,
     mat,
@@ -240,6 +240,59 @@ def _automorphism(
     return tuple(rows)
 
 
+class EutaxyMap(NamedTuple):
+    """Normalized simplex map, stored as its symmetric form matrix."""
+
+    form: MatQ
+    cr2: Rat
+
+
+def q_map(
+    simplex: PrimitiveSimplex, gram: MatQ, twin: Optional[PrimitiveSimplex] = None
+) -> EutaxyMap:
+    """The form sum_j alpha_j (G x_j)(G x_j)^T / cr2 of the simplex map.
+
+    Summed on integers: with G as L G, each x_j times the lcm X of the
+    vertex denominators and each alpha_j times the lcm A of theirs,
+    w_j = (L G)(X x_j) is an integer vector and the sum of (A alpha_j)
+    w_j w_j^T is the form times A L^2 X^2 cr2.  Symmetry and unit trace
+    are checked on that integer sum, the trace against G^-1 scaled to
+    integers once, and a twin (the simplex's negative) must have the same
+    sum; only then is the form made Fractions.  RuntimeError otherwise.
+    """
+    total, den = _map_sum(simplex, gram)
+    n = len(total)
+    if any(total[i][j] != total[j][i] for i in range(n) for j in range(i)):
+        raise RuntimeError("simplex map form is not symmetric")
+    hz, h = integer_form(gram_inverse(gram))
+    if sum(map(mul, itertools.chain(*hz), itertools.chain(*zip(*total)))) != h * den:
+        raise RuntimeError("simplex map does not have unit trace")
+    if twin is not None:
+        other, other_den = _map_sum(twin, gram)
+        pairs = zip(itertools.chain(*total), itertools.chain(*other))
+        if any(a * other_den != b * den for a, b in pairs):
+            raise RuntimeError("negative pair with distinct maps")
+    form = tuple(tuple(Fraction(t, den) for t in row) for row in total)
+    return EutaxyMap(form=form, cr2=simplex.cr2)
+
+
+def _map_sum(simplex: PrimitiveSimplex, gram: MatQ) -> tuple[list[list[int]], int]:
+    """q_map's form as an integer matrix over one positive denominator."""
+    gz, scale = integer_form(gram)
+    xs, xden = simplex.x_integer
+    (alphas,), aden = integer_scaled([simplex.alpha])
+    total = [[0] * len(gram) for _ in gram]
+    for a, x in zip(alphas, xs, strict=True):
+        w = [sum(map(mul, row, x)) for row in gz]
+        for wi, row in zip(w, total):
+            awi = a * wi
+            for k, wk in enumerate(w):
+                row[k] += awi * wk
+    cr2 = simplex.cr2
+    den = aden * scale * scale * xden * xden * cr2.numerator
+    return [[t * cr2.denominator for t in row] for row in total], den
+
+
 def primitive_simplex(simplex: DeloneSimplex, gram: MatQ) -> PrimitiveSimplex:
     center, alpha, cr2 = circumcenter(simplex.vertices, gram)
     x = tuple(vec_sub(center, v) for v in simplex.vertices)
@@ -425,25 +478,6 @@ def genericity_check(lat: LatticeModel) -> bool:
         if on_sphere != set(p.source.vertices):
             return False
     return True
-
-
-def change_basis(lat: LatticeModel, u: MatQ) -> LatticeModel:
-    """Rewrite the model in the basis B' = B U for unimodular integer U."""
-    u = mat(u)
-    if abs(det(u)) != 1:
-        raise ValueError("basis change must be unimodular")
-    uinv = mat_inv(u)
-    if any(x.denominator != 1 for row in uinv for x in row):
-        raise ValueError("basis change must be an integer matrix")
-    gram = mat_mul(transpose(u), mat_mul(lat.gram, u))
-    embedding = mat_mul(lat.embedding, u) if lat.embedding is not None else None
-    classes = tuple(
-        DeloneSimplex(
-            vertices=tuple(mat_vec(uinv, v) for v in s.vertices), label=s.label
-        )
-        for s in lat.delone_classes
-    )
-    return LatticeModel(n=lat.n, gram=gram, embedding=embedding, delone_classes=classes)
 
 
 def lattice_report(lat: LatticeModel) -> dict:

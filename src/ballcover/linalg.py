@@ -93,12 +93,6 @@ def vec_scale(c: Rat, u: VecQ) -> VecQ:
     return tuple(c * x for x in u)
 
 
-def vec_dot(u: VecQ, v: VecQ) -> Rat:
-    if len(u) != len(v):
-        raise ValueError("vector lengths differ")
-    return sum(x * y for x, y in zip(u, v))
-
-
 def gram_dot(g: MatQ, u: VecQ, v: VecQ) -> Rat:
     """Inner product u^T G v for a symmetric positive form G.
 
@@ -272,16 +266,6 @@ def solve_affine(a: MatQ, b: VecQ) -> LinSolveResult:
     return LinSolveResult(particular=particular, nullspace=tuple(basis))
 
 
-def nullspace(a: MatQ) -> tuple[VecQ, ...]:
-    return solve_affine(a, tuple(Fraction(0) for _ in a)).nullspace
-
-
-def solve_square(a: MatQ, b: VecQ) -> VecQ:
-    """Solve a square nonsingular system; raises SingularMatrixError."""
-    z, d = solve_columns(a, [[x] for x in b])
-    return tuple(Fraction(x, d) for x, in z)
-
-
 def solve_columns(a: MatQ, b: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]:
     """The unique X with A X = B, every column of B at once, as integers Z
     over one denominator d: X = Z / d, from one fraction-free elimination of
@@ -309,6 +293,32 @@ def mat_inv(a: MatQ) -> MatQ:
         raise ValueError("mat_inv needs a square matrix")
     z, d = solve_columns(a, identity(len(a)))
     return tuple(tuple(Fraction(x, d) for x in row) for row in z)
+
+
+@lru_cache(maxsize=8)
+def gram_inverse(gram: MatQ) -> MatQ:
+    """G^-1 of a fixed lattice's Gram matrix, computed once per matrix."""
+    return mat_inv(gram)
+
+
+# A map is stored through its bilinear form S = G A, A its matrix in
+# lattice coordinates; the pairing is trace(A B) = trace(G^-1 S_A G^-1 S_B).
+
+
+def map_inner(gram_inv: MatQ, a: MatQ, b: MatQ) -> Rat:
+    """Trace pairing of two maps given by their forms."""
+    x = mat_mul(gram_inv, a)
+    y = mat_mul(gram_inv, b)
+    return trace(mat_mul(x, y))
+
+
+def map_trace(gram_inv: MatQ, a: MatQ) -> Rat:
+    return trace_product(gram_inv, a)
+
+
+def map_matrix(gram_inv: MatQ, form: MatQ) -> MatQ:
+    """Matrix of the map in lattice coordinates."""
+    return mat_mul(gram_inv, form)
 
 
 def min_norm_solution(

@@ -7,6 +7,9 @@ circumradius strictly below mu, and the removed pair, suitably translated
 along a vertex direction, fits inside the ball augmented by antipodal cone
 caps reaching +/-(1+eps) pole.  All checks are exact, so a returned witness
 needs no further trust.
+
+The search reads the lattice's classification from `eutaxy`, which it
+imports when it runs; checking a witness needs only `lattice` and `linalg`.
 """
 
 from __future__ import annotations
@@ -16,17 +19,20 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .eutaxy import classified, gram_inverse, map_inner, map_matrix, map_trace, q_map
 from .lattice import LatticeModel, PrimitiveSimplex, build_anstar, covering_radius
-from .lattice import integer_circumsphere, negative_pairs
+from .lattice import integer_circumsphere, negative_pairs, q_map
 from .linalg import (
     MatQ,
     Rat,
     VecQ,
     det,
+    gram_inverse,
     identity,
     integer_form,
     integer_scaled,
+    map_inner,
+    map_matrix,
+    map_trace,
     mat_add,
     mat_mul,
     mat_scale,
@@ -195,6 +201,8 @@ def extension_witness(
     redundancy coefficients already certify extension) and
     WitnessSearchError when no scale above the cutoff passes.
     """
+    from .eutaxy import classified
+
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -33,7 +33,7 @@ from fractions import Fraction
 import ballcover.lattice as lattice
 import ballcover.linalg as linalg
 from ballcover.bodies import ball_body, real_sph_harm
-from ballcover.perturbation import _engine, rotation_scan
+from ballcover.search import _engine, rotation_scan
 
 print("debug", __debug__)
 

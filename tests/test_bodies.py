@@ -20,9 +20,10 @@ from ballcover.bodies import (
     real_sph_harm,
     rho,
     _sqrt_above,
-    save_body,
     volume_ratio,
 )
+
+from oracles import save_body
 
 
 def sphere_quadrature(n):

@@ -13,12 +13,15 @@ from pathlib import Path
 import pytest
 
 import ballcover
-from ballcover.bodies import make_body, save_body
+from ballcover.bodies import make_body
 from ballcover.cli import main
 from ballcover.linalg import det, identity, mat_add
 from ballcover.lattice import build_anstar, covering_radius
-from ballcover.perturbation import build_cover, rotation_scan, scan_densities
+from ballcover.perturbation import scan_densities
 from ballcover.reports import dump_json, rat_str, scan_certificate, verify_certificate
+from ballcover.search import build_cover, rotation_scan
+
+from oracles import save_body
 
 
 def run(capsys, *argv):
@@ -426,11 +429,13 @@ def test_each_command_runs_only_the_modules_it_needs(tmp_path):
         return set(modules) - {"cli", "reports"}
 
     save_body(make_body([(4, 0, 0.005)]), str(tmp_path / "body.json"))
-    cover = {"bodies", "eutaxy", "lattice", "linalg", "perturbation"}
+    # A scan's check runs the shared derivations of perturbation, not the
+    # rotation search in search, and neither runs eutaxy.
+    cover = {"bodies", "lattice", "linalg", "perturbation"}
     emitted = {
         "class.json": (["ball-class", "--dim", "2"], {"eutaxy", "lattice", "linalg", "lp"}),
         "anstar.json": (["anstar", "--dim", "2"], {"lattice", "linalg"}),
-        "scan.json": (["construct", "--body", "body.json", "--grid", "2"], cover),
+        "scan.json": (["construct", "--body", "body.json", "--grid", "2"], cover | {"search"}),
         "witness.json": (
             ["witness", "--dim", "2", "--pair", "0"], {"eutaxy", "lattice", "linalg", "lp", "witness"}
         ),
@@ -439,12 +444,13 @@ def test_each_command_runs_only_the_modules_it_needs(tmp_path):
     }
     for out, (argv, expected) in emitted.items():
         assert ran(*argv, "--out", out) == expected, argv
-    # No verify runs lp, and only a witness's verify runs witness.
+    # No verify runs lp, only a witness's verify runs witness, and only a
+    # classification's runs eutaxy.
     checked = {
         "class.json": {"eutaxy", "lattice", "linalg"},
         "anstar.json": {"lattice", "linalg"},
         "scan.json": cover,
-        "witness.json": {"eutaxy", "lattice", "linalg", "witness"},
+        "witness.json": {"lattice", "linalg", "witness"},
         "cl.csv": {"harmonic"},
         "zonal.json": {"harmonic"},
     }
@@ -473,6 +479,24 @@ def test_perturbation_serves_the_witness_names_lazily():
         assert getattr(perturbation, name) is getattr(witness, name)
     with pytest.raises(AttributeError):
         perturbation.no_such_name
+
+
+def test_loading_perturbation_runs_neither_search_nor_eutaxy():
+    # A scan's check loads perturbation alone: the rotation search and the
+    # classification stay uncompiled.  The four search names the acceptance
+    # gate and the benchmark import from perturbation are search's own.
+    env = dict(os.environ, PYTHONPATH=str(Path(ballcover.__file__).parents[1]))
+    code = (
+        "import sys, ballcover.perturbation as p\n"
+        "print(sorted(n for n in ('ballcover.eutaxy', 'ballcover.search') if n in sys.modules))\n"
+        "import ballcover.search as s\n"
+        "names = ('CoverEngine', 'build_cover', 'rotation_scan', 'solve_treqn')\n"
+        "print(all(getattr(p, n) is getattr(s, n) for n in names))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\nTrue\n"), proc.stderr
 
 
 def test_cli_registers_every_package_module():
@@ -854,6 +878,37 @@ def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "verification failure: membership log must check every vertex once, in order\n"
+
+
+def test_verify_rejects_misshapen_scan_tables(capsys, tmp_path):
+    # Each table of a scan's best construction cut, padded or reshaped:
+    # verify must fail cleanly, one "verification failure" line per
+    # message, never a traceback and never "verified".  A seventh
+    # translation row verified before the vertex kernel checked shapes.
+    body_file = tmp_path / "body.json"
+    save_body(make_body([(4, 1, 0.003), (6, -5, 0.002), (8, 8, 0.001)]), str(body_file))
+    cert = tmp_path / "scan.json"
+    code, _, _ = run(
+        capsys, "construct", "--body", str(body_file), "--grid", "8", "--out", str(cert)
+    )
+    assert code == 0
+    forgeries = {
+        "m_matrix": [lambda m: [row[:2] for row in m], lambda m: m[:2]],
+        "translations": [lambda t: t[:5], lambda t: [row[:2] for row in t], lambda t: t + t[-1:]],
+        "rho": [lambda r: r[:5], lambda r: [row[:3] for row in r]],
+        "rotation": [lambda u: [row[:2] for row in u]],
+    }
+    forged = tmp_path / "forged.json"
+    for key, changes in forgeries.items():
+        for change in changes:
+            data = json.loads(cert.read_text())
+            data["best"][key] = change(data["best"][key])
+            forged.write_text(json.dumps(data))
+            code, out, err = run(capsys, "verify", "--certificate", str(forged))
+            assert (code, out) == (1, ""), (key, err)
+            assert err and all(
+                line.startswith("verification failure: ") for line in err.splitlines()
+            ), (key, err)
 
 
 def test_verify_rejects_bad_witness_pair_index(capsys, tmp_path):

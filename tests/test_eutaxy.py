@@ -27,7 +27,6 @@ from ballcover.eutaxy import (
 from ballcover.lattice import (
     LatticeModel,
     build_anstar,
-    change_basis,
     covering_radius,
     negative_pairs,
     pair_orbit,
@@ -42,6 +41,8 @@ from ballcover.linalg import (
     zeros,
 )
 from ballcover.reports import rationalize, verify_certificate
+
+from oracles import change_basis
 
 
 def test_q_map_unit_trace_and_symmetry():

@@ -20,7 +20,6 @@ from ballcover.harmonic import (
     c_l_table,
     certify_c_range,
     legendre_rational,
-    legendre_table,
     raw_residue_row,
     rescaled_q_sequence_mod16,
     weighted_residue_rows,
@@ -28,6 +27,8 @@ from ballcover.harmonic import (
 )
 from ballcover.lattice import build_anstar, covering_radius, voronoi_vertices
 from ballcover.reports import cl_csv, verify_cl_csv
+
+from oracles import legendre_table
 
 
 def legendre_closed_form(l, t):

@@ -12,7 +12,6 @@ from ballcover.lattice import (
     DeloneSimplex,
     LatticeModel,
     build_anstar,
-    change_basis,
     circumcenter,
     covering_radius,
     genericity_check,
@@ -32,11 +31,12 @@ from ballcover.linalg import (
     mat_mul,
     mat_scale,
     mat_vec,
-    solve_square,
     transpose,
     vec,
     vec_sub,
 )
+
+from oracles import change_basis, solve_square
 
 
 def test_class_counts():

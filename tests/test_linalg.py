@@ -21,14 +21,13 @@ from ballcover.linalg import (
     mat_mul,
     mat_vec,
     min_norm_solution,
-    nullspace,
     solve_affine,
     solve_columns,
-    solve_square,
     trace_product,
     vec,
-    vec_dot,
 )
+
+from oracles import nullspace, solve_square, vec_dot
 
 
 def cofactor_det(a):

@@ -11,21 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballcover.bodies import ball_body, make_body, real_sph_harm, rho, volume_ratio
-from ballcover.eutaxy import gram_inverse, map_matrix, q_map
 from ballcover.lattice import (
     DegenerateSimplexError,
     build_anstar,
     circumcenter,
     covering_radius,
     negative_pairs,
+    q_map,
 )
 from ballcover.linalg import (
     det,
     gram_dot,
+    gram_inverse,
     identity,
     mat,
     mat_add,
     mat_inv,
+    map_matrix,
     mat_mul,
     mat_scale,
     mat_vec,
@@ -34,30 +36,30 @@ from ballcover.linalg import (
     trace,
     vec,
     vec_add,
-    vec_dot,
     vec_scale,
     vec_sub,
 )
 from ballcover.perturbation import (
+    _apply_transposed,
+    _unit,
+    deformed_vertices,
+    first_order_cr,
+    grid_rotation,
+    scan_densities,
+    simplex_weights,
+)
+from ballcover.search import (
     DELTA_BITS,
     CoverEngine,
     Screen,
-    _apply_transposed,
     _antipodal_index,
     _dyadic,
     _engine,
     _pair_values,
     _start_grains,
-    _unit,
-    _unit_direction,
     build_cover,
-    deformed_vertex,
-    first_order_cr,
-    grid_rotation,
     rotation_grid,
     rotation_scan,
-    scan_densities,
-    simplex_weights,
     solve_treqn,
 )
 from ballcover.witness import (
@@ -70,6 +72,8 @@ from ballcover.witness import (
     extension_witness,
     member_augmented_ball,
 )
+
+from oracles import deformed_vertex, fraction_deformed_vertices, unit_direction, vec_dot
 
 
 def cm_circumradius2(vertices, gram):
@@ -269,10 +273,10 @@ def forbid(monkeypatch, module, *names):
 
 def test_construct_solves_no_system_per_rotation(monkeypatch):
     import ballcover.linalg
-    import ballcover.perturbation
+    import ballcover.search
 
     engine = CoverEngine(build_anstar(3))
-    forbid(monkeypatch, ballcover.perturbation, "solve_treqn", "_treqn_columns", "solve_columns")
+    forbid(monkeypatch, ballcover.search, "solve_treqn", "_treqn_columns", "solve_columns")
     forbid(monkeypatch, ballcover.linalg, "solve_affine", "solve_columns", "min_norm_solution")
     body = make_body([(4, 0, 0.01)])
     c = engine.construct(body, rotation=rotation_grid(8)[3])
@@ -346,7 +350,7 @@ def assert_screen_directions_match(engine, values):
     shared = every_vertex(engine, engine._pair_directions(nums, shift))
     for (i, _, x), (d, ny) in zip(engine.positions, shared):
         ref = deformed_vertex(m_mat, x, sol.translations[i])
-        ref_d, ref_ny = _unit_direction(engine.lat.embedding, ref)
+        ref_d, ref_ny = unit_direction(engine.lat.embedding, ref)
         assert bits(d) + [ny.hex()] == bits(ref_d) + [ref_ny.hex()]
 
 
@@ -423,7 +427,7 @@ def test_pair_screen_equals_the_vertex_screen(coeffs, monkeypatch):
     # The screen evaluates rho once per pair: 12 calls at rest and 12 per
     # pass, where the vertex loop made 24 per pass, and settles on the same
     # pair values and contraction.
-    import ballcover.perturbation
+    import ballcover.search
 
     calls = []
 
@@ -431,7 +435,7 @@ def test_pair_screen_equals_the_vertex_screen(coeffs, monkeypatch):
         calls.append(d)
         return rho(body, d)
 
-    monkeypatch.setattr(ballcover.perturbation, "body_rho", counted)
+    monkeypatch.setattr(ballcover.search, "body_rho", counted)
     engine, body = _engine(), make_body(coeffs)
     passes = set()
     for u in (None, *rotation_grid(40)):
@@ -455,6 +459,39 @@ def test_screen_directions_match_fraction_path_on_grid_rotations(index, coeffs):
     engine = _engine()
     c = engine.construct(make_body(coeffs), rotation=grid_rotation(index, 40))
     assert_screen_directions_match(engine, _pair_values(c.rho, engine.index))
+
+
+MIXED = ((4, 1, 0.003), (6, -5, 0.002), (8, 8, 0.001))
+
+
+def assert_kernel_matches_fraction_oracle(engine, body, rotation, m_mat, translations):
+    # The integer vertex kernel against the Fraction derivation it replaced,
+    # field for field: y and <y, y> exactly, every float by its bits.
+    args = (body, rotation, engine.lat, engine.simplices, m_mat, translations)
+    got, want = deformed_vertices(*args), fraction_deformed_vertices(*args)
+    assert len(got) == len(want) == len(engine.positions)
+    for g, w in zip(got, want):
+        assert g[:4] == w[:4]
+        assert all(type(c) is Fraction for c in (*g[2], g[3]))
+        assert [v.hex() for v in g[4:]] == [v.hex() for v in w[4:]]
+
+
+def test_vertex_kernel_matches_fraction_oracle_on_a_grid_8_scan():
+    engine, body = _engine(), make_body(MIXED)
+    for u in rotation_grid(8):
+        c = engine.construct(body, rotation=u)
+        assert_kernel_matches_fraction_oracle(engine, body, u, c.m_matrix, c.translations)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(DYADIC, min_size=12, max_size=12), st.integers(0, 39))
+def test_vertex_kernel_matches_fraction_oracle_on_dyadic_tables(values, index):
+    engine = _engine()
+    sol = engine.solve(tuple(tuple(values[k] for k in keys) for keys in engine.index))
+    m_mat = map_matrix(engine.ginv, sol.m_form)
+    assert_kernel_matches_fraction_oracle(
+        engine, make_body(MIXED), grid_rotation(index, 40), m_mat, sol.translations
+    )
 
 
 def test_dyadic_scaling():

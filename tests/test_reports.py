@@ -14,7 +14,7 @@ from ballcover.bodies import body_from_dict, make_body
 from ballcover.eutaxy import Classification, classification_certificate
 from ballcover.harmonic import MultiplierSpectrum, zonal_spectrum
 from ballcover.lattice import build_anstar, covering_radius, lattice_report, voronoi_vertices
-from ballcover.perturbation import ScanReport, rotation_scan
+from ballcover.perturbation import ScanReport
 from ballcover.reports import (
     _VERIFIERS,
     decode,
@@ -26,6 +26,7 @@ from ballcover.reports import (
     verify_certificate,
     witness_certificate,
 )
+from ballcover.search import rotation_scan
 from ballcover.witness import ExtensionWitness, extension_witness
 
 # Leaves a one-leaf change may leave valid, as (kind, field), where a field
