@@ -49,7 +49,9 @@ def make_body(coeffs: Iterable[tuple[int, int, float]]) -> RadialBody:
         if a != 0.0:
             cleaned.append((l, m, a))
     cleaned.sort()
-    eps = sum(abs(a) * math.sqrt(2 * l + 1) for l, _, a in cleaned)
+    eps = 0.0
+    for l, _, a in cleaned:  # left to right: builtin sum compensates from Python 3.12 on
+        eps += abs(a) * math.sqrt(2 * l + 1)
     lmax = max((l for l, _, _ in cleaned), default=0)
     return RadialBody(coeffs=tuple(cleaned), eps=eps, lmax=lmax)
 
@@ -113,7 +115,7 @@ def harmonic_sum(
     ct = max(-1.0, min(1.0, z / r))
     powers = [(1.0, 0.0), (x / r, y / r)]
     recurrences = {}  # |m| -> (degree ll, Q_{ll-1,|m|}, Q_{ll,|m|})
-    terms = []
+    total = 0.0
     for l, m, a in coeffs:
         am = abs(m)
         ll, q0, q1 = recurrences.get(am) or (am, 0.0, 1.0)
@@ -129,8 +131,8 @@ def harmonic_sum(
                 (re, im), (px, py) = powers[-1], powers[1]
                 powers.append((re * px - im * py, re * py + im * px))
             value *= powers[am][0 if m > 0 else 1]
-        terms.append(a * value)
-    return sum(terms)
+        total += a * value  # left to right, as for eps in make_body
+    return total
 
 
 def volume_ratio(body: RadialBody) -> Fraction:

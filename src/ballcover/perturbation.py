@@ -15,6 +15,12 @@ ratio.  The first order term of the ratio is trace M = sum ups_i a_ij rho_ij
 by construction; a tangent-line bound on the needed contraction gives the
 reported lower bound for the ratio.
 
+A scan's record is one derivation from its declared inputs: the body, the
+grid size and index, and the best construction's rho, M, translations and
+delta (`cover_record`, `scan_record`).  `construct` builds its records with
+it, and `verify_scan` re-runs it and compares the certificate with the
+re-emitted one leaf for leaf, so no stored float is trusted to a tolerance.
+
 The rotation search that builds a scan (`CoverEngine`, `rotation_scan`) is
 in `search`, and the extensibility witness in `witness`.  The names of
 them that the acceptance gate and the benchmark import from here are
@@ -33,7 +39,6 @@ from typing import NamedTuple, Optional, Sequence
 from .bodies import (
     RadialBody,
     body_from_dict,
-    body_to_dict,
     is_normalized,
     rho as body_rho,
     volume_ratio,
@@ -172,14 +177,36 @@ def deformed_vertices(
 ) -> list[tuple]:
     """(i, j, y, <y, y>, r_K(y), |y|, float <x, y>, |x|) for every vertex
     x = simplices[i].x[j] in position order, y = x + M x + t_i, with r_K that
-    of the rotated body.  The construction and the verifier both take the
-    vertex checks and the inputs of cover_floats from it.
+    of the rotated body.  cover_record takes the vertex checks and the inputs
+    of cover_floats from it, and the construction certifies its contraction
+    on it.
 
-    Runs on integers (_vertex_moves): y, E y, <y, y>, <x, y> and <x, x> are
-    integer numerators over known denominators, and each float is an
-    int / int quotient, which Python rounds correctly, so it equals float()
-    of the equal Fraction bit for bit."""
-    return _deformed(body, rotation, lat, _vertex_moves(lat, simplices, m_mat, translations))
+    Runs on integers, from the moves of _vertex_moves with G as L G
+    (integer_form) and the embedding E as integers over one scale: y, E y,
+    <y, y>, <x, y> and <x, x> are integer numerators over known
+    denominators, and each float is an int / int quotient, which Python
+    rounds correctly, so it equals float() of the equal Fraction bit for
+    bit."""
+    gz, g = integer_form(lat.gram)
+    ez, e_den = integer_scaled(lat.embedding)
+    out = []
+    for i, j, x, x_den, move, den in _vertex_moves(lat, simplices, m_mat, translations):
+        f = den // x_den
+        y = [f * c + m for c, m in zip(x, move, strict=True)]
+        gy = _int_mat_vec(gz, y)
+        xx = sum(map(mul, x, _int_mat_vec(gz, x)))
+        d, ny = _unit([c / (e_den * den) for c in _int_mat_vec(ez, y)])
+        out.append((
+            i,
+            j,
+            tuple(Fraction(c, den) for c in y),
+            Fraction(sum(map(mul, y, gy)), g * den * den),
+            _radial(body, rotation, d),
+            ny,
+            sum(map(mul, x, gy)) / (g * x_den * den),
+            math.sqrt(xx / (g * x_den * x_den)),
+        ))
+    return out
 
 
 def _vertex_moves(lat: LatticeModel, simplices, m_mat: MatQ, translations) -> list[tuple]:
@@ -206,31 +233,6 @@ def _vertex_moves(lat: LatticeModel, simplices, m_mat: MatQ, translations) -> li
     return out
 
 
-def _deformed(body: RadialBody, rotation, lat: LatticeModel, moves) -> list[tuple]:
-    """deformed_vertices from the integer moves of _vertex_moves, with G as
-    L G (integer_form) and the embedding E as integers over one scale."""
-    gz, g = integer_form(lat.gram)
-    ez, e_den = integer_scaled(lat.embedding)
-    out = []
-    for i, j, x, x_den, move, den in moves:
-        f = den // x_den
-        y = [f * c + m for c, m in zip(x, move, strict=True)]
-        gy = _int_mat_vec(gz, y)
-        xx = sum(map(mul, x, _int_mat_vec(gz, x)))
-        d, ny = _unit([c / (e_den * den) for c in _int_mat_vec(ez, y)])
-        out.append((
-            i,
-            j,
-            tuple(Fraction(c, den) for c in y),
-            Fraction(sum(map(mul, y, gy)), g * den * den),
-            _radial(body, rotation, d),
-            ny,
-            sum(map(mul, x, gy)) / (g * x_den * den),
-            math.sqrt(xx / (g * x_den * x_den)),
-        ))
-    return out
-
-
 def cover_floats(eps: float, mu2: Rat, delta: Rat, trace_m: Rat, sum_abs: Rat, vertices):
     """delta_tangent, epsilon_prime, lower_bound and every check's margin of a
     cover construction, from its exact delta, trace M and sum |rho| and each
@@ -252,6 +254,33 @@ def cover_floats(eps: float, mu2: Rat, delta: Rat, trace_m: Rat, sum_abs: Rat, v
     return delta_tan, eps_prime, 1.0 + float(trace_m) - delta_tan, margins
 
 
+def cover_record(
+    lat: LatticeModel, body: RadialBody, rotation, rho, m_form: MatQ, translations, delta: Rat
+) -> CoverConstruction:
+    """The cover construction for the rotated body with these rho, M (as its
+    form G M), translations and contraction: every other field derived from
+    them.  `construct` builds its record with it, and the verifier re-derives
+    a scan's best construction with it."""
+    mu2, simplices = covering_radius(lat)
+    m_mat = map_matrix(gram_inverse(lat.gram), m_form)
+    vertices = deformed_vertices(body, rotation, lat, simplices, m_mat, translations)
+    trace_m = trace(m_mat)
+    sum_abs = sum(abs(r) for row in rho for r in row)
+    *floats, margins = cover_floats(
+        body.eps, mu2, delta, trace_m, sum_abs, [v[4:] for v in vertices]
+    )
+    shrink2 = (1 - delta) ** 2
+    checks = tuple(
+        VertexCheck(i, j, y, norm2, r_val, shrink2 * norm2, mu2 * Fraction(r_val) ** 2, margin)
+        for (i, j, y, norm2, r_val, *_), margin in zip(vertices, margins)
+    )
+    det_ratio = (1 - delta) ** 3 * det(mat_add(identity(3), m_mat))
+    return CoverConstruction(
+        rotation, rho, m_form, m_mat, translations, trace_m, sum_abs, delta, det_ratio,
+        *floats, checks,
+    )
+
+
 def _int_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in a]
 
@@ -267,7 +296,8 @@ def _radial(
 
 def _unit(e: Sequence[float]) -> tuple[tuple[float, ...], float]:
     """The float vector e over its length, and the length."""
-    ne = math.sqrt(sum(c * c for c in e))
+    # left to right, as make_body adds eps: builtin sum compensates from Python 3.12 on
+    ne = math.sqrt(e[0] * e[0] + e[1] * e[1] + e[2] * e[2])
     return (e[0] / ne, e[1] / ne, e[2] / ne), ne
 
 
@@ -345,106 +375,69 @@ def scan_densities(
     )
 
 
+def scan_record(
+    lat: LatticeModel, body: RadialBody, grid_size: int, best_index: int, best: CoverConstruction
+) -> ScanReport:
+    """The scan whose best construction is best, grid rotation best_index:
+    the exact volume bound of the body and the densities derived."""
+    mu2, _ = covering_radius(lat)
+    volume_bound = volume_ratio(body)
+    ball, best_density, margin, delta_k = scan_densities(
+        mu2, det(lat.gram), volume_bound, best.det_ratio
+    )
+    return ScanReport(
+        grid_size, volume_bound, ball, best_index, best, best_density, margin, delta_k
+    )
+
+
 def verify_scan(data: dict, bad: list[str]) -> None:
-    """Check a scan certificate: its best construction (_verify_cover), the
-    volume bound re-derived from the body, the four floats from that bound
-    and the exact det ratio, which must be equal, and the rotation, which
-    must be grid rotation best_index (one rotation is computed, not the
-    grid)."""
-    from .reports import decode
+    """Check a scan certificate by re-deriving it from its inputs: the body,
+    grid_size, best_index and the best construction's rho, m_form,
+    translations and delta.  cover_record and scan_record, which `construct`
+    builds its records with, derive every other field, and the certificate
+    must be the re-emitted one, leaf for leaf and type for type; each leaf
+    that differs is named by its path.  Checked on the inputs: the body is
+    one the construction accepts, best_index is on the grid, 0 <= delta < 1,
+    the per-vertex equations and the trace identity hold exactly; on the
+    record: every membership holds and the margin has the sign of
+    det_ratio - volume_bound."""
+    from .reports import decode, differing_leaves, rationalize, scan_certificate
 
     s = decode(ScanReport, data)
-    if data["best"]["kind"] != "cover-construction":
-        bad.append("the best construction must be of kind 'cover-construction'")
-    lat = build_anstar(3)
-    mu2, simplices = covering_radius(lat)
     body = body_from_dict(data["best"]["body"])
-    _verify_cover(data["best"], s.best, body, lat, mu2, simplices, bad)
-    volume_bound = volume_ratio(body)
-    if s.volume_bound != volume_bound:
-        bad.append("volume bound is not the exact bound of the body")
-    derived = scan_densities(mu2, det(lat.gram), volume_bound, s.best.det_ratio)
-    for key, want in zip(("ball_density", "best_density", "margin", "delta_k_bound"), derived):
-        if getattr(s, key) != want:
-            bad.append(f"{key} is not its value from the exact volume bound and det ratio")
-    if (s.margin > 0) != (s.best.det_ratio > volume_bound):
-        bad.append("margin sign contradicts det_ratio > volume_bound")
+    try:
+        check_body(body)
+    except ValueError as e:
+        bad.append(str(e))
+        return
     if not 0 <= s.best_index < s.grid_size:
         bad.append("best rotation index must be an integer in [0, grid_size)")
-    elif s.best.rotation != grid_rotation(s.best_index, s.grid_size):
-        bad.append("stored rotation is not grid rotation best_index")
-
-
-def _verify_cover(
-    data: dict, c: CoverConstruction, body: RadialBody, lat: LatticeModel, mu2: Rat, simplices, bad
-) -> None:
-    """Check a scan's best construction c, decoded from data, for body.  The
-    residuals, trace identity, sum |rho| and det ratio are re-derived
-    exactly, and the deformed vertices by the construction's own
-    deformed_vertices.  A stored radial value must agree with the body
-    within FLOAT_TOLERANCE, and membership is re-checked in rationals on it;
-    cover_floats re-derives the other floats, which must be equal."""
-    from .reports import FLOAT_TOLERANCE, _same_json
-
-    if not _same_json(data["body"], body_to_dict(body)):
-        bad.append("body is not written as the construction writes it")
-    if not is_normalized(body) or any(l % 2 for l, _, _ in body.coeffs):
-        bad.append("body outside the normalized even class")
-    if body.eps > 0.1:
-        bad.append("body asphericity above threshold")
-    gram = lat.gram
-    upsilon = simplex_weights(lat, simplices)
-    if c.m_matrix != map_matrix(gram_inverse(gram), c.m_form):
-        bad.append("matrix and form views of M disagree")
-    if not (0 <= c.delta < 1):
+        return
+    c = s.best
+    if not 0 <= c.delta < 1:
         bad.append("contraction outside [0, 1)")
+    lat = build_anstar(3)
+    rotation = grid_rotation(s.best_index, s.grid_size)
+    try:
+        best = cover_record(lat, body, rotation, c.rho, c.m_form, c.translations, c.delta)
+    except RuntimeError as e:
+        bad.append(f"cover floats cannot be re-derived: {e}")
+        return
+    report = scan_record(lat, body, s.grid_size, s.best_index, best)
+    _, simplices = covering_radius(lat)
     # <x, M x + t_i> = x^T (L G) mz / (L x_den den), against cr2 rho on integers.
-    moves = _vertex_moves(lat, simplices, c.m_matrix, c.translations)
-    gz, g = integer_form(gram)
-    for i, j, x, x_den, move, den in moves:
+    gz, g = integer_form(lat.gram)
+    for i, j, x, x_den, move, den in _vertex_moves(lat, simplices, best.m_matrix, c.translations):
         want = simplices[i].cr2 * c.rho[i][j]
         lhs = sum(map(mul, x, _int_mat_vec(gz, move)))
         if lhs * want.denominator != want.numerator * g * x_den * den:
             bad.append(f"linear system residual at ({i}, {j})")
-    expected_trace = trace_identity_sum(c.rho, simplices, upsilon)
-    if c.trace_m != expected_trace or trace(c.m_matrix) != expected_trace:
+    if best.trace_m != trace_identity_sum(c.rho, simplices, simplex_weights(lat, simplices)):
         bad.append("trace identity fails")
-    rho_abs = sum(abs(r) for row in c.rho for r in row)
-    if c.sum_abs_rho != rho_abs:
-        bad.append("sum of |rho| mismatched")
-    if c.det_ratio != (1 - c.delta) ** 3 * det(mat_add(identity(3), c.m_matrix)):
-        bad.append("determinant ratio mismatched")
-    if data["float_tolerance"] != FLOAT_TOLERANCE:
-        bad.append(f"float tolerance must be {FLOAT_TOLERANCE!r}")
-    vertices = _deformed(body, c.rotation, lat, moves)
-    if [(k.simplex, k.vertex) for k in c.checks] != [v[:2] for v in vertices]:
-        bad.append("membership log must check every vertex once, in order")
-        return
-    shrink2 = (1 - c.delta) ** 2
-    for k, (i, j, y, norm2, recomputed, *_) in zip(c.checks, vertices):
-        if y != k.y:
-            bad.append(f"deformed vertex mismatch at ({i}, {j})")
-        if norm2 != k.norm2:
-            bad.append(f"vertex norm mismatch at ({i}, {j})")
-        if abs(k.radial_value - recomputed) > FLOAT_TOLERANCE:
-            bad.append(f"radial value does not match the body at ({i}, {j})")
-        lhs = shrink2 * norm2
-        rhs = mu2 * Fraction(k.radial_value) ** 2
-        if lhs != k.lhs or rhs != k.rhs:
-            bad.append(f"membership sides mismatched at ({i}, {j})")
-        if lhs > rhs:
-            bad.append(f"membership fails at ({i}, {j})")
-    try:
-        derived = cover_floats(
-            body.eps, mu2, c.delta, expected_trace, rho_abs, [v[4:] for v in vertices]
-        )
-    except RuntimeError as e:
-        bad.append(f"cover floats cannot be re-derived: {e}")
-        return
-    *stored, margins = derived
-    for key, want in zip(("delta_tangent", "epsilon_prime", "lower_bound"), stored):
-        if getattr(c, key) != want:
-            bad.append(f"{key} is not its value from the certificate's exact data")
-    for k, want in zip(c.checks, margins):
-        if k.margin != want:
-            bad.append(f"margin at ({k.simplex}, {k.vertex}) is not its re-derived value")
+    for k in best.checks:
+        if k.lhs > k.rhs:
+            bad.append(f"membership fails at ({k.simplex}, {k.vertex})")
+    if (report.margin > 0) != (best.det_ratio > report.volume_bound):
+        bad.append("margin sign contradicts det_ratio > volume_bound")
+    expected = rationalize(scan_certificate(body, report))
+    bad.extend(f"{path} is not its re-derived value" for path in differing_leaves(data, expected))

@@ -31,7 +31,8 @@ if TYPE_CHECKING:
     from .perturbation import ScanReport
     from .witness import ExtensionWitness
 
-# Largest gap allowed between a stored radial value and its re-evaluation.
+# Written into every scan's best construction for external checkers that
+# re-evaluate its radial values; verify compares no float against it.
 FLOAT_TOLERANCE = 1e-12
 
 def rat_str(x: Rat) -> str:
@@ -130,8 +131,12 @@ class DecodeError(ValueError):
     path: tuple[str | int, ...] = ()
 
     def __str__(self) -> str:
-        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in self.path)
-        return f"{where.lstrip('.') or 'certificate'} {self.args[0]}"
+        return f"{_path_text(self.path) or 'certificate'} {self.args[0]}"
+
+
+def _path_text(path: Sequence[str | int]) -> str:
+    """A leaf path as messages name it, e.g. best.checks[3].radial_value."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
 
 
 def decode(tp, value: object, *path: str | int):
@@ -220,6 +225,21 @@ def _reader(tp) -> Callable[[object], object]:
 def _same_json(a: object, b: object) -> bool:
     """Whether two JSON values are equal with every leaf of the same JSON type."""
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def differing_leaves(data: object, expected: object, path: tuple = ()):
+    """The paths, as _path_text writes them and in key order, at which the
+    JSON value data differs from expected: a leaf's value or JSON type, or
+    the keys of an object or the length of a list, named at that object or
+    list."""
+    if type(data) is type(expected) is dict and data.keys() == expected.keys():
+        for key in sorted(data):
+            yield from differing_leaves(data[key], expected[key], (*path, key))
+    elif type(data) is type(expected) is list and len(data) == len(expected):
+        for i, (a, b) in enumerate(zip(data, expected)):
+            yield from differing_leaves(a, b, (*path, i))
+    elif type(data) is not type(expected) or repr(data) != repr(expected):
+        yield _path_text(path)
 
 
 # The verifier of each kind, as (module, function), imported on first use.

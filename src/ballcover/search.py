@@ -8,10 +8,11 @@ once for a basis of radial tables (`_treqn_columns`), so no rotation solves
 a linear system.
 
 The records and the derivations that `construct` and `verify` share live
-in `perturbation`: the exact tail here takes its vertex checks from
-`perturbation.deformed_vertices` and its floats from
-`perturbation.cover_floats`, exactly as the verifier does.  Checking a
-scan therefore never loads this module.
+in `perturbation`: the exact tail here certifies its contraction on
+`perturbation.deformed_vertices` and builds its record with
+`perturbation.cover_record`, and a scan is `perturbation.scan_record` of
+the winner, the derivation the verifier re-runs on the certificate's
+inputs.  Checking a scan therefore never loads this module.
 """
 
 from __future__ import annotations
@@ -23,37 +24,32 @@ from itertools import chain
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .bodies import RadialBody, rho as body_rho, volume_ratio
+from .bodies import RadialBody, rho as body_rho
 from .lattice import LatticeModel, PrimitiveSimplex, build_anstar, covering_radius, negative_pairs
 from .linalg import (
     MatQ,
     Rat,
     VecQ,
-    det,
     gram_inverse,
-    identity,
     integer_form,
     integer_scaled,
     map_matrix,
-    mat_add,
     solve_columns,
-    trace,
     trace_product,
     vec_scale,
 )
 from .perturbation import (
     CoverConstruction,
     ScanReport,
-    VertexCheck,
     _apply_transposed,
     _int_mat_vec,
     _simplex_form,
     _unit,
     check_body,
-    cover_floats,
+    cover_record,
     deformed_vertices,
     grid_rotation,
-    scan_densities,
+    scan_record,
     simplex_weights,
     trace_identity_sum,
 )
@@ -214,8 +210,8 @@ class CoverEngine:
     integer direction, one rotation and one radial evaluation.
 
     `construct` is the float `screen` followed by the exact tail (solve,
-    `deformed_vertices`, `_certify_delta`, det and the vertex checks).  The
-    tail's vertices come from the verifier's own integer kernel
+    `deformed_vertices`, `_certify_delta` and `cover_record`).  The tail's
+    vertices come from the verifier's own integer kernel
     (`perturbation.deformed_vertices`): M, the vertices, the translations
     and the embedding scaled to integers once, every float a correctly
     rounded quotient of integers.  `rank_key` bounds the tail's det_ratio
@@ -377,37 +373,8 @@ class CoverEngine:
         records = deformed_vertices(
             body, rotation, self.lat, self.simplices, m_mat, sol.translations
         )
-        trace_m = trace(m_mat)
-        sum_abs = sum(abs(r) for row in table for r in row)
         delta = self._certify_delta(screened.delta_float, records)
-        delta_tan, eps_prime, lower_bound, margins = cover_floats(
-            body.eps, self.mu2, delta, trace_m, sum_abs, [v[4:] for v in records]
-        )
-        checks = []
-        shrink2 = (1 - delta) ** 2
-        for (i, j, y, norm2, r_val, *_), margin in zip(records, margins):
-            lhs = shrink2 * norm2
-            rhs = self.mu2 * Fraction(r_val) ** 2
-            if lhs > rhs:
-                raise RuntimeError(f"certified contraction fails at ({i}, {j})")
-            checks.append(VertexCheck(i, j, y, norm2, r_val, lhs, rhs, margin))
-        det_ratio = (1 - delta) ** 3 * det(mat_add(identity(3), m_mat))
-
-        return CoverConstruction(
-            rotation=rotation,
-            rho=table,
-            m_form=sol.m_form,
-            m_matrix=m_mat,
-            translations=sol.translations,
-            trace_m=trace_m,
-            sum_abs_rho=sum_abs,
-            delta=delta,
-            det_ratio=det_ratio,
-            delta_tangent=delta_tan,
-            epsilon_prime=eps_prime,
-            lower_bound=lower_bound,
-            checks=tuple(checks),
-        )
+        return cover_record(self.lat, body, rotation, table, sol.m_form, sol.translations, delta)
 
     def _certify_delta(self, delta_float: float, records) -> Rat:
         """Round the float contraction up until every check passes exactly."""
@@ -514,19 +481,4 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
         if best is None or (c.det_ratio, -idx) > (best.det_ratio, -best_idx):
             best = c
             best_idx = idx
-    volume_bound = volume_ratio(body)
-    ball, best_density, margin, delta_k = scan_densities(
-        engine.mu2, det(engine.gram), volume_bound, best.det_ratio
-    )
-    return ScanReport(
-        grid_size=grid_size,
-        volume_bound=volume_bound,
-        ball_density=ball,
-        best_index=best_idx,
-        best=best,
-        best_density=best_density,
-        margin=margin,
-        delta_k_bound=delta_k,
-    )
-
-
+    return scan_record(engine.lat, body, grid_size, best_idx, best)

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from ballcover.bodies import make_body
 from ballcover.cli import main
 from ballcover.linalg import det, identity, mat_add
 from ballcover.lattice import build_anstar, covering_radius
-from ballcover.perturbation import scan_densities
+from ballcover.perturbation import cover_record, scan_densities, scan_record
 from ballcover.reports import dump_json, rat_str, scan_certificate, verify_certificate
 from ballcover.search import build_cover, rotation_scan
 
@@ -705,6 +706,12 @@ def test_verify_usage_errors(capsys, tmp_path):
         assert "row 0: malformed field" in err
 
 
+def rederived(*paths):
+    # verify's line for each leaf that is not its value re-derived from the
+    # scan's inputs.
+    return [f"{path} is not its re-derived value" for path in paths]
+
+
 def test_verify_ties_radial_values_to_the_body(capsys, tmp_path):
     _, cert = scan_of(capsys, tmp_path, [(4, 0, 0.02 / 3)], 8)
     assert verify_certificate(cert) == (True, [])
@@ -712,15 +719,44 @@ def test_verify_ties_radial_values_to_the_body(capsys, tmp_path):
     for k in forged["best"]["checks"]:
         k["radial_value"] = 5.0
         k["rhs"] = "125/4"  # mu2 * 5^2, so the membership sides still match
-    ok, bad = verify_certificate(forged)
-    assert not ok
-    assert len(bad) == len(cert["best"]["checks"]) == 24
-    assert all("radial value does not match the body" in m for m in bad)
+    assert verify_certificate(forged) == (
+        False,
+        rederived(*(f"best.checks[{n}].{key}" for n in range(24) for key in ("radial_value", "rhs"))),
+    )
     loose = json.loads(json.dumps(cert))
     loose["best"]["float_tolerance"] = 10.0
-    ok, bad = verify_certificate(loose)
-    assert not ok
-    assert bad == ["float tolerance must be 1e-12"]
+    assert verify_certificate(loose) == (False, rederived("best.float_tolerance"))
+
+
+def test_verify_rejects_radial_values_a_thousand_ulps_high(capsys, tmp_path):
+    # Each radial value raised by 1,000 ulps and its rhs refit to mu2 r^2:
+    # within any float tolerance, and every membership still holds, but no
+    # radial value is the body's.
+    _, cert = scan_of(capsys, tmp_path, [(4, 0, 0.005)], 8)
+    forged = json.loads(json.dumps(cert))
+    for k in forged["best"]["checks"]:
+        k["radial_value"] += 1000 * math.ulp(k["radial_value"])
+        k["rhs"] = rat_str(Fraction(5, 4) * Fraction(k["radial_value"]) ** 2)
+    assert verify_certificate(forged) == (
+        False,
+        rederived(*(f"best.checks[{n}].{key}" for n in range(24) for key in ("radial_value", "rhs"))),
+    )
+
+
+def test_verify_checks_the_body_class_with_check_body(capsys, tmp_path):
+    # The construction's own check, which reads a NaN asphericity as above
+    # the threshold, and verify stops there.
+    _, data = scan_of(capsys, tmp_path, [(4, 1, 0.003), (6, -5, 0.002), (8, 8, 0.001)], 8)
+    rest = [[6, -5, 0.002], [8, 8, 0.001]]
+    for rows, message in (
+        ([[4, 1, math.nan], *rest], "asphericity above threshold 1/10"),
+        ([[4, 1, 0.3], *rest], "asphericity above threshold 1/10"),
+        ([[2, 0, 0.001], [4, 1, 0.003], *rest], "body must have no degree 0 or 2 terms"),
+        ([[4, 1, 0.003], [5, 0, 0.001], *rest], "body must be centrally symmetric (even degrees)"),
+    ):
+        forged = json.loads(json.dumps(data))
+        forged["best"]["body"]["harmonics"] = rows
+        assert verify_certificate(forged) == (False, [message]), rows
 
 
 def test_verify_checks_a_cover_only_inside_its_scan(capsys, tmp_path):
@@ -733,7 +769,14 @@ def test_verify_checks_a_cover_only_inside_its_scan(capsys, tmp_path):
     assert stretched.det_ratio != build_cover(body).det_ratio
     data = json.loads(dump_json(scan_certificate(body, report._replace(best=stretched))))
     refit_densities(data, stretched.det_ratio)
-    assert verify_certificate(data) == (False, ["stored rotation is not grid rotation best_index"])
+    # Re-derived on grid rotation best_index, the rotation and every radial
+    # value differ, and so does each membership that then fails.
+    failing = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (3, 1), (3, 3), (5, 0), (5, 1), (5, 2), (5, 3)]
+    assert verify_certificate(data) == (False, [
+        *(f"membership fails at {p}" for p in failing),
+        *rederived(*(f"best.checks[{n}].{key}" for n in range(24) for key in ("margin", "radial_value", "rhs"))),
+        *rederived(*(f"best.rotation[{r}][{c}]" for r in range(3) for c in range(3))),
+    ])
     # No command emits a cover on its own, and verify accepts none.
     cover = tmp_path / "cover.json"
     cover.write_text(json.dumps(data["best"]))
@@ -850,34 +893,33 @@ def test_non_zonal_scan_output_is_pinned(capsys, tmp_path):
 
 
 def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):
-    # Zero the contraction, recompute every value that depends on it, and
-    # pad the membership log with the vertices that still pass.
-    body_file = tmp_path / "body.json"
-    save_body(make_body([(4, 0, 0.02 / 3)]), str(body_file))
+    # Zero the contraction, re-derive every value that depends on it, and
+    # pad the membership log with the vertices that still pass.  The log is
+    # re-derived too: verify names the memberships that fail at delta 0,
+    # then every leaf of a padded entry that is not the true entry's.
+    body = make_body([(4, 0, 0.02 / 3)])
+    report = rotation_scan(body, grid_size=8)
+    c, lat = report.best, build_anstar(3)
+    zero = cover_record(lat, body, c.rotation, c.rho, c.m_form, c.translations, Fraction(0))
+    data = json.loads(dump_json(scan_certificate(body, scan_record(lat, body, 8, report.best_index, zero))))
+    checks = data["best"]["checks"]
+    failing = [k for k in checks if Fraction(k["lhs"]) > Fraction(k["rhs"])]
+    passing = [k for k in checks if k not in failing]
+    assert 0 < len(passing) < len(checks)
+    padded = [passing[n % len(passing)] for n in range(len(checks))]
+    expected = [f"membership fails at ({k['simplex']}, {k['vertex']})" for k in failing]
+    for n, (got, want) in enumerate(zip(padded, checks)):
+        for key in sorted(want):
+            if key == "y":
+                expected += rederived(*(f"best.checks[{n}].y[{r}]" for r in range(3) if got["y"][r] != want["y"][r]))
+            elif got[key] != want[key]:
+                expected += rederived(f"best.checks[{n}].{key}")
+    data["best"]["checks"] = padded
     cert = tmp_path / "scan.json"
-    code, _, _ = run(
-        capsys, "construct", "--body", str(body_file), "--grid", "8", "--out", str(cert)
-    )
-    assert code == 0
-    data = json.loads(cert.read_text())
-    best = data["best"]
-    m_matrix = [[Fraction(x) for x in row] for row in best["m_matrix"]]
-    det_ratio = det(mat_add(identity(3), m_matrix))
-    best["delta"] = "0"
-    best["det_ratio"] = rat_str(det_ratio)
-    passing = []
-    for k in best["checks"]:
-        k["lhs"] = k["norm2"]
-        if Fraction(k["lhs"]) <= Fraction(k["rhs"]):
-            passing.append(k)
-    assert 0 < len(passing) < len(best["checks"])
-    best["checks"] = [passing[n % len(passing)] for n in range(len(best["checks"]))]
-    refit_densities(data, det_ratio)
     cert.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--certificate", str(cert))
-    assert code == 1
-    assert out == ""
-    assert err == "verification failure: membership log must check every vertex once, in order\n"
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"verification failure: {line}" for line in expected]
 
 
 def test_verify_rejects_misshapen_scan_tables(capsys, tmp_path):
@@ -947,7 +989,18 @@ def test_verify_ties_the_scan_rotation_to_the_grid(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--certificate", str(forged))
     assert code == 1
     assert out == ""
-    assert err == "verification failure: stored rotation is not grid rotation best_index\n"
+    failing = [
+        (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3),
+        (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3),
+    ]
+    assert err.splitlines() == [
+        f"verification failure: {line}"
+        for line in (
+            *(f"membership fails at {p}" for p in failing),
+            *rederived(*(f"best.checks[{n}].{key}" for n in range(24) for key in ("margin", "radial_value", "rhs"))),
+            *rederived(*(f"best.rotation[{r}][{c}]" for r in range(3) for c in range(3))),
+        )
+    ]
     index_error = "best rotation index must be an integer in [0, grid_size)"
     for index, size, message in (
         (True, 40, "best_index must be a JSON integer, not a JSON boolean"),
@@ -986,11 +1039,8 @@ def test_verify_rederives_the_volume_bound(capsys, tmp_path):
     assert out == ""
     # The densities are recomputed from the re-derived bound, so they fail too.
     assert err.splitlines() == [
-        "verification failure: volume bound is not the exact bound of the body",
-        *(
-            f"verification failure: {key} is not its value from the exact volume bound and det ratio"
-            for key in ("best_density", "margin", "delta_k_bound")
-        ),
+        f"verification failure: {line}"
+        for line in rederived("best_density", "delta_k_bound", "margin", "volume_bound")
     ]
 
 
@@ -1039,10 +1089,11 @@ def test_verify_rederives_the_cover_floats(capsys, tmp_path):
         cert.write_text(json.dumps(dict(data, best=dict(data["best"], **{key: value}))))
         code, out, err = run(capsys, "verify", "--certificate", str(cert))
         assert (code, out) == (1, "")
-        assert err == f"verification failure: {key} is not its value from the certificate's exact data\n"
+        assert err == f"verification failure: best.{key} is not its re-derived value\n"
     checks = [dict(k, margin=-1.0) for k in data["best"]["checks"]]
     cert.write_text(json.dumps(dict(data, best=dict(data["best"], checks=checks))))
     code, out, err = run(capsys, "verify", "--certificate", str(cert))
     assert (code, out) == (1, "")
-    assert len(err.splitlines()) == len(checks)
-    assert all("is not its re-derived value" in line for line in err.splitlines())
+    assert err.splitlines() == [
+        f"verification failure: {line}" for line in rederived(*(f"best.checks[{n}].margin" for n in range(24)))
+    ]

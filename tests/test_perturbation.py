@@ -48,6 +48,7 @@ from ballcover.perturbation import (
     scan_densities,
     simplex_weights,
 )
+from ballcover.reports import dump_json, scan_certificate
 from ballcover.search import (
     DELTA_BITS,
     CoverEngine,
@@ -885,7 +886,9 @@ HARMONICS = st.lists(
 @given(HARMONICS, DIRECTIONS)
 def test_rho_is_the_per_harmonic_sum_bit_for_bit(coeffs, d):
     body = make_body(coeffs)
-    want = sum(a * real_sph_harm(l, m, d) for l, m, a in body.coeffs)
+    want = 0
+    for l, m, a in body.coeffs:  # left to right: builtin sum compensates from Python 3.12 on
+        want += a * real_sph_harm(l, m, d)
     got = rho(body, d)
     # repr tells the int 0 of an empty sum from 0.0, and -0.0 from 0.0.
     assert repr(got) == repr(want)
@@ -903,3 +906,30 @@ def test_rho_is_exactly_even(coeffs, d):
     for l in range(13):
         for m in range(-l, l + 1):
             assert real_sph_harm(l, m, minus) == (-1) ** l * real_sph_harm(l, m, d)
+
+
+def compensated_sum(items, start=0):
+    # builtin sum as Python 3.12 and later run it on floats: compensated,
+    # with math.fsum standing in.  Ints and Fractions add exactly in any order.
+    items = list(items)
+    if any(type(x) is float for x in items):
+        return math.fsum([start, *items])
+    return sum(items, start)
+
+
+def test_float_sums_keep_their_bits_under_compensated_summation(monkeypatch):
+    # Each float sum on a scan's path adds left to right, so rho, eps and
+    # the scan's bytes are the same whichever way builtin sum rounds.
+    rows = [(4, -3, 0.002), (4, 1, 0.0015), (4, 4, -0.001), (6, -2, 0.001), (6, 0, 0.0007), (6, 5, -0.0009)]
+    rng = random.Random(0)
+    directions = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(300)]
+
+    def outputs():
+        body = make_body(rows)
+        scan = dump_json(scan_certificate(body, rotation_scan(body, grid_size=8)))
+        return repr(body.eps), [repr(rho(body, d)) for d in directions], scan
+
+    eps, values, scan = outputs()
+    for module in ("bodies", "perturbation"):
+        monkeypatch.setattr(f"ballcover.{module}.sum", compensated_sum, raising=False)
+    assert outputs() == (eps, values, scan)

@@ -44,6 +44,14 @@ EXEMPT = {
 }
 
 
+# A scan's inputs, as leaf-path prefixes.  verify re-derives every other
+# leaf of a scan from them, so a change to any other leaf is named by its path.
+SCAN_INPUTS = {
+    ("kind",), ("grid_size",), ("best_index",),
+    *(("best", key) for key in ("body", "rho", "m_form", "translations", "delta")),
+}
+
+
 def _spectrum():
     lat = build_anstar(3)
     _, simplices = covering_radius(lat)
@@ -104,6 +112,19 @@ def read(data, path):
     for p in path:
         data = data[p]
     return data
+
+
+def path_text(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def assert_rejected(name, data, path, value):
+    """verify_certificate must reject data with the leaf at path set to
+    value; on a scan leaf not among its inputs, with that leaf's path alone."""
+    ok, bad = verify_changed(data, path, value)
+    assert not ok, (name, path, value)
+    if data["kind"] == "scan-report" and not any(path[: len(p)] == p for p in SCAN_INPUTS):
+        assert bad == [f"{path_text(path)} is not its re-derived value"], (name, path, value)
 
 
 def verify_changed(data, path, value):
@@ -167,8 +188,14 @@ def test_verify_rejects_a_change_to_the_first_leaf_of_every_field():
     for name, data in certificates().items():
         for paths in fields(name).values():
             path = paths[0]
-            ok, _ = verify_changed(data, path, fixed_change(read(data, path)))
-            assert not ok, (name, path)
+            assert_rejected(name, data, path, fixed_change(read(data, path)))
+
+
+def test_verify_names_each_changed_scan_leaf():
+    # Every leaf of the scan, not only the first of each field.
+    data = certificates()["scan"]
+    for path in leaves(data):
+        assert_rejected("scan", data, path, fixed_change(read(data, path)))
 
 
 @settings(max_examples=250, deadline=None)
@@ -180,8 +207,7 @@ def test_verify_rejects_any_one_leaf_change(data):
     paths = by_field[data.draw(st.sampled_from(sorted(by_field)))]
     path = data.draw(st.sampled_from(paths))
     value = data.draw(other_value(read(cert, path)))
-    ok, _ = verify_changed(cert, path, value)
-    assert not ok, (name, path, value)
+    assert_rejected(name, cert, path, value)
 
 
 def same_value_in_another_json_type(old):
