@@ -97,14 +97,25 @@ def _farkas_to_form(gram: MatQ, y: MatQ) -> MatQ:
     return mat_mul(gram, mat_mul(y, gram))
 
 
-def removal_class(removable: Sequence[bool]) -> EutaxyClass:
-    """Class of a semi-eutactic family from which pairs can be removed:
-    critical when none can, redundant when every one can."""
+def evidence_report(
+    coefficients: Optional[Sequence[Rat]],
+    farkas_form: Optional[MatQ],
+    removals: Sequence[RemovalOutcome],
+    unique: bool,
+) -> EutaxyReport:
+    """The report the LP evidence proves.  Without weights for the identity
+    the family is not semi-eutactic, with the separating form and no
+    removals; otherwise it is critical when no pair can be removed,
+    redundant when every pair can, and semi-eutactic between."""
+    if coefficients is None:
+        return EutaxyReport(EutaxyClass.NOT_SEMI_EUTACTIC, None, farkas_form, (), unique)
+    removable = [r.feasible for r in removals]
+    cls = EutaxyClass.SEMI_EUTACTIC
     if not any(removable):
-        return EutaxyClass.CRITICALLY_SEMI_EUTACTIC
-    if all(removable):
-        return EutaxyClass.REDUNDANTLY_SEMI_EUTACTIC
-    return EutaxyClass.SEMI_EUTACTIC
+        cls = EutaxyClass.CRITICALLY_SEMI_EUTACTIC
+    elif all(removable):
+        cls = EutaxyClass.REDUNDANTLY_SEMI_EUTACTIC
+    return EutaxyReport(cls, tuple(coefficients), None, tuple(removals), unique)
 
 
 def _removal(forms: Sequence[MatQ], k: int, gram: MatQ) -> RemovalOutcome:
@@ -175,13 +186,7 @@ def classify(
     full = lp_feasible_nonneg(forms, target)
     unique = forms_independent(forms)
     if isinstance(full, Infeasible):
-        return EutaxyReport(
-            classification=EutaxyClass.NOT_SEMI_EUTACTIC,
-            coefficients=None,
-            farkas_form=_farkas_to_form(gram, full.certificate),
-            removals=(),
-            unique=unique,
-        )
+        return evidence_report(None, _farkas_to_form(gram, full.certificate), (), unique)
     first = _removal(forms, 0, gram)
     removals = [first]
     resums = combination_test(forms, gram)
@@ -190,18 +195,12 @@ def classify(
             removals.append(_moved_removal(first, orbit[k], resums))
         else:
             removals.append(_removal(forms, k, gram))
-    cls = removal_class([r.feasible for r in removals])
-    if cls is EutaxyClass.CRITICALLY_SEMI_EUTACTIC and not (
+    report = evidence_report(full.coefficients, None, removals, unique)
+    if report.classification is EutaxyClass.CRITICALLY_SEMI_EUTACTIC and not (
         unique and all(c > 0 for c in full.coefficients)
     ):
         raise RuntimeError("no pair removable, yet weights not unique and positive")
-    return EutaxyReport(
-        classification=cls,
-        coefficients=full.coefficients,
-        farkas_form=None,
-        removals=tuple(removals),
-        unique=unique,
-    )
+    return report
 
 
 class LatticeEutaxy(NamedTuple):
@@ -227,7 +226,7 @@ def split_pair_weights(
     if weights is None:
         return None
     out = [Fraction(0)] * (2 * len(pairs))
-    for w, (i, j) in zip(weights, pairs):
+    for w, (i, j) in zip(weights, pairs, strict=True):
         out[i] = w / 2
         out[j] = w / 2
     return tuple(out)
@@ -310,13 +309,12 @@ class Classification(NamedTuple):
     normalization: str
 
 
-def classification_certificate(lat: LatticeModel) -> dict:
-    """Plain-data certificate for the lattice classification (values exact)."""
-    ctx = classify_lattice(lat)
+def classification_record(ctx: LatticeEutaxy) -> Classification:
+    """The classification of ctx as its certificate states it."""
     rep = ctx.report
-    record = Classification(
-        dimension=lat.n,
-        gram=lat.gram,
+    return Classification(
+        dimension=ctx.lat.n,
+        gram=ctx.lat.gram,
         mu2=ctx.mu2,
         num_simplices=len(ctx.simplices),
         pairs=ctx.pairs,
@@ -330,103 +328,84 @@ def classification_certificate(lat: LatticeModel) -> dict:
         conclusion=ball_conclusion(rep.classification),
         normalization=MAP_NORMALIZATION,
     )
+
+
+def classification_certificate(lat: LatticeModel) -> dict:
+    """Plain-data certificate for the lattice classification (values exact)."""
+    record = classification_record(classify_lattice(lat))
     return {"kind": "eutaxy-classification", **record._asdict()}
 
 
+def _separation_failures(ginv: MatQ, y: MatQ, forms: Sequence[MatQ]) -> list[str]:
+    """Why y does not separate the identity strictly from the maps of the
+    forms: its trace must be positive and its pairing with each negative."""
+    if map_trace(ginv, y) <= 0:
+        return ["separating map has nonpositive trace"]
+    return [
+        f"separating map not strict against map {k}"
+        for k, f in enumerate(forms)
+        if map_inner(ginv, y, f) >= 0
+    ]
+
+
 def verify_classification(data: dict, bad: list[str]) -> None:
-    """Check a classification certificate against A_n*, rebuilt here: its
-    maps, pairs and radius.  Every weight vector must re-sum its maps to the
-    identity exactly, and every separating form, trusted as evidence, must
-    have positive trace and separate strictly; the classification and the
-    conclusion are derived again from the removals."""
-    from .reports import decode
+    """Check a classification by re-deriving it from its inputs: dimension
+    and the LP evidence pair_coefficients, farkas_form and each removal's
+    feasible, coefficients and farkas_form.  classification_record, as
+    `ball-class` uses it, derives every other leaf from A_n* rebuilt at
+    that dimension and from the evidence (the class by evidence_report),
+    and each leaf of the file that differs is named by its path.  Checked
+    on the evidence: each weight vector is nonnegative and re-sums its maps
+    to G; each separating form, trusted, has positive trace and separates
+    strictly; a removal has weights exactly when feasible; and a critical
+    class has unique positive weights."""
+    from .reports import decode, not_rederived
 
     c = decode(Classification, data)
-    if c.dimension != len(c.gram):
-        bad.append("dimension does not match the gram matrix")
-        return
     if not 2 <= c.dimension <= 5:
         bad.append(f"dimension {c.dimension!r} is not an integer from 2 to 5")
         return
-    if c.normalization != MAP_NORMALIZATION:
-        bad.append(f"normalization must read {MAP_NORMALIZATION!r}")
     lat = build_anstar(c.dimension)
-    gram = lat.gram
     mu2, simplices = covering_radius(lat)
     pairs = negative_pairs(simplices)
-    if c.gram != gram:
-        bad.append("gram matrix is not the A_n* gram matrix")
-        return
-    if c.mu2 != mu2:
-        bad.append("covering radius mismatched")
-    if c.pairs != pairs:
-        bad.append("pairs do not match the pair table")
-        return
-    forms = c.maps
-    if len(forms) != len(pairs):
-        bad.append("one map per pair expected")
-        return
-    if c.num_simplices != 2 * len(pairs):
-        bad.append("pair count inconsistent with simplex count")
-    for k, f in enumerate(forms):
-        if f != q_map(simplices[pairs[k][0]], gram).form:
-            bad.append(f"map {k} is not the simplex map of pair {k}")
-    if c.unique != forms_independent(forms):
-        bad.append("unique must say whether the maps are linearly independent")
-    ginv = gram_inverse(gram)
+    maps = tuple(q_map(simplices[i], lat.gram) for i, _ in pairs)
+    forms = [m.form for m in maps]
+    ginv = gram_inverse(lat.gram)
     cs = c.pair_coefficients
-    if c.simplex_coefficients != split_pair_weights(cs, pairs):
-        bad.append("simplex coefficients are not the pair weights split over each pair")
-    if c.classification == "not-semi-eutactic":
-        if c.removals:
-            bad.append("an infeasible classification lists no removals")
-        y = c.farkas_form
-        if map_trace(ginv, y) <= 0:
-            bad.append("separating map has nonpositive trace")
-        for k, f in enumerate(forms):
-            if map_inner(ginv, y, f) >= 0:
-                bad.append(f"separating map not strict against map {k}")
-        if c.conclusion != ball_conclusion(EutaxyClass.NOT_SEMI_EUTACTIC):
-            bad.append("conclusion does not match the classification rule")
-        return
     if cs is None:
-        bad.append("feasible classification without coefficients")
-        return
-    if c.farkas_form is not None:
-        bad.append("feasible classification with a separating map")
-    if any(x < 0 for x in cs):
-        bad.append("negative coefficient in identity resolution")
-    resums = combination_test(forms, gram)
-    if not resums(cs):
-        bad.append("coefficients do not resolve the identity form")
-    if [r.pair_index for r in c.removals] != list(range(len(pairs))):
-        bad.append("removals must list the pair indices in order, one per pair")
-        return
-    removable = []
-    for k, r in enumerate(c.removals):
-        kept = forms[:k] + forms[k + 1 :]
-        if (r.coefficients is not None, r.farkas_form is not None) != (r.feasible, not r.feasible):
-            bad.append(f"removal {k}: needs coefficients if feasible, else a separating map")
-            continue
-        removable.append(r.feasible)
-        if r.feasible:
-            if len(r.coefficients) != len(kept) or any(x < 0 for x in r.coefficients):
-                bad.append(f"removal {k}: bad coefficient vector")
-                continue
-            if not resums(r.coefficients, k):
-                bad.append(f"removal {k}: coefficients do not resolve identity")
-        else:
-            y = r.farkas_form
-            if map_trace(ginv, y) <= 0:
-                bad.append(f"removal {k}: separating map has nonpositive trace")
-            for i, f in enumerate(kept):
-                if map_inner(ginv, y, f) >= 0:
-                    bad.append(f"removal {k}: not strict against kept map {i}")
-    expected = removal_class(removable)
-    if expected is EutaxyClass.CRITICALLY_SEMI_EUTACTIC:
-        if not c.unique or any(x <= 0 for x in cs):
-            bad.append("critical case requires unique all-positive coefficients")
-    if c.classification != expected.value:
-        bad.append(f"classification {c.classification!r} but evidence says {expected.value!r}")
-    if c.conclusion != ball_conclusion(expected):
-        bad.append("conclusion does not match the classification rule")
+        if c.farkas_form is None:
+            bad.append("a classification without weights needs a separating map")
+            return
+        bad.extend(_separation_failures(ginv, c.farkas_form, forms))
+    else:
+        if len(cs) != len(pairs):
+            bad.append(f"pair_coefficients must hold one weight for each of the {len(pairs)} pairs")
+            return
+        if len(c.removals) != len(pairs):
+            bad.append(f"removals must hold one outcome for each of the {len(pairs)} pairs")
+            return
+        resums = combination_test(forms, lat.gram)
+        if any(x < 0 for x in cs):
+            bad.append("negative coefficient in identity resolution")
+        if not resums(cs):
+            bad.append("coefficients do not resolve the identity form")
+        for k, r in enumerate(c.removals):
+            if (r.coefficients is None) == r.feasible or (r.farkas_form is None) != r.feasible:
+                bad.append(f"removal {k}: needs coefficients if feasible, else a separating map")
+            elif r.feasible:
+                if len(r.coefficients) != len(forms) - 1 or any(x < 0 for x in r.coefficients):
+                    bad.append(f"removal {k}: bad coefficient vector")
+                elif not resums(r.coefficients, k):
+                    bad.append(f"removal {k}: coefficients do not resolve identity")
+            else:
+                kept = forms[:k] + forms[k + 1 :]
+                failures = _separation_failures(ginv, r.farkas_form, kept)
+                bad.extend(f"removal {k}: {line}" for line in failures)
+    removals = [r._replace(pair_index=k) for k, r in enumerate(c.removals)]
+    report = evidence_report(cs, c.farkas_form, removals, forms_independent(forms))
+    if report.classification is EutaxyClass.CRITICALLY_SEMI_EUTACTIC and not (
+        report.unique and all(x > 0 for x in cs)
+    ):
+        bad.append("critical case requires unique all-positive coefficients")
+    record = classification_record(LatticeEutaxy(lat, mu2, simplices, pairs, maps, report))
+    bad.extend(not_rederived(data, {"kind": "eutaxy-classification", **record._asdict()}))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .linalg import MatQ, Rat, VecQ
@@ -203,6 +203,19 @@ class MultiplierSpectrum(NamedTuple):
     mass: Rat
 
 
+def spectrum_record(counts: Mapping[Rat, int], lmax: int) -> MultiplierSpectrum:
+    """Exact multipliers m_l = (1/2) sum_c n_c P_l(c), l = 0..lmax, from the
+    number n_c of points at each cosine c, listed by cosine."""
+    series = [(n, legendre_values(c)) for c, n in counts.items()]
+    multipliers = tuple(sum(n * next(p) for n, p in series) / 2 for _ in range(lmax + 1))
+    return MultiplierSpectrum(
+        lmax=lmax,
+        multipliers=multipliers,
+        cosine_counts=tuple(sorted(counts.items())),
+        mass=multipliers[0],
+    )
+
+
 def zonal_spectrum(
     points: Sequence[VecQ], pole: VecQ, gram: MatQ, lmax: int
 ) -> MultiplierSpectrum:
@@ -222,35 +235,35 @@ def zonal_spectrum(
         counts[c] = counts.get(c, 0) + 1
     if tuple(pole) not in {tuple(p) for p in points}:
         raise ValueError("pole is not one of the points")
-    series = [(n, legendre_values(c)) for c, n in counts.items()]
-    multipliers = [sum(n * next(p) for n, p in series) / 2 for _ in range(lmax + 1)]
-    if multipliers[0] != Fraction(len(points), 2):
+    spec = spectrum_record(counts, lmax)
+    if spec.mass != Fraction(len(points), 2):
         raise RuntimeError("multiplier 0 is not half the vertex count")
-    return MultiplierSpectrum(
-        lmax=lmax,
-        multipliers=tuple(multipliers),
-        cosine_counts=tuple(sorted(counts.items())),
-        mass=multipliers[0],
-    )
+    return spec
 
 
 def verify_spectrum(data: dict, bad: list[str]) -> None:
-    """Check a spectrum certificate: every multiplier is re-summed exactly
-    from the stated cosine counts, and must vanish in odd degrees and equal
-    c_l in even ones; the mass is half the vertex count."""
-    from .reports import decode
+    """Check a spectrum by re-deriving it from its inputs, lmax and
+    cosine_counts: spectrum_record, as `zonal` uses it, re-sums every
+    multiplier from the counts, and each leaf of the file that differs is
+    named by its path.  Checked on the inputs: lmax >= 0, one multiplier
+    per degree, every count positive; on the record: odd multipliers vanish
+    and even ones equal c_l.  That the counts are A3*'s is not checked."""
+    from .reports import decode, not_rederived, spectrum_certificate
 
     s = decode(MultiplierSpectrum, data)
-    if sum(n for _, n in s.cosine_counts) != 2 * s.mass:
-        bad.append("mass is not half the vertex count")
+    if s.lmax < 0:
+        bad.append("lmax must be nonnegative")
+        return
+    # Checked before re-deriving, so the work is bounded by the file's size.
     if len(s.multipliers) != s.lmax + 1:
         bad.append("multiplier list length off")
-    series = [(n, legendre_values(c)) for c, n in s.cosine_counts]
-    for (l, m), c in zip(enumerate(s.multipliers), c_l_values()):
-        from_counts = sum(n * next(p) for n, p in series) / 2
-        if m != from_counts:
-            bad.append(f"multiplier {l} disagrees with the cosine data")
+        return
+    if any(n <= 0 for _, n in s.cosine_counts):
+        bad.append("every cosine count must be positive")
+    spec = spectrum_record(dict(s.cosine_counts), s.lmax)
+    for (l, m), c in zip(enumerate(spec.multipliers), c_l_values()):
         if l % 2 == 1 and m != 0:
             bad.append(f"odd multiplier {l} nonzero")
         if l % 2 == 0 and m != c:
             bad.append(f"even multiplier {l} differs from c_{l}")
+    bad.extend(not_rederived(data, spectrum_certificate(spec)))

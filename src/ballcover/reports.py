@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from importlib import import_module
+from itertools import count
 from typing import TYPE_CHECKING, Callable, Sequence, Union, get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
@@ -222,24 +223,31 @@ def _reader(tp) -> Callable[[object], object]:
     return partial(_check, tp)
 
 
-def _same_json(a: object, b: object) -> bool:
-    """Whether two JSON values are equal with every leaf of the same JSON type."""
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
 def differing_leaves(data: object, expected: object, path: tuple = ()):
     """The paths, as _path_text writes them and in key order, at which the
     JSON value data differs from expected: a leaf's value or JSON type, or
     the keys of an object or the length of a list, named at that object or
-    list."""
+    list ('certificate' at the top)."""
     if type(data) is type(expected) is dict and data.keys() == expected.keys():
-        for key in sorted(data):
-            yield from differing_leaves(data[key], expected[key], (*path, key))
+        items = [(key, data[key], expected[key]) for key in sorted(data)]
     elif type(data) is type(expected) is list and len(data) == len(expected):
-        for i, (a, b) in enumerate(zip(data, expected)):
-            yield from differing_leaves(a, b, (*path, i))
-    elif type(data) is not type(expected) or repr(data) != repr(expected):
-        yield _path_text(path)
+        items = zip(count(), data, expected)
+    else:
+        if type(data) is not type(expected) or repr(data) != repr(expected):
+            yield _path_text(path) or "certificate"
+        return
+    for key, a, b in items:
+        if type(a) is type(b) is str and a == b:  # most leaves: skipped without a call
+            continue
+        yield from differing_leaves(a, b, (*path, key))
+
+
+def not_rederived(data: object, certificate: dict) -> list[str]:
+    """A '<path> is not its re-derived value' line for each leaf at which
+    the parsed certificate data differs from the re-derived certificate, as
+    differing_leaves names them."""
+    paths = differing_leaves(data, rationalize(certificate))
+    return [f"{path} is not its re-derived value" for path in paths]
 
 
 # The verifier of each kind, as (module, function), imported on first use.

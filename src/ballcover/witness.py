@@ -214,51 +214,66 @@ def extension_witness(
         raise WitnessUnavailableError(
             "pair is removable; the redundancy coefficients certify extension"
         )
-    i0, j0 = ctx.pairs[pair_index]
-    s0 = ctx.simplices[i0]
-    pole = s0.x[0]
-    ball = AugmentedBall(eps=eps, pole=pole, gram=lat.gram)
+    s0 = ctx.simplices[ctx.pairs[pair_index][0]]
+    ball = AugmentedBall(eps=eps, pole=s0.x[0], gram=lat.gram)
     kept = kept_simplices(ctx.simplices, ctx.pairs, pair_index)
     scale = Fraction(1, 4)
     while scale >= Fraction(1, 2**30):
         t_map = witness_transform(lat.gram, removal.farkas_form, scale)
-        det_t = det(t_map)
-        if det_t > 1:
-            kept_cr2 = tuple(exact_cr_after(t_map, s, lat.gram) for s in kept)
-            if all(c < ctx.mu2 for c in kept_cr2):
+        if det(t_map) > 1:
+            if all(exact_cr_after(t_map, s, lat.gram) < ctx.mu2 for s in kept):
                 images = tuple(mat_vec(t_map, x) for x in s0.x)
                 fits = _shift_fits(ball, images)
                 k = next((k for k in TAU_RANGE if fits(k)), None)
                 if k is not None:
                     tau = Fraction(k, TAU_STEPS) * eps
-                    move = vec_scale(tau, pole)
-                    return ExtensionWitness(
-                        dimension=lat.n,
-                        pair_index=pair_index,
-                        removed_simplices=(i0, j0),
-                        farkas_form=removal.farkas_form,
-                        scale=scale,
-                        transform=t_map,
-                        det_t=det_t,
-                        mu2=ctx.mu2,
-                        kept_cr2=kept_cr2,
-                        grown_cr2=exact_cr_after(t_map, s0, lat.gram),
-                        eps=eps,
-                        pole=pole,
-                        tau=tau,
-                        translated_points=tuple(vec_add(y, move) for y in images),
-                    )
+                    return witness_record(lat, pair_index, removal.farkas_form, scale, eps, tau)
         scale /= 2
     raise WitnessSearchError("no scale above cutoff passed all exact checks")
 
 
+def witness_record(
+    lat: LatticeModel, pair_index: int, farkas_form: MatQ, scale: Rat, eps: Rat, tau: Rat
+) -> ExtensionWitness:
+    """The witness of pair pair_index at the given form, scale, eps and tau:
+    T = witness_transform(G, farkas_form, scale), and under T the
+    circumradii and the removed simplex's images moved by tau * pole."""
+    mu2, simplices = covering_radius(lat)
+    pairs = negative_pairs(simplices)
+    i0, j0 = pairs[pair_index]
+    s0 = simplices[i0]
+    pole = s0.x[0]
+    t_map = witness_transform(lat.gram, farkas_form, scale)
+    move = vec_scale(tau, pole)
+    return ExtensionWitness(
+        dimension=lat.n,
+        pair_index=pair_index,
+        removed_simplices=(i0, j0),
+        farkas_form=farkas_form,
+        scale=scale,
+        transform=t_map,
+        det_t=det(t_map),
+        mu2=mu2,
+        kept_cr2=tuple(
+            exact_cr_after(t_map, s, lat.gram) for s in kept_simplices(simplices, pairs, pair_index)
+        ),
+        grown_cr2=exact_cr_after(t_map, s0, lat.gram),
+        eps=eps,
+        pole=pole,
+        tau=tau,
+        translated_points=tuple(vec_add(mat_vec(t_map, x), move) for x in s0.x),
+    )
+
+
 def verify_witness(data: dict, bad: list[str]) -> None:
-    """Check a witness certificate against A_n*, rebuilt here.  The transform
-    is rebuilt from the stated form and scale; its determinant, the
-    circumradii, the separation and the translated points are re-derived
-    exactly, and each point must lie in the ball augmented at the declared
-    eps."""
-    from .reports import decode
+    """Check a witness by re-deriving it from its inputs: dimension,
+    pair_index, farkas_form, scale, eps and tau.  witness_record, as
+    `witness` uses it, derives every other leaf from A_n* rebuilt at that
+    dimension, and each leaf of the file that differs is named by its path.
+    Checked on the inputs: the pair is in range, eps > 0, and the form has
+    positive trace and is strict against every kept pair; on the record:
+    det T > 1, each kept cr2 < mu2, and each point lies in the augmented ball."""
+    from .reports import decode, not_rederived, witness_certificate
 
     w = decode(ExtensionWitness, data)
     if not 2 <= w.dimension <= 5:
@@ -267,49 +282,29 @@ def verify_witness(data: dict, bad: list[str]) -> None:
     lat = build_anstar(w.dimension)
     gram = lat.gram
     ginv = gram_inverse(gram)
-    mu2, simplices = covering_radius(lat)
+    _, simplices = covering_radius(lat)
     pairs = negative_pairs(simplices)
-    if w.mu2 != mu2:
-        bad.append("covering radius mismatched")
     if not 0 <= w.pair_index < len(pairs):
         bad.append(f"pair index {w.pair_index!r} is not an integer from 0 to {len(pairs) - 1}")
         return
-    if w.removed_simplices != pairs[w.pair_index]:
-        bad.append("removed pair does not match the pair table")
+    if w.eps <= 0:
+        bad.append("eps must be positive")
         return
     if map_trace(ginv, w.farkas_form) <= 0:
         bad.append("separating map has nonpositive trace")
         return
-    if w.transform != witness_transform(gram, w.farkas_form, w.scale):
-        bad.append("transform is not Id + (scale/2) times the normalized separating map")
-    if det(w.transform) != w.det_t:
-        bad.append("stored determinant disagrees with the transform")
-    if w.det_t <= 1:
-        bad.append("transform does not grow the determinant")
-    kept = kept_simplices(simplices, pairs, w.pair_index)
     # a pair's two members share one map
-    for i, s in enumerate(kept[::2]):
+    for i, s in enumerate(kept_simplices(simplices, pairs, w.pair_index)[::2]):
         if map_inner(ginv, w.farkas_form, q_map(s, gram).form) >= 0:
             bad.append(f"separating map not strict against kept pair {i}")
-    if len(w.kept_cr2) != len(kept):
-        bad.append("kept circumradius list incomplete")
-    for idx, (s, c) in enumerate(zip(kept, w.kept_cr2)):
-        if exact_cr_after(w.transform, s, gram) != c:
-            bad.append(f"kept circumradius {idx} mismatched")
-        if c >= mu2:
+    rec = witness_record(lat, w.pair_index, w.farkas_form, w.scale, w.eps, w.tau)
+    if rec.det_t <= 1:
+        bad.append("transform does not grow the determinant")
+    for idx, c in enumerate(rec.kept_cr2):
+        if c >= rec.mu2:
             bad.append(f"kept simplex {idx} no longer strictly inside")
-    s0 = simplices[pairs[w.pair_index][0]]
-    if w.grown_cr2 != exact_cr_after(w.transform, s0, gram):
-        bad.append("grown circumradius mismatched")
-    if w.pole != s0.x[0]:
-        bad.append("pole is not the first vertex of the removed simplex")
-    if w.eps <= 0:
-        bad.append("eps must be positive")
-        return
-    ball = AugmentedBall(eps=w.eps, pole=w.pole, gram=gram)
-    rebuilt = tuple(vec_add(mat_vec(w.transform, x), vec_scale(w.tau, w.pole)) for x in s0.x)
-    if w.translated_points != rebuilt:
-        bad.append("translated points do not match transform and tau")
-    for idx, p in enumerate(w.translated_points):
+    ball = AugmentedBall(eps=w.eps, pole=rec.pole, gram=gram)
+    for idx, p in enumerate(rec.translated_points):
         if not member_augmented_ball(p, ball):
             bad.append(f"translated vertex {idx} outside the augmented ball")
+    bad.extend(not_rederived(data, witness_certificate(rec)))

@@ -537,7 +537,7 @@ def test_verify_detects_tampering(capsys, tmp_path):
     cert.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 1
-    assert "disagrees" in err
+    assert err == "verification failure: det_t is not its re-derived value\n"
 
 
 def test_verify_derives_the_conclusion(capsys, tmp_path):
@@ -550,8 +550,8 @@ def test_verify_derives_the_conclusion(capsys, tmp_path):
     swapped["conclusion"] = json.loads(certs[3].read_text())["conclusion"]
     relabelled = dict(json.loads(certs[3].read_text()), dimension=4)
     for data, message in (
-        (swapped, "conclusion does not match the classification rule"),
-        (relabelled, "dimension does not match the gram matrix"),
+        (swapped, "conclusion is not its re-derived value"),
+        (relabelled, "pair_coefficients must hold one weight for each of the 12 pairs"),
     ):
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(data))
@@ -593,13 +593,13 @@ def test_verify_ties_the_classification_to_anstar(capsys, tmp_path):
     )
     doubled = [[rat_str(2 * Fraction(x)) for x in row] for row in data["gram"]]
     for forged, message in (
-        (removes_nothing, "removals must list the pair indices in order, one per pair"),
-        (foreign_maps, "map 0 is not the simplex map of pair 0"),
+        (removes_nothing, "removals[0].pair_index is not its re-derived value"),
+        (foreign_maps, "maps[0][0][0] is not its re-derived value"),
         (dict(data, dimension=True, gram=[["4"]]), "dimension must be a JSON integer, not a JSON boolean"),
         (dict(data, dimension=1, gram=[["4"]]), "dimension 1 is not an integer from 2 to 5"),
-        (dict(data, gram=doubled), "gram matrix is not the A_n* gram matrix"),
-        (dict(data, mu2="5/3"), "covering radius mismatched"),
-        (dict(data, pairs=[[0, 5], [2, 4], [1, 3]]), "pairs do not match the pair table"),
+        (dict(data, gram=doubled), "gram[0][0] is not its re-derived value"),
+        (dict(data, mu2="5/3"), "mu2 is not its re-derived value"),
+        (dict(data, pairs=[[0, 5], [2, 4], [1, 3]]), "pairs[1][0] is not its re-derived value"),
     ):
         path = tmp_path / "forged.json"
         path.write_text(json.dumps(forged))
@@ -614,20 +614,17 @@ def test_verify_rederives_the_simplex_coefficients(capsys, tmp_path):
     code, _, _ = run(capsys, "ball-class", "--dim", "3", "--out", str(cert))
     assert code == 0
     data = json.loads(cert.read_text())
-    for forged in (
-        dict(data, simplex_coefficients=["7"] * 6),
-        dict(data, simplex_coefficients=None),
-        dict(data, simplex_coefficients=["1/2"] * 5 + ["1"]),
+    for forged, paths in (
+        (["7"] * 6, [f"simplex_coefficients[{i}]" for i in range(6)]),
+        (None, ["simplex_coefficients"]),
+        (["1/2"] * 5 + ["1"], ["simplex_coefficients[5]"]),
     ):
         path = tmp_path / "forged.json"
-        path.write_text(json.dumps(forged))
+        path.write_text(json.dumps(dict(data, simplex_coefficients=forged)))
         code, out, err = run(capsys, "verify", "--certificate", str(path))
         assert code == 1
         assert out == ""
-        assert err == (
-            "verification failure: simplex coefficients are not the pair "
-            "weights split over each pair\n"
-        )
+        assert err.splitlines() == [f"verification failure: {line}" for line in rederived(*paths)]
 
 
 def test_verify_ties_the_lattice_report_to_anstar(capsys, tmp_path):
@@ -640,9 +637,11 @@ def test_verify_ties_the_lattice_report_to_anstar(capsys, tmp_path):
     forged = dict(
         data, classes=[], num_maximal=0, voronoi_vertices=[["1/10", "0"]], mu2="1/150"
     )
+    # Each leaf that differs is named, and a list of another length at the
+    # list itself.
     for tampered, messages in (
         (forged, ["classes", "mu2", "num_maximal", "voronoi_vertices"]),
-        (dict(data, gram=[["1", "0"], ["0", "1"]]), ["gram"]),
+        (dict(data, gram=[["1", "0"], ["0", "1"]]), [f"gram[{r}][{c}]" for r in range(2) for c in range(2)]),
         (
             dict(data, dimension=3),
             ["classes", "embedding", "gram", "mu2", "num_maximal", "voronoi_vertices"],
@@ -653,10 +652,7 @@ def test_verify_ties_the_lattice_report_to_anstar(capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--certificate", str(path))
         assert code == 1
         assert out == ""
-        assert err == "".join(
-            f"verification failure: {key} does not match the rebuilt A_n* model\n"
-            for key in messages
-        )
+        assert err.splitlines() == [f"verification failure: {line}" for line in rederived(*messages)]
     for dim, message in (
         (True, "dimension must be a JSON integer, not a JSON boolean"),
         (2.0, "dimension must be a JSON integer, not a JSON float"),
@@ -708,7 +704,7 @@ def test_verify_usage_errors(capsys, tmp_path):
 
 def rederived(*paths):
     # verify's line for each leaf that is not its value re-derived from the
-    # scan's inputs.
+    # certificate's inputs.
     return [f"{path} is not its re-derived value" for path in paths]
 
 
@@ -806,8 +802,9 @@ def test_unwritable_out_is_a_usage_error(tmp_path):
 
 
 def test_verify_ties_the_witness_transform_to_its_scale(capsys, tmp_path):
-    # Every other check still passes on this forgery: the transform, its
-    # determinant and the circumradii are those of the true scale 1/128.
+    # The transform, its determinant, the circumradii and the points are
+    # those of the true scale 1/128; re-derived at the stated scale, the
+    # points leave the augmented ball and each of those leaves differs.
     cert = tmp_path / "wit.json"
     code, _, _ = run(capsys, "witness", "--dim", "3", "--pair", "0", "--out", str(cert))
     assert code == 0
@@ -817,10 +814,15 @@ def test_verify_ties_the_witness_transform_to_its_scale(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 1
     assert out == ""
-    assert err == (
-        "verification failure: transform is not Id + (scale/2) times the"
-        " normalized separating map\n"
-    )
+    assert err.splitlines() == [
+        f"verification failure: {line}"
+        for line in (
+            *(f"translated vertex {i} outside the augmented ball" for i in range(2)),
+            *rederived("det_t", "grown_cr2", *(f"kept_cr2[{i}]" for i in range(4))),
+            *rederived("transform[1][1]", "transform[1][2]", *(f"transform[2][{c}]" for c in range(3))),
+            *rederived(*(f"translated_points[{i}][{c}]" for i in range(4) for c in (1, 2))),
+        )
+    ]
 
 
 def test_verify_checks_the_classification_normalization(capsys, tmp_path):
@@ -832,10 +834,7 @@ def test_verify_checks_the_classification_normalization(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 1
     assert out == ""
-    assert err == (
-        "verification failure: normalization must read"
-        " 'maps scaled by 1/cr2 so each has unit trace'\n"
-    )
+    assert err == "verification failure: normalization is not its re-derived value\n"
 
 
 def test_verify_rejects_unsupported_witness_dimension(capsys, tmp_path):

@@ -263,3 +263,41 @@ def test_verify_rejects_swapped_weights_in_a_moved_removal():
     ok, bad = verify_certificate(cert)
     assert not ok
     assert bad == ["removal 1: coefficients do not resolve identity"]
+
+
+def test_verify_names_malformed_evidence():
+    # Evidence of the wrong shape gets a named line, never a traceback.
+    cert = rationalize(classification_certificate(build_anstar(3)))
+    infeasible = dict(
+        cert,
+        classification="not-semi-eutactic",
+        conclusion="ball extensible; not relatively worst covering",
+        pair_coefficients=None,
+        simplex_coefficients=None,
+        removals=[],
+    )
+    # The Gram form pairs positively with every map, so it separates nothing.
+    not_strict = [f"separating map not strict against map {k}" for k in range(3)]
+    coefficients = cert["pair_coefficients"]
+    for forged, message in (
+        (infeasible, ["a classification without weights needs a separating map"]),
+        (dict(infeasible, farkas_form=cert["gram"]), not_strict),
+        (
+            dict(cert, pair_coefficients=coefficients[:2]),
+            ["pair_coefficients must hold one weight for each of the 3 pairs"],
+        ),
+        (
+            dict(cert, pair_coefficients=[*coefficients, "1"]),
+            ["pair_coefficients must hold one weight for each of the 3 pairs"],
+        ),
+        (
+            dict(cert, removals=cert["removals"][:2]),
+            ["removals must hold one outcome for each of the 3 pairs"],
+        ),
+    ):
+        assert verify_certificate(forged) == (False, message), message
+
+
+def test_split_pair_weights_needs_one_weight_per_pair():
+    with pytest.raises(ValueError):
+        eutaxy.split_pair_weights([Fraction(1)] * 2, [(0, 5), (1, 4), (2, 3)])

@@ -268,10 +268,22 @@ def test_verify_spectrum_rederives_every_multiplier():
     spec = zonal_spectrum(pts, pts[0], lat.gram, 6)
     cert = json.loads(reports.dump_json(reports.spectrum_certificate(spec)))
     forged = dict(cert, multipliers=[*cert["multipliers"][:4], "1", *cert["multipliers"][5:]])
-    assert reports.verify_certificate(forged) == (
-        False,
-        ["multiplier 4 disagrees with the cosine data", "even multiplier 4 differs from c_4"],
-    )
+    assert reports.verify_certificate(forged) == (False, ["multipliers[4] is not its re-derived value"])
+    # Forgeries of the inputs that `zonal` never writes: a negative degree,
+    # the counts out of cosine order, one cosine over two rows, a zero count.
+    counts = cert["cosine_counts"]
+    assert counts[1] == ["-4/5", 3]
+    for forged, line in (
+        (dict(cert, lmax=-1, multipliers=[]), "lmax must be nonnegative"),
+        (dict(cert, cosine_counts=counts[::-1]), "cosine_counts[0][0] is not its re-derived value"),
+        (
+            dict(cert, cosine_counts=[counts[0], ["-4/5", 1], ["-4/5", 2], *counts[2:]]),
+            "cosine_counts is not its re-derived value",
+        ),
+        (dict(cert, cosine_counts=[["1", 0], *counts]), "every cosine count must be positive"),
+    ):
+        ok, bad = reports.verify_certificate(forged)
+        assert not ok and line in bad, forged["cosine_counts"]
     # the measure on one antipodal pair: consistent with its own cosines, not the c_l
     pair = {
         "kind": "zonal-spectrum", "lmax": 4, "mass": "1",

@@ -44,11 +44,23 @@ EXEMPT = {
 }
 
 
-# A scan's inputs, as leaf-path prefixes.  verify re-derives every other
-# leaf of a scan from them, so a change to any other leaf is named by its path.
-SCAN_INPUTS = {
-    ("kind",), ("grid_size",), ("best_index",),
-    *(("best", key) for key in ("body", "rho", "m_form", "translations", "delta")),
+# Each kind's inputs, as field prefixes.  verify re-derives every other
+# leaf of a certificate from them, so a change to any other leaf is named
+# by its path alone.
+INPUTS = {
+    "eutaxy-classification": {
+        ("kind",), ("dimension",), ("pair_coefficients",), ("farkas_form",),
+        *(("removals", "*", key) for key in ("feasible", "coefficients", "farkas_form")),
+    },
+    "lattice-report": {("kind",), ("dimension",)},
+    "scan-report": {
+        ("kind",), ("grid_size",), ("best_index",),
+        *(("best", key) for key in ("body", "rho", "m_form", "translations", "delta")),
+    },
+    "extension-witness": {
+        ("kind",), *((key,) for key in ("dimension", "pair_index", "farkas_form", "scale", "eps", "tau")),
+    },
+    "zonal-spectrum": {("kind",), ("lmax",), ("cosine_counts",)},
 }
 
 
@@ -118,12 +130,16 @@ def path_text(path):
     return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
 
 
+def is_input(kind, fld):
+    return any(fld[: len(p)] == p for p in INPUTS[kind])
+
+
 def assert_rejected(name, data, path, value):
     """verify_certificate must reject data with the leaf at path set to
-    value; on a scan leaf not among its inputs, with that leaf's path alone."""
+    value; on a leaf not among its kind's inputs, with that leaf's path alone."""
     ok, bad = verify_changed(data, path, value)
     assert not ok, (name, path, value)
-    if data["kind"] == "scan-report" and not any(path[: len(p)] == p for p in SCAN_INPUTS):
+    if not is_input(data["kind"], field(path)):
         assert bad == [f"{path_text(path)} is not its re-derived value"], (name, path, value)
 
 
@@ -177,11 +193,15 @@ def fixed_change(old):
 
 
 def test_every_certificate_verifies_and_no_exemption_is_stale():
+    # Every entry of EXEMPT and of INPUTS names a leaf of some certificate.
     present = set()
     for name, data in certificates().items():
         assert verify_certificate(data) == (True, []), name
         present.update((data["kind"], field(p)) for p in leaves(data))
     assert EXEMPT.keys() <= present
+    for kind, prefixes in INPUTS.items():
+        for p in prefixes:
+            assert any(k == kind and fld[: len(p)] == p for k, fld in present), (kind, p)
 
 
 def test_verify_rejects_a_change_to_the_first_leaf_of_every_field():
@@ -191,11 +211,14 @@ def test_verify_rejects_a_change_to_the_first_leaf_of_every_field():
             assert_rejected(name, data, path, fixed_change(read(data, path)))
 
 
-def test_verify_names_each_changed_scan_leaf():
-    # Every leaf of the scan, not only the first of each field.
-    data = certificates()["scan"]
-    for path in leaves(data):
-        assert_rejected("scan", data, path, fixed_change(read(data, path)))
+def test_verify_names_each_changed_leaf():
+    # Every checked leaf of a scan, a witness and a spectrum, not only the
+    # first of each field.
+    for name in ("scan", "witness-3-0", "spectrum"):
+        data = certificates()[name]
+        for paths in fields(name).values():
+            for path in paths:
+                assert_rejected(name, data, path, fixed_change(read(data, path)))
 
 
 @settings(max_examples=250, deadline=None)
