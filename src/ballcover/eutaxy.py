@@ -37,8 +37,6 @@ from .lattice import (
     PrimitiveSimplex,
     build_anstar,
     covering_radius,
-    negative_pairs,
-    pair_orbit,
     q_map,
 )
 from .linalg import (
@@ -235,16 +233,14 @@ def split_pair_weights(
 def classify_lattice(lat: LatticeModel) -> LatticeEutaxy:
     """Build the maximal simplices of the model and classify their maps."""
     mu2, simplices = covering_radius(lat)
-    pairs = negative_pairs(simplices)
-    # The two members of a pair share a map, checked on q_map's integer sums.
-    reps = [q_map(simplices[i], lat.gram, twin=simplices[j]) for i, j in pairs]
-    report = classify(reps, lat.gram, pair_orbit(lat, simplices, pairs))
+    # The two members of a pair share a map, checked on integer sums.
+    report = classify(lat.pair_maps, lat.gram, lat.orbit)
     return LatticeEutaxy(
         lat=lat,
         mu2=mu2,
         simplices=simplices,
-        pairs=pairs,
-        maps=tuple(reps),
+        pairs=lat.pairs,
+        maps=lat.pair_maps,
         report=report,
     )
 
@@ -353,8 +349,9 @@ def verify_classification(data: dict, bad: list[str]) -> None:
     and the LP evidence pair_coefficients, farkas_form and each removal's
     feasible, coefficients and farkas_form.  classification_record, as
     `ball-class` uses it, derives every other leaf from A_n* rebuilt at
-    that dimension and from the evidence (the class by evidence_report),
-    and each leaf of the file that differs is named by its path.  Checked
+    that dimension, with the model's twin-checked pair_maps, and from the
+    evidence (the class by evidence_report), and each leaf of the file that
+    differs is named by its path.  Checked
     on the evidence: each weight vector is nonnegative and re-sums its maps
     to G; each separating form, trusted, has positive trace and separates
     strictly; a removal has weights exactly when feasible; and a critical
@@ -367,8 +364,7 @@ def verify_classification(data: dict, bad: list[str]) -> None:
         return
     lat = build_anstar(c.dimension)
     mu2, simplices = covering_radius(lat)
-    pairs = negative_pairs(simplices)
-    maps = tuple(q_map(simplices[i], lat.gram) for i, _ in pairs)
+    pairs, maps = lat.pairs, lat.pair_maps
     forms = [m.form for m in maps]
     ginv = gram_inverse(lat.gram)
     cs = c.pair_coefficients

@@ -103,23 +103,25 @@ class LatticeModel(_LatticeModelFields):
         """primitive_simplex of every Delone class, in class order.
 
         Class 0 and each class without a class map are solved; every other
-        class is the image of class 0 under its map U: the center is
-        b_0 + U (c_0 - a_0), alpha and cr2 are class 0's, and
-        x_j = center - b_j.
+        class is the image of class 0 under its map U, on integers over the
+        denominator D of class 0's center: with c_0 - a_0 = cz / D, the
+        center is (D b_0 + U cz) / D, alpha and cr2 are class 0's, and
+        x_j = center - b_j.  Each distinct rational is made once per model.
         """
         first = primitive_simplex(self.delone_classes[0], self.gram)
         a0 = first.source.vertices[0]
         (cz,), cden = integer_scaled([vec_sub(first.center, a0)])
+        rats: dict[tuple[int, int], Rat] = {}
         out = [first]
         for s, u in zip(self.delone_classes[1:], self.class_maps[1:]):
             if u is None:
                 out.append(primitive_simplex(s, self.gram))
                 continue
-            center = tuple(
-                b + Fraction(sum(map(mul, row, cz)), cden)
-                for b, row in zip(s.vertices[0], u)
-            )
-            x = tuple(vec_sub(center, v) for v in s.vertices)
+            # a class map exists only between classes of integer vertices
+            b = [[c.numerator for c in v] for v in s.vertices]
+            cnum = [cden * bi + sum(map(mul, row, cz)) for bi, row in zip(b[0], u)]
+            center = tuple(_rat(rats, c, cden) for c in cnum)
+            x = tuple(tuple(_rat(rats, c - cden * vi, cden) for c, vi in zip(cnum, v)) for v in b)
             out.append(
                 PrimitiveSimplex(x=x, alpha=first.alpha, cr2=first.cr2, source=s, center=center)
             )
@@ -149,6 +151,55 @@ class LatticeModel(_LatticeModelFields):
             if bden == 1 and len(b) == len(a):
                 maps[k] = _automorphism(_edge_columns(b), acols, den, gz)
         return tuple(maps)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """negative_pairs of the maximal simplices (covering_radius)."""
+        return negative_pairs(covering_radius(self)[1])
+
+    @cached_property
+    def pair_maps(self) -> tuple[EutaxyMap, ...]:
+        """q_map of each pair's first maximal simplex, twin-checked against
+        the second.
+
+        Each form is summed on integers by the rule `simplices` follows: a
+        class with a class map U has x_j = U x_j^0 and class 0's alpha and
+        cr2, so its form is the congruence (G U) H (G U)^T of class 0's
+        H = sum_j alpha_j x_j^0 x_j^0^T / cr2; every other class has
+        q_map's sum.  Each is checked as q_map checks it: symmetric, of
+        unit trace and equal to its twin's.  RuntimeError otherwise.
+        """
+        mu2, maximal = covering_radius(self)
+        form, inverse = integer_form(self.gram), integer_form(gram_inverse(self.gram))
+        first = _moment(self.simplices[0])
+        sums = [
+            _map_sum(_moment(p) if u is None else first, form, u)
+            for p, u in zip(self.simplices, self.class_maps)
+            if p.cr2 == mu2
+        ]
+        rats: dict[tuple[int, int], Rat] = {}
+        return tuple(
+            _checked_map(sums[i], sums[j], inverse, maximal[i].cr2, rats) for i, j in self.pairs
+        )
+
+    @cached_property
+    def orbit(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """pair_orbit of the maximal simplices and their pairs."""
+        return pair_orbit(self, covering_radius(self)[1], self.pairs)
+
+    @cached_property
+    def voronoi_vertices(self) -> tuple[VecQ, ...]:
+        """Vertices of the Voronoi cell at the origin, in lattice coordinates:
+        every x of every simplex, each once, sorted."""
+        return tuple(sorted({x for p in self.simplices for x in p.x}))
+
+
+def _rat(rats: dict[tuple[int, int], Rat], num: int, den: int) -> Rat:
+    """Fraction(num, den), made once per key of the caller's dict rats."""
+    f = rats.get((num, den))
+    if f is None:
+        f = rats[num, den] = Fraction(num, den)
+    return f
 
 
 # bcc at scale 2: generators g with <g_i, g_j> = 4 delta_ij - 1, sum g = 0.
@@ -252,45 +303,77 @@ def q_map(
 ) -> EutaxyMap:
     """The form sum_j alpha_j (G x_j)(G x_j)^T / cr2 of the simplex map.
 
-    Summed on integers: with G as L G, each x_j times the lcm X of the
-    vertex denominators and each alpha_j times the lcm A of theirs,
-    w_j = (L G)(X x_j) is an integer vector and the sum of (A alpha_j)
-    w_j w_j^T is the form times A L^2 X^2 cr2.  Symmetry and unit trace
-    are checked on that integer sum, the trace against G^-1 scaled to
-    integers once, and a twin (the simplex's negative) must have the same
-    sum; only then is the form made Fractions.  RuntimeError otherwise.
+    Summed on integers (_map_sum of the simplex's _moment) and checked
+    there by _checked_map: symmetric, of unit trace and, given a twin (the
+    simplex's negative), equal to the twin's sum; only then is the form
+    made Fractions.  RuntimeError otherwise.
     """
-    total, den = _map_sum(simplex, gram)
+    form, inverse = integer_form(gram), integer_form(gram_inverse(gram))
+    other = None if twin is None else _map_sum(_moment(twin), form)
+    return _checked_map(_map_sum(_moment(simplex), form), other, inverse, simplex.cr2, {})
+
+
+def _moment(simplex: PrimitiveSimplex) -> tuple[list[list[int]], int, Rat]:
+    """H = sum_j alpha_j x_j x_j^T on integers: with X the lcm of the vertex
+    denominators and A that of alpha's, (sum_j (A alpha_j)(X x_j)(X x_j)^T,
+    A X^2, cr2)."""
+    xs, xden = simplex.x_integer
+    (alphas,), aden = integer_scaled([simplex.alpha])
+    h = [[0] * len(xs[0]) for _ in xs[0]]
+    for a, x in zip(alphas, xs, strict=True):
+        for xi, row in zip(x, h):
+            axi = a * xi
+            for k, xk in enumerate(x):
+                row[k] += axi * xk
+    return h, aden * xden * xden, simplex.cr2
+
+
+def _map_sum(
+    moment: tuple[list[list[int]], int, Rat],
+    form: tuple[list[list[int]], int],
+    u: Optional[IntMat] = None,
+) -> tuple[list[list[int]], int]:
+    """q_map's form of the simplex with this _moment, as an integer matrix
+    over one positive denominator; with an integer map u, that of the image
+    simplex, whose x_j are u x_j.
+
+    With form = integer_form(G) = (L G, L), the form is the congruence
+    M h M^T, M = L G (u), over A L^2 X^2 cr2, its cr2 cleared into the two
+    sides.
+    """
+    gz, scale = form
+    h, hden, cr2 = moment
+    m = gz if u is None else [[sum(map(mul, row, col)) for col in zip(*u)] for row in gz]
+    mh = [[sum(map(mul, row, col)) for col in zip(*h)] for row in m]
+    total = [[sum(map(mul, row, mrow)) * cr2.denominator for mrow in m] for row in mh]
+    return total, hden * scale * scale * cr2.numerator
+
+
+def _checked_map(
+    form_sum: tuple[list[list[int]], int],
+    twin_sum: Optional[tuple[list[list[int]], int]],
+    inverse: tuple[list[list[int]], int],
+    cr2: Rat,
+    rats: dict[tuple[int, int], Rat],
+) -> EutaxyMap:
+    """The map of an integer form sum (total, den) with this cr2, once the
+    sum is symmetric, has unit trace (against inverse = integer_form(G^-1))
+    and, given a twin's sum, equals it; RuntimeError otherwise.  Its
+    Fractions are made once per key of rats."""
+    total, den = form_sum
     n = len(total)
     if any(total[i][j] != total[j][i] for i in range(n) for j in range(i)):
         raise RuntimeError("simplex map form is not symmetric")
-    hz, h = integer_form(gram_inverse(gram))
+    hz, h = inverse
     if sum(map(mul, itertools.chain(*hz), itertools.chain(*zip(*total)))) != h * den:
         raise RuntimeError("simplex map does not have unit trace")
-    if twin is not None:
-        other, other_den = _map_sum(twin, gram)
+    if twin_sum is not None:
+        other, other_den = twin_sum
         pairs = zip(itertools.chain(*total), itertools.chain(*other))
         if any(a * other_den != b * den for a, b in pairs):
             raise RuntimeError("negative pair with distinct maps")
-    form = tuple(tuple(Fraction(t, den) for t in row) for row in total)
-    return EutaxyMap(form=form, cr2=simplex.cr2)
-
-
-def _map_sum(simplex: PrimitiveSimplex, gram: MatQ) -> tuple[list[list[int]], int]:
-    """q_map's form as an integer matrix over one positive denominator."""
-    gz, scale = integer_form(gram)
-    xs, xden = simplex.x_integer
-    (alphas,), aden = integer_scaled([simplex.alpha])
-    total = [[0] * len(gram) for _ in gram]
-    for a, x in zip(alphas, xs, strict=True):
-        w = [sum(map(mul, row, x)) for row in gz]
-        for wi, row in zip(w, total):
-            awi = a * wi
-            for k, wk in enumerate(w):
-                row[k] += awi * wk
-    cr2 = simplex.cr2
-    den = aden * scale * scale * xden * xden * cr2.numerator
-    return [[t * cr2.denominator for t in row] for row in total], den
+    form = tuple(tuple(_rat(rats, t, den) for t in row) for row in total)
+    return EutaxyMap(form=form, cr2=cr2)
 
 
 def primitive_simplex(simplex: DeloneSimplex, gram: MatQ) -> PrimitiveSimplex:
@@ -338,7 +421,7 @@ def build_anstar(n: int) -> LatticeModel:
             )
             if gram_dot(gram, gens[i], gens[j]) != expect:
                 raise RuntimeError("generators do not have the A_n* Gram values")
-    classes = []
+    walks = []
     seen = set()
     for perm in itertools.permutations(range(n)):
         walk = [(0,) * n]
@@ -348,10 +431,16 @@ def build_anstar(n: int) -> LatticeModel:
         if key in seen:
             raise RuntimeError("duplicate simplex class")
         seen.add(key)
-        classes.append(DeloneSimplex(vertices=tuple(map(vec, walk)), label=perm + (n,)))
-    model = LatticeModel(
-        n=n, gram=gram, embedding=embedding, delone_classes=tuple(classes)
+        walks.append((perm, walk))
+    # each distinct coordinate becomes a Fraction once
+    coords = {c: Fraction(c) for _, walk in walks for v in walk for c in v}
+    classes = tuple(
+        DeloneSimplex(
+            vertices=tuple(tuple(map(coords.__getitem__, v)) for v in walk), label=perm + (n,)
+        )
+        for perm, walk in walks
     )
+    model = LatticeModel(n=n, gram=gram, embedding=embedding, delone_classes=classes)
     if not genericity_check(model):
         raise RuntimeError("Delone classes fail the sphere oracle")
     return model
@@ -406,7 +495,7 @@ def pair_orbit(
     orbit = []
     for rho in reps:
         pi = dict(zip(reps[0], rho))
-        images = [index.get(tuple(pi.get(r) for r in label)) for label in reps]
+        images = [index.get(tuple(map(pi.get, label))) for label in reps]
         if None in images:
             return None
         orbit.append(tuple(pair_of[i] for i in images))
@@ -414,8 +503,9 @@ def pair_orbit(
 
 
 def voronoi_vertices(lat: LatticeModel) -> tuple[VecQ, ...]:
-    """Vertices of the Voronoi cell at the origin, in lattice coordinates."""
-    return tuple(sorted({x for p in lat.simplices for x in p.x}))
+    """Vertices of the Voronoi cell at the origin, in lattice coordinates,
+    computed once per model (LatticeModel.voronoi_vertices)."""
+    return lat.voronoi_vertices
 
 
 def to_euclidean(lat: LatticeModel, point: VecQ) -> VecQ:

@@ -10,6 +10,7 @@ exactly before returning.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .linalg import (
@@ -44,12 +45,20 @@ def _phase1(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> Optional[list[
     """Find x >= 0 with A x = b, or None.  Bland's rule, exact pivots.
 
     Rows with a negative rhs are negated and [A | b] is scaled by the lcm L of
-    its denominators, so the tableau starts in integers; the artificial
-    columns stay unit vectors.  That rescales every artificial variable by L
+    its denominators, so the problem starts in integers with the artificial
+    variables as its basis.  That rescales every artificial variable by L
     and every phase-1 cost by the same positive factor, so each reduced-cost
-    sign and each ratio comparison, hence each pivot, is the one the rational
-    tableau would make.  Each pivot is the fraction-free `linalg.pivot`, so
-    the tableau is T / d with d the determinant of the basis.
+    sign and each ratio comparison, hence each pivot, is the one the
+    rational problem would make.
+
+    A revised simplex (Dantzig and Orchard-Hays, 1954): of the tableau T / d,
+    d the determinant of the basis B, only the block [d B^-1 | d B^-1 b],
+    the artificial and rhs columns, is kept.  Column j of T is d B^-1 A_j,
+    formed only when j enters; d times its reduced cost is d c_j - w A_j,
+    with w the sum of the block's rows whose basic variable is artificial
+    (cost 1; structurals cost 0).  Each pivot is the fraction-free
+    `linalg.pivot` of the block, so every entry, choice and vertex is the
+    full tableau's.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -59,46 +68,54 @@ def _phase1(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> Optional[list[
         [*row, b] if b >= 0 else [-x for x in (*row, b)] for row, b in zip(rows, rhs)
     ]
     ints, _ = integer_scaled(signed)
-    total = n + m
-    tab = [r[:n] + [int(j == i) for j in range(m)] + r[n:] for i, r in enumerate(ints)]
-    basis = list(range(n, total))
+    cols = list(zip(*(r[:n] for r in ints)))
+    block = [[int(j == i) for j in range(m)] + [r[n]] for i, r in enumerate(ints)]
+    basis = list(range(n, n + m))
     in_basis = [False] * n + [True] * m
     d = 1
     while True:
-        # d * (reduced cost of column j) = d c_j - sum of the column over the
-        # rows whose basic variable is artificial (cost 1; structurals cost 0)
-        art = [tab[i] for i in range(m) if basis[i] >= n]
+        art = [row for row, b in zip(block, basis) if b >= n]
+        w = list(map(sum, zip(*art))) if art else [0] * (m + 1)
         enter = -1
-        for j in range(total):
+        for j in range(n + m):
             if in_basis[j]:
                 continue
-            if (d if j >= n else 0) - sum(r[j] for r in art) < 0:
+            if (d - w[j - n] if j >= n else -sum(map(mul, w, cols[j]))) < 0:
                 enter = j
                 break
         if enter < 0:
-            if sum(r[total] for r in art) != 0:
+            if w[m] != 0:
                 return None
             x = [Fraction(0)] * n
-            for i in range(m):
-                if basis[i] < n:
-                    x[basis[i]] = Fraction(tab[i][total], d)
+            for row, b in zip(block, basis):
+                if b < n:
+                    x[b] = Fraction(row[m], d)
             return x
+        # the entering column of T; zip and map stop before the rhs entry
+        if enter >= n:
+            col = [row[enter - n] for row in block]
+        else:
+            col = [sum(map(mul, row, cols[enter])) for row in block]
         # ratio test by cross-multiplication (pivot entries are positive)
         leave = -1
         for i in range(m):
-            a = tab[i][enter]
+            a = col[i]
             if a > 0:
                 if leave < 0:
                     leave = i
                     continue
-                lhs = tab[i][total] * tab[leave][enter]
-                rhs_best = tab[leave][total] * a
+                lhs = block[i][m] * col[leave]
+                rhs_best = block[leave][m] * a
                 if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # phase-1 objective is bounded below by zero, so a pivot always exists
             raise RuntimeError("unbounded phase-1 objective")
-        d = pivot(tab, leave, enter, d)
+        for row, a in zip(block, col):
+            row.append(a)
+        d = pivot(block, leave, m + 1, d)
+        for row in block:
+            row.pop()
         in_basis[basis[leave]] = False
         in_basis[enter] = True
         basis[leave] = enter

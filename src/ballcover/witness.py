@@ -20,7 +20,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .lattice import LatticeModel, PrimitiveSimplex, build_anstar, covering_radius
-from .lattice import integer_circumsphere, negative_pairs, q_map
+from .lattice import integer_circumsphere
 from .linalg import (
     MatQ,
     Rat,
@@ -239,7 +239,7 @@ def witness_record(
     T = witness_transform(G, farkas_form, scale), and under T the
     circumradii and the removed simplex's images moved by tau * pole."""
     mu2, simplices = covering_radius(lat)
-    pairs = negative_pairs(simplices)
+    pairs = lat.pairs
     i0, j0 = pairs[pair_index]
     s0 = simplices[i0]
     pole = s0.x[0]
@@ -282,10 +282,9 @@ def verify_witness(data: dict, bad: list[str]) -> None:
     lat = build_anstar(w.dimension)
     gram = lat.gram
     ginv = gram_inverse(gram)
-    _, simplices = covering_radius(lat)
-    pairs = negative_pairs(simplices)
-    if not 0 <= w.pair_index < len(pairs):
-        bad.append(f"pair index {w.pair_index!r} is not an integer from 0 to {len(pairs) - 1}")
+    maps = lat.pair_maps
+    if not 0 <= w.pair_index < len(maps):
+        bad.append(f"pair index {w.pair_index!r} is not an integer from 0 to {len(maps) - 1}")
         return
     if w.eps <= 0:
         bad.append("eps must be positive")
@@ -293,9 +292,10 @@ def verify_witness(data: dict, bad: list[str]) -> None:
     if map_trace(ginv, w.farkas_form) <= 0:
         bad.append("separating map has nonpositive trace")
         return
-    # a pair's two members share one map
-    for i, s in enumerate(kept_simplices(simplices, pairs, w.pair_index)[::2]):
-        if map_inner(ginv, w.farkas_form, q_map(s, gram).form) >= 0:
+    # a pair's two members share one map, twin-checked by pair_maps
+    kept = [m for k, m in enumerate(maps) if k != w.pair_index]
+    for i, m in enumerate(kept):
+        if map_inner(ginv, w.farkas_form, m.form) >= 0:
             bad.append(f"separating map not strict against kept pair {i}")
     rec = witness_record(lat, w.pair_index, w.farkas_form, w.scale, w.eps, w.tau)
     if rec.det_t <= 1:

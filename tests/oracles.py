@@ -8,6 +8,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import islice
+from typing import Optional, Sequence
 
 from ballcover.bodies import RadialBody, body_to_dict
 from ballcover.harmonic import legendre_values
@@ -18,10 +19,12 @@ from ballcover.linalg import (
     VecQ,
     det,
     gram_dot,
+    integer_scaled,
     mat,
     mat_inv,
     mat_mul,
     mat_vec,
+    pivot,
     solve_affine,
     solve_columns,
     transpose,
@@ -69,6 +72,74 @@ def change_basis(lat: LatticeModel, u: MatQ) -> LatticeModel:
         for s in lat.delone_classes
     )
     return LatticeModel(n=lat.n, gram=gram, embedding=embedding, delone_classes=classes)
+
+
+# ---------------------------------------------------------------------- lp
+
+
+def tableau_phase1(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> Optional[list[Rat]]:
+    """Find x >= 0 with A x = b, or None.  Bland's rule, exact pivots.
+
+    Rows with a negative rhs are negated and [A | b] is scaled by the lcm L of
+    its denominators, so the tableau starts in integers; the artificial
+    columns stay unit vectors.  That rescales every artificial variable by L
+    and every phase-1 cost by the same positive factor, so each reduced-cost
+    sign and each ratio comparison, hence each pivot, is the one the rational
+    tableau would make.  Each pivot is the fraction-free `linalg.pivot`, so
+    the tableau is T / d with d the determinant of the basis.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [Fraction(0)] * n
+    signed = [
+        [*row, b] if b >= 0 else [-x for x in (*row, b)] for row, b in zip(rows, rhs)
+    ]
+    ints, _ = integer_scaled(signed)
+    total = n + m
+    tab = [r[:n] + [int(j == i) for j in range(m)] + r[n:] for i, r in enumerate(ints)]
+    basis = list(range(n, total))
+    in_basis = [False] * n + [True] * m
+    d = 1
+    while True:
+        # d * (reduced cost of column j) = d c_j - sum of the column over the
+        # rows whose basic variable is artificial (cost 1; structurals cost 0)
+        art = [tab[i] for i in range(m) if basis[i] >= n]
+        enter = -1
+        for j in range(total):
+            if in_basis[j]:
+                continue
+            if (d if j >= n else 0) - sum(r[j] for r in art) < 0:
+                enter = j
+                break
+        if enter < 0:
+            if sum(r[total] for r in art) != 0:
+                return None
+            x = [Fraction(0)] * n
+            for i in range(m):
+                if basis[i] < n:
+                    x[basis[i]] = Fraction(tab[i][total], d)
+            return x
+        # ratio test by cross-multiplication (pivot entries are positive)
+        leave = -1
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tab[i][total] * tab[leave][enter]
+                rhs_best = tab[leave][total] * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            # phase-1 objective is bounded below by zero, so a pivot always exists
+            raise RuntimeError("unbounded phase-1 objective")
+        d = pivot(tab, leave, enter, d)
+        in_basis[basis[leave]] = False
+        in_basis[enter] = True
+        basis[leave] = enter
+
 
 
 # ------------------------------------------------------------------ bodies

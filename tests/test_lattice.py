@@ -19,6 +19,7 @@ from ballcover.lattice import (
     lattice_report,
     negative_pairs,
     primitive_simplex,
+    q_map,
     to_euclidean,
     voronoi_vertices,
 )
@@ -356,3 +357,123 @@ def test_classes_without_a_lattice_map_are_solved_directly():
     assert pair.class_maps[1] is not None
     assert pair.simplices == _solved_directly(pair)
     assert genericity_check(pair)
+
+
+def _fresh(lat):
+    """An equal model with none of its per-model facts computed yet."""
+    return LatticeModel(*lat)
+
+
+def _pair_map_models():
+    a3 = build_anstar(3)
+    models = [build_anstar(n) for n in (2, 3, 4, 5)]
+    models.append(change_basis(a3, mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])))
+    return models
+
+
+def test_pair_maps_are_the_twin_checked_q_maps():
+    for lat in _pair_map_models():
+        _, maximal = covering_radius(lat)
+        assert lat.pairs == negative_pairs(maximal)
+        want = [q_map(maximal[i], lat.gram, twin=maximal[j]) for i, j in lat.pairs]
+        assert lat.pair_maps == tuple(want)
+
+
+def _counting_map_sums(monkeypatch):
+    import ballcover.lattice
+
+    calls = []
+    real = ballcover.lattice._map_sum
+
+    def counting(moment, form, u=None):
+        calls.append(u)
+        return real(moment, form, u)
+
+    monkeypatch.setattr(ballcover.lattice, "_map_sum", counting)
+    return calls
+
+
+def test_a_model_without_class_maps_sums_each_form_directly(monkeypatch):
+    # A4* with every class moved by half a lattice vector: the same simplices
+    # up to translation, but their vertices are off the lattice, so no class
+    # map is tried and every form is q_map's own sum.
+    lat = build_anstar(4)
+    shift = vec([Fraction(1, 2)] + [0] * 3)
+    moved = LatticeModel(
+        n=4,
+        gram=lat.gram,
+        embedding=None,
+        delone_classes=tuple(
+            DeloneSimplex(vertices=tuple(vec_sub(v, shift) for v in s.vertices), label=s.label)
+            for s in lat.delone_classes
+        ),
+    )
+    assert set(moved.class_maps) == {None}
+    calls = _counting_map_sums(monkeypatch)
+    assert [m.form for m in moved.pair_maps] == [m.form for m in lat.pair_maps]
+    assert calls == [None] * len(moved.simplices)
+    # with the class maps, only class 0 is summed directly
+    calls.clear()
+    _fresh(lat).pair_maps
+    assert calls[0] is None and None not in calls[1:]
+
+
+def _tampered(n, tamper):
+    """A fresh A_n* whose simplices are solved with its true class maps, and
+    whose class maps are then replaced by tamper(list of them)."""
+    lat = _fresh(build_anstar(n))
+    lat.simplices
+    maps = list(lat.class_maps)
+    tamper(maps)
+    lat.__dict__["class_maps"] = tuple(maps)
+    return lat
+
+
+def test_pair_maps_refuse_a_tampered_class_map():
+    lat = build_anstar(4)
+    p = next(p for p, (i, _) in enumerate(lat.pairs) if i > 0)
+    i = lat.pairs[p][0]
+    other = next(a for (a, _), m in zip(lat.pairs, lat.pair_maps) if a and m != lat.pair_maps[p])
+
+    def swap(maps):  # a true automorphism, of another class
+        maps[i] = maps[other]
+
+    def double(maps):  # an integer map, but no isometry of G
+        maps[i] = tuple(tuple(2 * c for c in row) for row in maps[i])
+
+    for tamper, message in ((swap, "negative pair with distinct maps"), (double, "unit trace")):
+        with pytest.raises(RuntimeError, match=message):
+            _tampered(4, tamper).pair_maps
+    # a congruence image is symmetric by construction; an asymmetric one is
+    # refused all the same
+    from ballcover.lattice import _checked_map, _map_sum, _moment
+    from ballcover.linalg import gram_inverse, integer_form
+
+    form = integer_form(lat.gram)
+    total, den = _map_sum(_moment(lat.simplices[0]), form, lat.class_maps[i])
+    total[0][1] += 1
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        _checked_map((total, den), None, integer_form(gram_inverse(lat.gram)), lat.simplices[0].cr2, {})
+
+
+def test_voronoi_vertices_sorted_once_per_model(monkeypatch, tmp_path, capsys):
+    import ballcover.lattice
+    from ballcover import cli
+
+    sorts = []
+
+    def counting(items, **kwargs):
+        out = sorted(items, **kwargs)
+        sorts.append(len(out))
+        return out
+
+    monkeypatch.setattr(ballcover.lattice, "sorted", counting, raising=False)
+    build_anstar.cache_clear()
+    # `anstar` emits the report and verifies it in process: one sort of the
+    # 720 vertices of A5*, not one per reader
+    assert cli.main(["anstar", "--dim", "5", "--out", str(tmp_path / "a5.json")]) == 0
+    assert sorts.count(720) == 1
+    lat = build_anstar(5)
+    assert voronoi_vertices(lat) is lat.voronoi_vertices
+    assert sorts.count(720) == 1
+    capsys.readouterr()

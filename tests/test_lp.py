@@ -11,13 +11,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ballcover
 from ballcover import lp
-from ballcover.eutaxy import classified
+from ballcover.eutaxy import classified, classify_lattice
 from ballcover.lattice import build_anstar
 from ballcover.lp import Feasible, Infeasible, StrongAlternativeError, lp_feasible_nonneg
 from ballcover.linalg import identity, mat, mat_add, mat_scale, trace_product, zeros
+
+from oracles import tableau_phase1
 
 E11 = mat([[1, 0], [0, 0]])
 E22 = mat([[0, 0], [0, 1]])
@@ -142,6 +146,77 @@ def test_phase1_pinned_on_seeded_instances():
     assert sum(x is None for x in results) == 89
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == "4dd52aa5b89c00836d79dd3190403c262e349f7746b6c6258295f250f452a837"
+
+
+VALUES = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+
+
+@st.composite
+def phase1_systems(draw):
+    """A x = b with small rational entries: zero and proportional rows (ratio
+    ties), a planted nonnegative solution or a random rhs (often infeasible)."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from(VALUES)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        f = draw(st.sampled_from([v for v in VALUES if v]))
+        rows[-1] = [f * a for a in rows[0]]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]), min_size=n, max_size=n))
+        rhs = [sum((a * x for a, x in zip(r, x0)), Fraction(0)) for r in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(phase1_systems())
+def test_revised_phase1_matches_the_tableau(system):
+    # The revised kernel keeps only the tableau's artificial and rhs columns,
+    # so it must reach the same vertex, or None, on every instance.
+    rows, rhs = system
+    assert lp._phase1(rows, rhs) == tableau_phase1(rows, rhs)
+
+
+def _checked_against_the_tableau(calls):
+    revised = lp._phase1
+
+    def both(rows, rhs):
+        x = revised(rows, rhs)
+        if x != tableau_phase1(rows, rhs):
+            raise AssertionError("revised and tableau phase 1 differ")
+        calls.append(len(rhs))
+        return x
+
+    return both
+
+
+SYMMETRIC_2X2 = st.tuples(*[st.integers(-2, 2)] * 3).map(lambda t: mat([[t[0], t[1]], [t[1], t[2]]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(SYMMETRIC_2X2, max_size=4), SYMMETRIC_2X2)
+def test_revised_phase1_matches_the_tableau_in_both_lps(maps, target):
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_phase1", _checked_against_the_tableau(calls))
+        try:
+            lp_feasible_nonneg(maps, target)
+        except StrongAlternativeError:
+            pass
+    assert calls
+
+
+def test_revised_phase1_matches_the_tableau_on_the_classifications():
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_phase1", _checked_against_the_tableau(calls))
+        for n in (2, 3, 4, 5):
+            classify_lattice(build_anstar(n))
+    # 10 LP runs, and a strict-separation LP for each of the 4 infeasible
+    # removals of dims 2 and 3
+    assert len(calls) == 14
 
 
 def test_phase1_hand_checked_vertex():
