@@ -153,7 +153,7 @@ def _moved_removal(
     if (
         any(c is None for c in coefficients)
         or not resums(coefficients, k)
-        or any(c < 0 for c in coefficients)
+        or any(c.numerator < 0 for c in coefficients)
     ):
         raise RuntimeError(f"moved weights of removal {k} do not resolve the identity")
     return RemovalOutcome(pair_index=k, feasible=True, coefficients=coefficients, farkas_form=None)
@@ -195,7 +195,7 @@ def classify(
             removals.append(_removal(forms, k, gram))
     report = evidence_report(full.coefficients, None, removals, unique)
     if report.classification is EutaxyClass.CRITICALLY_SEMI_EUTACTIC and not (
-        unique and all(c > 0 for c in full.coefficients)
+        unique and all(c.numerator > 0 for c in full.coefficients)
     ):
         raise RuntimeError("no pair removable, yet weights not unique and positive")
     return report
@@ -381,7 +381,7 @@ def verify_classification(data: dict, bad: list[str]) -> None:
             bad.append(f"removals must hold one outcome for each of the {len(pairs)} pairs")
             return
         resums = combination_test(forms, lat.gram)
-        if any(x < 0 for x in cs):
+        if any(x.numerator < 0 for x in cs):
             bad.append("negative coefficient in identity resolution")
         if not resums(cs):
             bad.append("coefficients do not resolve the identity form")
@@ -389,7 +389,7 @@ def verify_classification(data: dict, bad: list[str]) -> None:
             if (r.coefficients is None) == r.feasible or (r.farkas_form is None) != r.feasible:
                 bad.append(f"removal {k}: needs coefficients if feasible, else a separating map")
             elif r.feasible:
-                if len(r.coefficients) != len(forms) - 1 or any(x < 0 for x in r.coefficients):
+                if len(r.coefficients) != len(forms) - 1 or any(x.numerator < 0 for x in r.coefficients):
                     bad.append(f"removal {k}: bad coefficient vector")
                 elif not resums(r.coefficients, k):
                     bad.append(f"removal {k}: coefficients do not resolve identity")
@@ -400,7 +400,7 @@ def verify_classification(data: dict, bad: list[str]) -> None:
     removals = [r._replace(pair_index=k) for k, r in enumerate(c.removals)]
     report = evidence_report(cs, c.farkas_form, removals, forms_independent(forms))
     if report.classification is EutaxyClass.CRITICALLY_SEMI_EUTACTIC and not (
-        report.unique and all(x > 0 for x in cs)
+        report.unique and all(x.numerator > 0 for x in cs)
     ):
         bad.append("critical case requires unique all-positive coefficients")
     record = classification_record(LatticeEutaxy(lat, mu2, simplices, pairs, maps, report))

@@ -154,7 +154,7 @@ def lp_feasible_nonneg(
         w = tuple(x)
         if not is_combination(w, maps, target):
             raise RuntimeError("phase-1 weights do not re-sum to the target")
-        if any(c < 0 for c in w):
+        if any(c.numerator < 0 for c in w):
             raise RuntimeError("phase-1 weights are not nonnegative")
         return Feasible(coefficients=w)
 

@@ -178,8 +178,7 @@ def deformed_vertices(
     """(i, j, y, <y, y>, r_K(y), |y|, float <x, y>, |x|) for every vertex
     x = simplices[i].x[j] in position order, y = x + M x + t_i, with r_K that
     of the rotated body.  cover_record takes the vertex checks and the inputs
-    of cover_floats from it, and the construction certifies its contraction
-    on it.
+    of cover_floats from it.
 
     Runs on integers, from the moves of _vertex_moves with G as L G
     (integer_form) and the embedding E as integers over one scale: y, E y,
@@ -259,8 +258,9 @@ def cover_record(
 ) -> CoverConstruction:
     """The cover construction for the rotated body with these rho, M (as its
     form G M), translations and contraction: every other field derived from
-    them.  `construct` builds its record with it, and the verifier re-derives
-    a scan's best construction with it."""
+    them.  Its vertex checks are the one place the membership inequality is
+    formed: `construct` accepts a contraction on them, and the verifier
+    re-derives a scan's best construction with this function."""
     mu2, simplices = covering_radius(lat)
     m_mat = map_matrix(gram_inverse(lat.gram), m_form)
     vertices = deformed_vertices(body, rotation, lat, simplices, m_mat, translations)

@@ -8,18 +8,18 @@ once for a basis of radial tables (`_treqn_columns`), so no rotation solves
 a linear system.
 
 The records and the derivations that `construct` and `verify` share live
-in `perturbation`: the exact tail here certifies its contraction on
-`perturbation.deformed_vertices` and builds its record with
-`perturbation.cover_record`, and a scan is `perturbation.scan_record` of
-the winner, the derivation the verifier re-runs on the certificate's
-inputs.  Checking a scan therefore never loads this module.
+in `perturbation`: the exact tail here derives its record only through
+`perturbation.cover_record`, stepping the contraction until the record's
+own vertex checks pass, and a scan is `perturbation.scan_record` of the
+winner, the derivation the verifier re-runs on the certificate's inputs.
+Checking a scan therefore never loads this module.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -47,7 +47,6 @@ from .perturbation import (
     _unit,
     check_body,
     cover_record,
-    deformed_vertices,
     grid_rotation,
     scan_record,
     simplex_weights,
@@ -209,9 +208,11 @@ class CoverEngine:
     is exactly even, so the screen works once per {x, -x} pair: one
     integer direction, one rotation and one radial evaluation.
 
-    `construct` is the float `screen` followed by the exact tail (solve,
-    `deformed_vertices`, `_certify_delta` and `cover_record`).  The tail's
-    vertices come from the verifier's own integer kernel
+    `construct` is the float `screen` followed by the exact tail: `solve`,
+    then `_certify_delta`, which builds `perturbation.cover_record`, the
+    verifier's own derivation, at each candidate contraction and returns
+    the first record whose vertex checks all pass.  The record's vertices
+    come from the verifier's integer kernel
     (`perturbation.deformed_vertices`): M, the vertices, the translations
     and the embedding scaled to integers once, every float a correctly
     rounded quotient of integers.  `rank_key` bounds the tail's det_ratio
@@ -363,33 +364,28 @@ class CoverEngine:
         rotation: Optional[tuple[tuple[float, ...], ...]] = None,
     ) -> CoverConstruction:
         """Covering construction for the rotated body (exactly verified):
-        the float screen, then the exact tail."""
+        the float screen, the exact solve, and cover_record at the least
+        contraction whose checks pass."""
         check_body(body)
         screened = self.screen(body, rotation)
         values = [Fraction(n, 1 << screened.shift) for n in screened.nums]
         table = tuple(tuple(values[k] for k in keys) for keys in self.index)
         sol = self.solve(table)
-        m_mat = map_matrix(self.ginv, sol.m_form)
-        records = deformed_vertices(
-            body, rotation, self.lat, self.simplices, m_mat, sol.translations
-        )
-        delta = self._certify_delta(screened.delta_float, records)
-        return cover_record(self.lat, body, rotation, table, sol.m_form, sol.translations, delta)
+        record = partial(cover_record, self.lat, body, rotation, table, sol.m_form, sol.translations)
+        return self._certify_delta(screened.delta_float, record)
 
-    def _certify_delta(self, delta_float: float, records) -> Rat:
-        """Round the float contraction up until every check passes exactly."""
-        grain = Fraction(1, 1 << DELTA_BITS)
-        delta = Fraction(_start_grains(delta_float), 1 << DELTA_BITS)
-        for _ in range(128):
+    def _certify_delta(self, delta_float: float, record) -> CoverConstruction:
+        """record(delta) at the first delta, from the float contraction
+        rounded up (_start_grains) and then one grain of 2^-DELTA_BITS at a
+        time, whose every vertex check has lhs <= rhs."""
+        start = _start_grains(delta_float)
+        for grains in range(start, start + 128):
+            delta = Fraction(grains, 1 << DELTA_BITS)
             if delta >= 1:
                 raise RuntimeError("contraction reached 1")
-            ok = all(
-                (1 - delta) ** 2 * norm2 <= self.mu2 * Fraction(r_val) ** 2
-                for _, _, _, norm2, r_val, *_ in records
-            )
-            if ok:
-                return delta
-            delta += grain
+            c = record(delta)
+            if all(k.lhs <= k.rhs for k in c.checks):
+                return c
         raise RuntimeError("contraction certification did not settle")
 
 

@@ -8,8 +8,10 @@ along a vertex direction, fits inside the ball augmented by antipodal cone
 caps reaching +/-(1+eps) pole.  All checks are exact, so a returned witness
 needs no further trust.
 
-The search reads the lattice's classification from `eutaxy`, which it
-imports when it runs; checking a witness needs only `lattice` and `linalg`.
+The search derives its witness only through `witness_record`, which the
+verifier re-runs.  It reads the lattice's classification from `eutaxy`,
+which it imports when it runs; checking a witness needs only `lattice` and
+`linalg`.
 """
 
 from __future__ import annotations
@@ -167,17 +169,6 @@ class ExtensionWitness(NamedTuple):
     translated_points: tuple[VecQ, ...]
 
 
-def kept_simplices(
-    simplices: Sequence[PrimitiveSimplex],
-    pairs: Sequence[tuple[int, int]],
-    pair_index: int,
-) -> tuple[PrimitiveSimplex, ...]:
-    """Both members of every +/- pair but pair_index, in pair order."""
-    return tuple(
-        simplices[m] for k, pair in enumerate(pairs) if k != pair_index for m in pair
-    )
-
-
 def witness_transform(gram: MatQ, farkas_form: MatQ, scale: Rat) -> MatQ:
     """T = Id + (scale/2) M, M the map of the Farkas form divided by its
     largest absolute entry."""
@@ -197,6 +188,12 @@ def extension_witness(
     simplex, translated by tau * pole, fits inside the ball augmented at
     +/-(1+eps) pole.  The mirrored simplex fits at -tau by symmetry, so
     T Lambda covers the augmented ball with determinant above det Lambda.
+
+    Each scale s = 1/4, 1/8, ... down to 2^-30 runs the tau search on the
+    images T x and returns witness_record at the first fitting tau if its
+    det_t > 1 and every kept_cr2 < mu2.  Neither depends on tau, nor the
+    first fitting tau on them, so testing them first finds the same
+    witness; ||(s/2) M / max|M| ||_inf <= n/8 < 1 keeps T nonsingular.
     Raises WitnessUnavailableError when the pair is removable (then the
     redundancy coefficients already certify extension) and
     WitnessSearchError when no scale above the cutoff passes.
@@ -216,18 +213,16 @@ def extension_witness(
         )
     s0 = ctx.simplices[ctx.pairs[pair_index][0]]
     ball = AugmentedBall(eps=eps, pole=s0.x[0], gram=lat.gram)
-    kept = kept_simplices(ctx.simplices, ctx.pairs, pair_index)
     scale = Fraction(1, 4)
     while scale >= Fraction(1, 2**30):
         t_map = witness_transform(lat.gram, removal.farkas_form, scale)
-        if det(t_map) > 1:
-            if all(exact_cr_after(t_map, s, lat.gram) < ctx.mu2 for s in kept):
-                images = tuple(mat_vec(t_map, x) for x in s0.x)
-                fits = _shift_fits(ball, images)
-                k = next((k for k in TAU_RANGE if fits(k)), None)
-                if k is not None:
-                    tau = Fraction(k, TAU_STEPS) * eps
-                    return witness_record(lat, pair_index, removal.farkas_form, scale, eps, tau)
+        fits = _shift_fits(ball, tuple(mat_vec(t_map, x) for x in s0.x))
+        k = next((k for k in TAU_RANGE if fits(k)), None)
+        if k is not None:
+            tau = Fraction(k, TAU_STEPS) * eps
+            w = witness_record(lat, pair_index, removal.farkas_form, scale, eps, tau)
+            if w.det_t > 1 and all(c < w.mu2 for c in w.kept_cr2):
+                return w
         scale /= 2
     raise WitnessSearchError("no scale above cutoff passed all exact checks")
 
@@ -255,7 +250,8 @@ def witness_record(
         det_t=det(t_map),
         mu2=mu2,
         kept_cr2=tuple(
-            exact_cr_after(t_map, s, lat.gram) for s in kept_simplices(simplices, pairs, pair_index)
+            exact_cr_after(t_map, simplices[m], lat.gram)
+            for k, pair in enumerate(pairs) if k != pair_index for m in pair
         ),
         grown_cr2=exact_cr_after(t_map, s0, lat.gram),
         eps=eps,

@@ -298,6 +298,9 @@ def test_anstar_and_witness_outputs_are_pinned(capsys, tmp_path):
         ("witness", "--dim", "3", "--pair", "0", "--eps", "1/7"): (
             "12439e7d26ca0a00849fe728ca80a4ba2a70a39166996f9b45f49bf96da1d849"
         ),
+        ("witness", "--dim", "3", "--pair", "0"): (
+            "541892aa94e6d8210710323accb6e7950d36e234f5244e2ea02080495ebc0304"
+        ),
     }
     for argv, digest in golden.items():
         cert = tmp_path / "out.json"
@@ -863,16 +866,23 @@ def test_verify_rejects_unsupported_witness_dimension(capsys, tmp_path):
 def test_scan_output_is_pinned(capsys, tmp_path):
     # A scan carries floats (rotation, radial values, densities) from libm,
     # so unlike the pins above this one assumes IEEE doubles and a libm that
-    # rounds sin, cos and acos the same way.
-    body_file = tmp_path / "body.json"
-    save_body(make_body([(4, 0, 0.01)]), str(body_file))
-    cert = tmp_path / "scan.json"
-    code, out, _ = run(
-        capsys, "construct", "--body", str(body_file), "--grid", "8", "--out", str(cert)
-    )
-    assert code == 0
-    assert out == cert.read_text()
-    assert sha256(cert) == "e13e636b7831386db057d99af932f98e55de8aa1778d82b9d48234403ad1bb74"
+    # rounds sin, cos and acos the same way.  The grid-40 bodies are the
+    # benchmark's two zonal scans.
+    golden = {
+        (0.01, "8"): "e13e636b7831386db057d99af932f98e55de8aa1778d82b9d48234403ad1bb74",
+        (0.02 / 3, "40"): "ecd57d093d40b1cd43ba2b43a3056602e5c5b3fc0b52e61d5d6ce5ef0303628b",
+        (0.01 / 3, "40"): "5c8eeb08d65bf7ad6ad21caa87724aed0d9a98ed7a8b1176ee6882241e0b00d7",
+    }
+    for (a, grid), digest in golden.items():
+        body_file = tmp_path / "body.json"
+        save_body(make_body([(4, 0, a)]), str(body_file))
+        cert = tmp_path / "scan.json"
+        code, out, _ = run(
+            capsys, "construct", "--body", str(body_file), "--grid", grid, "--out", str(cert)
+        )
+        assert code == 0
+        assert out == cert.read_text()
+        assert sha256(cert) == digest
 
 
 def test_non_zonal_scan_output_is_pinned(capsys, tmp_path):

@@ -42,6 +42,7 @@ from ballcover.linalg import (
 from ballcover.perturbation import (
     _apply_transposed,
     _unit,
+    cover_record,
     deformed_vertices,
     first_order_cr,
     grid_rotation,
@@ -88,6 +89,23 @@ def cm_circumradius2(vertices, gram):
     for i in range(k):
         bordered.append([Fraction(1)] + list(d[i]))
     return -det(mat(d)) / (2 * det(mat(bordered)))
+
+
+def calls_of(fn, run):
+    # How often fn's code runs during run(), under whatever name it is called.
+    code, count = fn.__code__, 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def rand_fraction(rng, scale=100):
@@ -745,6 +763,13 @@ def test_extension_witness_exact_for_three_pairs():
             assert member_augmented_ball(vec_scale(Fraction(-1), p), ball)
 
 
+@pytest.mark.parametrize("pair_index", range(3))
+def test_witness_search_forms_circumradii_only_in_its_record(pair_index):
+    # One witness_record: four kept simplices and the grown one.
+    lat = build_anstar(3)
+    assert calls_of(exact_cr_after, lambda: extension_witness(lat, pair_index)) == 5
+
+
 def test_extension_witness_redundant_dimension_errors():
     lat = build_anstar(4)
     with pytest.raises(WitnessUnavailableError):
@@ -868,6 +893,61 @@ def test_scan_skips_rotations_that_cannot_win(monkeypatch):
     monkeypatch.setattr(CoverEngine, "construct", failing)
     report = rotation_scan(body, grid_size=24)
     assert (report.best_index, report.best) == (best_idx, best)
+
+
+def test_construct_derives_the_vertices_once():
+    engine = _engine()
+    for body in (mixed_body(3), make_body([(4, 0, 0.01)])):
+        for u in rotation_grid(4):
+            assert calls_of(deformed_vertices, lambda: engine.construct(body, rotation=u)) == 1
+
+
+def passes(c):
+    return all(k.lhs <= k.rhs for k in c.checks)
+
+
+def test_contraction_steps_to_the_least_passing_grain(monkeypatch):
+    import ballcover.search
+
+    engine = _engine()
+    body, u = make_body([(4, 0, 0.01)]), rotation_grid(40)[7]
+    c = engine.construct(body, rotation=u)
+
+    def record(grains):
+        delta = Fraction(grains, 1 << DELTA_BITS)
+        return cover_record(engine.lat, body, u, c.rho, c.m_form, c.translations, delta)
+
+    # The checks pass at the certified contraction and fail at 0; bisect
+    # for the least grain at which they pass.
+    start = c.delta * (1 << DELTA_BITS)
+    assert start.denominator == 1
+    lo, hi = 0, int(start)
+    assert not passes(record(lo)) and passes(record(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(record(mid)) else (mid, hi)
+    least = hi
+    assert least >= 2
+
+    seen = []
+
+    def recorded(*args):
+        seen.append(cover_record(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ballcover.search, "cover_record", recorded)
+    monkeypatch.setattr(ballcover.search, "_start_grains", lambda delta_float: least - 2)
+    assert engine.construct(body, rotation=u) == record(least)
+    assert [r.delta * (1 << DELTA_BITS) for r in seen] == [least - 2, least - 1, least]
+    assert not passes(seen[0]) and not passes(seen[1])
+
+
+def test_contraction_stops_at_one(monkeypatch):
+    import ballcover.search
+
+    monkeypatch.setattr(ballcover.search, "_start_grains", lambda delta_float: 1 << DELTA_BITS)
+    with pytest.raises(RuntimeError, match="contraction reached 1"):
+        _engine().construct(make_body([(4, 0, 0.01)]), rotation=rotation_grid(40)[7])
 
 
 DIRECTIONS = st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 3).filter(
