@@ -33,7 +33,6 @@ from .linalg import (
     Rat,
     VecQ,
     _rref,
-    gram_dot,
     gram_inverse,
     integer_form,
     integer_scaled,
@@ -414,12 +413,13 @@ def build_anstar(n: int) -> LatticeModel:
     if not 2 <= n <= 8:
         raise ValueError(f"dimension {n!r} outside the supported range 2..8")
     gens, gram, embedding = _anstar_generators(n)
-    for i in range(n + 1):
-        for j in range(n + 1):
+    gz, scale = integer_form(gram)  # integer generators: <u, v> = u^T (L G) v / L
+    for i, u in enumerate(gens):
+        for j, v in enumerate(gens):
             expect = (n if i == j else -1) * (
                 Fraction(4, n + 1) if n == 3 else Fraction(1, n + 1)
             )
-            if gram_dot(gram, gens[i], gens[j]) != expect:
+            if Fraction(sum(a * sum(map(mul, row, v)) for a, row in zip(u, gz)), scale) != expect:
                 raise RuntimeError("generators do not have the A_n* Gram values")
     walks = []
     seen = set()
@@ -433,7 +433,7 @@ def build_anstar(n: int) -> LatticeModel:
         seen.add(key)
         walks.append((perm, walk))
     # each distinct coordinate becomes a Fraction once
-    coords = {c: Fraction(c) for _, walk in walks for v in walk for c in v}
+    coords = {c: Fraction(c) for c in {c for _, walk in walks for v in walk for c in v}}
     classes = tuple(
         DeloneSimplex(
             vertices=tuple(tuple(map(coords.__getitem__, v)) for v in walk), label=perm + (n,)

@@ -182,8 +182,8 @@ def _combined(basis: tuple, values: Sequence[int], scale: int, gram: MatQ) -> Tr
 
 
 class Screen(NamedTuple):
-    """One rotation's float screen: pair values nums / 2^shift after the
-    re-targeting, and the float contraction."""
+    """One rotation's float screen: pair values nums / 2^shift (shift is
+    DELTA_BITS) after the re-targeting, and the float contraction."""
 
     nums: list[int]
     shift: int
@@ -200,24 +200,21 @@ class CoverEngine:
     exactly, as solve_treqn would: per rotation no system is solved.  Each
     deformed vertex is affine in the same values v:
     y = x + sum_k v_k (M_k x + t_k).  Setup scales every vertex's map
-    [x | M_0 x + t_0 | ...] to integers over one denominator, so at dyadic
-    values v = nums / 2^shift the screen gets every embedded direction from
-    exact integer numerators (`_pair_directions`); each float is a quotient
-    of integers, which Python rounds correctly, exactly as float() rounds
+    [x | M_0 x + t_0 | ...] to integers over one denominator.  The screen
+    holds v as floats on the grid 2^-DELTA_BITS with |v| < 1, so each
+    embedded direction numerator, a dot product of an integer row with
+    (1, v), is exact in a double (`_directions_at`), and each float of a
+    direction is one correctly rounded quotient, exactly as float() rounds
     the equal Fraction.  The vertex -x has the negated map, and bodies.rho
     is exactly even, so the screen works once per {x, -x} pair: one
-    integer direction, one rotation and one radial evaluation.
+    direction, one rotation and one radial evaluation.
 
     `construct` is the float `screen` followed by the exact tail: `solve`,
-    then `_certify_delta`, which builds `perturbation.cover_record`, the
-    verifier's own derivation, at each candidate contraction and returns
-    the first record whose vertex checks all pass.  The record's vertices
-    come from the verifier's integer kernel
-    (`perturbation.deformed_vertices`): M, the vertices, the translations
-    and the embedding scaled to integers once, every float a correctly
-    rounded quotient of integers.  `rank_key` bounds the tail's det_ratio
-    from a screen alone, on the integer tables of the 12 basis maps, so a
-    scan certifies only the rotations that can still win.
+    then `_certify_delta`, which returns `perturbation.cover_record`, the
+    verifier's own derivation (its vertices from the integer kernel
+    `perturbation.deformed_vertices`), at the least passing contraction.
+    `rank_key` bounds the tail's det_ratio from a screen alone, so a scan
+    certifies only the rotations that can still win.
     """
 
     def __init__(self, lat: LatticeModel):
@@ -260,8 +257,7 @@ class CoverEngine:
         by_map = [entries[r : r + 3] for r in range(0, len(entries), 3)]
         self._map_entries = [[list(e) for e in zip(*rows)] for rows in zip(*by_map)]
         embedding, self._embedding_scale = integer_scaled(lat.embedding)
-        # The embedded vertex maps E A, so one integer product gives the
-        # embedded numerators.
+        # The embedded vertex maps E A: their rows give the embedded numerators.
         self._embedded_maps = [_int_mat_mul(embedding, a) for a in vertex_maps]
         # x and -x have negated maps, so the screen forms one product per
         # pair, with the map of the pair's first vertex.
@@ -269,7 +265,15 @@ class CoverEngine:
         for v, w in self._twins:
             if self._embedded_maps[w] != [[-c for c in row] for row in self._embedded_maps[v]]:
                 raise RuntimeError("a vertex map is not the negated map of its antipode")
-        self.directions = tuple(d for d, _ in self._pair_directions([0] * len(pairs), 0))
+        # At (1, v), v on the grid with |v| < 1, a row's terms and partial
+        # sums are multiples of 2^-DELTA_BITS at most its absolute sum (208
+        # here), exact in a double while that is at most 2^(53 - DELTA_BITS).
+        self._pair_rows = [[[*map(float, r)] for r in self._embedded_maps[v]] for v, _ in self._twins]
+        self._direction_den = float(self._embedding_scale * self.scale)
+        top = max(sum(map(abs, row)) for rows in self._pair_rows for row in rows)
+        if top > 2 ** (53 - DELTA_BITS) or self._direction_den != self._embedding_scale * self.scale:
+            raise RuntimeError("the direction tables are too large for exact float numerators")
+        self.directions = tuple(d for d, _ in self._directions_at([0.0] * len(pairs)))
 
     def solve(self, rho: Sequence[Sequence[Rat]]) -> TreqnSolution:
         """solve_treqn(rho, simplices, upsilon, gram) by the precomputed operator.
@@ -283,19 +287,17 @@ class CoverEngine:
         _check_trace_identity(trace_product(self.ginv, sol.m_form), expected)
         return sol
 
-    def _pair_directions(
-        self, nums: Sequence[int], shift: int
-    ) -> list[tuple[tuple[float, ...], float]]:
+    def _directions_at(self, values: Sequence[float]) -> list[tuple[tuple[float, ...], float]]:
         """_unit_direction of each pair's first deformed vertex at the pair
-        values nums / 2^shift, float for float, from the integer tables.
-        The twin's is its exact negation: the integer product negates, and
-        IEEE rounding is sign-symmetric."""
-        den = (self._embedding_scale * self.scale) << shift
-        point = [1 << shift, *nums]
-        return [
-            _unit([c / den for c in _int_mat_vec(self._embedded_maps[v], point)])
-            for v, _ in self._twins
-        ]
+        values, floats on the grid 2^-DELTA_BITS.  Each numerator is exact
+        (see __init__) in any summation order, so each float is the
+        correctly rounded quotient of the integer tables.  The twin's is
+        its exact negation: the numerator negates, and IEEE rounding is
+        sign-symmetric.  RuntimeError unless every |v| < 1."""
+        if not all(-1.0 < v < 1.0 for v in values):
+            raise RuntimeError("a screened pair value is not inside (-1, 1)")
+        point, den = (1.0, *values), self._direction_den
+        return [_unit([sum(map(mul, row, point)) / den for row in rows]) for rows in self._pair_rows]
 
     def screen(
         self,
@@ -307,16 +309,16 @@ class CoverEngine:
         directions = self.directions
         if rotation is not None:
             directions = [_apply_transposed(rotation, d) for d in directions]
-        nums, shift = _dyadic([body_rho(body, d) for d in directions])
+        values = [_on_grid(body_rho(body, d)) for d in directions]
         # Re-target the per-vertex equations by the measured radial excess a
         # few times: the leftover contraction is then higher order in the
         # amplitude instead of quadratic.  Updates go through one value per
-        # antipodal pair, keeping the +/- symmetry exact; the values stay
-        # dyadic, held as integers over 2^shift.
+        # antipodal pair, keeping the +/- symmetry exact; the values start at
+        # rho and move by the excess, each rounded to the grid, held as floats.
         for step in range(4):
             delta_float = 0.0
             excess = []
-            for d, ny in self._pair_directions(nums, shift):
+            for d, ny in self._directions_at(values):
                 if rotation is not None:
                     d = _apply_transposed(rotation, d)
                 r_val = 1.0 + body_rho(body, d)
@@ -324,13 +326,8 @@ class CoverEngine:
                 excess.append(ny / (self.mu * r_val) - 1.0)
             if step == 3 or max(map(abs, excess)) <= 2.0**-34:
                 break
-            moved, by = _dyadic(excess)
-            top = max(shift, by)
-            nums = [
-                (n << (top - shift)) - (m << (top - by)) for n, m in zip(nums, moved)
-            ]
-            shift = top
-        return Screen(nums=nums, shift=shift, delta_float=delta_float)
+            values = [v - _on_grid(e) for v, e in zip(values, excess)]
+        return Screen([int(v * (1 << DELTA_BITS)) for v in values], DELTA_BITS, delta_float)
 
     def rank_key(self, screened: Screen) -> Rat:
         """K = (1 - delta0)^3 det(Id + M) at the screened pair values, or 0
@@ -338,7 +335,8 @@ class CoverEngine:
 
         delta0 is the contraction _certify_delta starts from, and the
         certified delta never lies below it, so K is at least the det_ratio
-        that `construct` certifies for the same rotation.
+        that `construct` certifies from this screen, however the screen's
+        floats round: ranking by K finds an exhaustive scan's winner.
         """
         den = self._map_scale << screened.shift
         n = [
@@ -362,12 +360,15 @@ class CoverEngine:
         self,
         body: RadialBody,
         rotation: Optional[tuple[tuple[float, ...], ...]] = None,
+        screened: Optional[Screen] = None,
     ) -> CoverConstruction:
         """Covering construction for the rotated body (exactly verified):
         the float screen, the exact solve, and cover_record at the least
-        contraction whose checks pass."""
+        contraction whose checks pass.  A scan passes the screen it ranked
+        the rotation by; the exact checks hold whatever the screen."""
         check_body(body)
-        screened = self.screen(body, rotation)
+        if screened is None:
+            screened = self.screen(body, rotation)
         values = [Fraction(n, 1 << screened.shift) for n in screened.nums]
         table = tuple(tuple(values[k] for k in keys) for keys in self.index)
         sol = self.solve(table)
@@ -398,17 +399,9 @@ def _start_grains(delta_float: float) -> int:
     return 0
 
 
-def _dyadic(values: Sequence) -> tuple[list[int], int]:
-    """Integers nums and shift with values[k] = nums[k] / 2^shift exactly.
-
-    Takes floats, ints and dyadic Fractions; raises ValueError for a
-    rational whose denominator is not a power of two.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    if any(d & (d - 1) for _, d in ratios):
-        raise ValueError("values must be dyadic rationals")
-    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
-    return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
+def _on_grid(x: float) -> float:
+    """x rounded to the nearest multiple of 2^-DELTA_BITS, ties to even."""
+    return round(x * (1 << DELTA_BITS)) / (1 << DELTA_BITS)
 
 
 def _int_trace(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
@@ -465,7 +458,8 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
     check_body(body)
     engine = _engine()
     grid = rotation_grid(grid_size)
-    keys = [engine.rank_key(engine.screen(body, u)) for u in grid]
+    screens = [engine.screen(body, u) for u in grid]
+    keys = [engine.rank_key(s) for s in screens]
     best = None
     best_idx = -1
     for idx in sorted(range(grid_size), key=lambda i: (-keys[i], i)):
@@ -473,7 +467,7 @@ def rotation_scan(body: RadialBody, grid_size: int = 1000) -> ScanReport:
         # best ratio nor tie it at a lower index, no later one can.
         if best is not None and (keys[idx], -idx) < (best.det_ratio, -best_idx):
             break
-        c = engine.construct(body, rotation=grid[idx])
+        c = engine.construct(body, rotation=grid[idx], screened=screens[idx])
         if best is None or (c.det_ratio, -idx) > (best.det_ratio, -best_idx):
             best = c
             best_idx = idx

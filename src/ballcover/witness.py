@@ -169,12 +169,15 @@ class ExtensionWitness(NamedTuple):
     translated_points: tuple[VecQ, ...]
 
 
-def witness_transform(gram: MatQ, farkas_form: MatQ, scale: Rat) -> MatQ:
-    """T = Id + (scale/2) M, M the map of the Farkas form divided by its
-    largest absolute entry."""
+def normalized_map(gram: MatQ, farkas_form: MatQ) -> MatQ:
+    """M / max|M|, M the map of the Farkas form."""
     m_mat = map_matrix(gram_inverse(gram), farkas_form)
-    top = max(abs(x) for row in m_mat for x in row)
-    return mat_add(identity(len(gram)), mat_scale(Fraction(scale) / (2 * top), m_mat))
+    return mat_scale(Fraction(1) / max(abs(x) for row in m_mat for x in row), m_mat)
+
+
+def witness_transform(unit: MatQ, scale: Rat) -> MatQ:
+    """T = Id + (scale/2) unit, unit a normalized_map."""
+    return mat_add(identity(len(unit)), mat_scale(Fraction(scale) / 2, unit))
 
 
 def extension_witness(
@@ -182,8 +185,8 @@ def extension_witness(
 ) -> ExtensionWitness:
     """Exact witness that growing the ball at one vertex pair frees volume.
 
-    Finds s with T = witness_transform(G, Y, s) (Y the strict separating
-    form of the unremovable pair) satisfying: det T > 1; all kept simplices
+    Finds s with T = witness_transform(normalized_map(G, Y), s) (Y the strict
+    separating form of the unremovable pair) satisfying: det T > 1; all kept simplices
     keep their squared circumradius strictly below mu2; and the removed
     simplex, translated by tau * pole, fits inside the ball augmented at
     +/-(1+eps) pole.  The mirrored simplex fits at -tau by symmetry, so
@@ -213,9 +216,10 @@ def extension_witness(
         )
     s0 = ctx.simplices[ctx.pairs[pair_index][0]]
     ball = AugmentedBall(eps=eps, pole=s0.x[0], gram=lat.gram)
+    unit = normalized_map(lat.gram, removal.farkas_form)
     scale = Fraction(1, 4)
     while scale >= Fraction(1, 2**30):
-        t_map = witness_transform(lat.gram, removal.farkas_form, scale)
+        t_map = witness_transform(unit, scale)
         fits = _shift_fits(ball, tuple(mat_vec(t_map, x) for x in s0.x))
         k = next((k for k in TAU_RANGE if fits(k)), None)
         if k is not None:
@@ -231,14 +235,14 @@ def witness_record(
     lat: LatticeModel, pair_index: int, farkas_form: MatQ, scale: Rat, eps: Rat, tau: Rat
 ) -> ExtensionWitness:
     """The witness of pair pair_index at the given form, scale, eps and tau:
-    T = witness_transform(G, farkas_form, scale), and under T the
+    T = witness_transform(normalized_map(G, farkas_form), scale), and under T the
     circumradii and the removed simplex's images moved by tau * pole."""
     mu2, simplices = covering_radius(lat)
     pairs = lat.pairs
     i0, j0 = pairs[pair_index]
     s0 = simplices[i0]
     pole = s0.x[0]
-    t_map = witness_transform(lat.gram, farkas_form, scale)
+    t_map = witness_transform(normalized_map(lat.gram, farkas_form), scale)
     move = vec_scale(tau, pole)
     return ExtensionWitness(
         dimension=lat.n,

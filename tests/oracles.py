@@ -30,7 +30,7 @@ from ballcover.linalg import (
     transpose,
     vec_add,
 )
-from ballcover.perturbation import _radial, _unit
+from ballcover.perturbation import _int_mat_vec, _radial, _unit
 
 
 # ------------------------------------------------------------------ linalg
@@ -185,3 +185,32 @@ def fraction_deformed_vertices(body, rotation, lat, simplices, m_mat, translatio
             dot, nx = float(gram_dot(gram, x, y)), math.sqrt(float(gram_dot(gram, x, x)))
             out.append((i, j, y, gram_dot(gram, y, y), _radial(body, rotation, d), ny, dot, nx))
     return out
+
+
+# ------------------------------------------------------------------ search
+
+
+def _dyadic(values: Sequence) -> tuple[list[int], int]:
+    """Integers nums and shift with values[k] = nums[k] / 2^shift exactly.
+
+    Takes floats, ints and dyadic Fractions; raises ValueError for a
+    rational whose denominator is not a power of two.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    if any(d & (d - 1) for _, d in ratios):
+        raise ValueError("values must be dyadic rationals")
+    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
+
+
+def pair_directions(engine, nums: Sequence[int], shift: int) -> list[tuple[tuple[float, ...], float]]:
+    """The screen's pair directions at the pair values nums / 2^shift from
+    exact integer numerators, as the screen formed them before it held its
+    values as floats: each float one quotient of integers, which Python
+    rounds correctly."""
+    den = (engine._embedding_scale * engine.scale) << shift
+    point = [1 << shift, *nums]
+    return [
+        _unit([c / den for c in _int_mat_vec(engine._embedded_maps[v], point)])
+        for v, _ in engine._twins
+    ]

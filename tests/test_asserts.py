@@ -131,3 +131,44 @@ def test_checks_raise_with_asserts_stripped():
         "empty-grid ValueError",
         "zero-direction ValueError",
     ]
+
+
+# The screen's exactness rests on two checks: the direction tables within
+# the bound at set-up, and every pair value inside (-1, 1) on every pass.
+SCREEN_CHECKS = r'''
+import ballcover.search as search
+from ballcover.lattice import build_anstar
+
+
+def expect(label, fn):
+    try:
+        fn()
+    except Exception as e:
+        print(label, type(e).__name__, e)
+    else:
+        print(label, "passed")
+
+
+for v in (1.0, -1.0, 1.5, float("nan")):
+    expect(f"value-bound {v}", lambda: search._engine()._directions_at([v] + [0.0] * 11))
+product = search._int_mat_mul
+search._int_mat_mul = lambda a, b: [[64 * c for c in r] for r in product(a, b)]
+expect("table-bound", lambda: search.CoverEngine(build_anstar(3)))
+'''
+
+
+def test_screen_bounds_raise_with_asserts_stripped():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCREEN_CHECKS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outside = "RuntimeError a screened pair value is not inside (-1, 1)"
+    assert proc.stdout.splitlines() == [
+        f"value-bound 1.0 {outside}",
+        f"value-bound -1.0 {outside}",
+        f"value-bound 1.5 {outside}",
+        f"value-bound nan {outside}",
+        "table-bound RuntimeError the direction tables are too large for exact float numerators",
+    ]

@@ -869,9 +869,9 @@ def test_scan_output_is_pinned(capsys, tmp_path):
     # rounds sin, cos and acos the same way.  The grid-40 bodies are the
     # benchmark's two zonal scans.
     golden = {
-        (0.01, "8"): "e13e636b7831386db057d99af932f98e55de8aa1778d82b9d48234403ad1bb74",
-        (0.02 / 3, "40"): "ecd57d093d40b1cd43ba2b43a3056602e5c5b3fc0b52e61d5d6ce5ef0303628b",
-        (0.01 / 3, "40"): "5c8eeb08d65bf7ad6ad21caa87724aed0d9a98ed7a8b1176ee6882241e0b00d7",
+        (0.01, "8"): "a0c8989d9ba4e899afbd22d5a6ed16d3b7edb265090a2de721883498ec63f23f",
+        (0.02 / 3, "40"): "1a09fa891d53ac09e39dfac7ec52d47c38b82c226a244f27258ce6bed4c391ba",
+        (0.01 / 3, "40"): "3d0f353042b10192b12c8b2d50dd09998326e50678eee9e74d724811ea51ff13",
     }
     for (a, grid), digest in golden.items():
         body_file = tmp_path / "body.json"
@@ -898,7 +898,7 @@ def test_non_zonal_scan_output_is_pinned(capsys, tmp_path):
     )
     assert code == 0
     assert out == cert.read_text()
-    assert sha256(cert) == "f259e18b3d172ef59365c97f9d92fbf08e44f26fb96b9978ae88330c3bc35141"
+    assert sha256(cert) == "58b8902daf2a8e0f06581b01cfedd447c2a3a31971126c5219d3cf8a481602ef"
 
 
 def test_verify_requires_each_vertex_checked_once(capsys, tmp_path):

@@ -55,7 +55,6 @@ from ballcover.search import (
     CoverEngine,
     Screen,
     _antipodal_index,
-    _dyadic,
     _engine,
     _pair_values,
     _start_grains,
@@ -75,7 +74,14 @@ from ballcover.witness import (
     member_augmented_ball,
 )
 
-from oracles import deformed_vertex, fraction_deformed_vertices, unit_direction, vec_dot
+from oracles import (
+    _dyadic,
+    deformed_vertex,
+    fraction_deformed_vertices,
+    pair_directions,
+    unit_direction,
+    vec_dot,
+)
 
 
 def cm_circumradius2(vertices, gram):
@@ -360,13 +366,12 @@ def every_vertex(engine, pairs):
 
 
 def assert_screen_directions_match(engine, values):
-    # The screen's integer direction tables against the Fraction path of the
-    # exact tail, bit for bit: the float unit direction and length of every
-    # deformed vertex.
-    nums, shift = _dyadic(values)
+    # The screen's float direction numerators against the Fraction path of
+    # the exact tail, bit for bit: the float unit direction and length of
+    # every deformed vertex.
     sol = engine.solve(tuple(tuple(values[k] for k in keys) for keys in engine.index))
     m_mat = map_matrix(engine.ginv, sol.m_form)
-    shared = every_vertex(engine, engine._pair_directions(nums, shift))
+    shared = every_vertex(engine, engine._directions_at([float(v) for v in values]))
     for (i, _, x), (d, ny) in zip(engine.positions, shared):
         ref = deformed_vertex(m_mat, x, sol.translations[i])
         ref_d, ref_ny = unit_direction(engine.lat.embedding, ref)
@@ -376,10 +381,14 @@ def assert_screen_directions_match(engine, values):
 DYADIC = st.builds(
     lambda n, e: Fraction(n, 2**e), st.integers(-(2**64), 2**64), st.integers(0, 120)
 )
+# The screen's only inputs: values on the grid 2^-DELTA_BITS inside (-1, 1).
+GRID_VALUE = st.builds(
+    lambda n: Fraction(n, 2**DELTA_BITS), st.integers(1 - 2**DELTA_BITS, 2**DELTA_BITS - 1)
+)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(DYADIC, min_size=12, max_size=12))
+@given(st.lists(GRID_VALUE, min_size=12, max_size=12))
 def test_screen_directions_match_fraction_path_on_dyadic_tables(values):
     assert_screen_directions_match(_engine(), values)
 
@@ -394,37 +403,44 @@ def all_products(engine, nums, shift):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(DYADIC, min_size=12, max_size=12))
+@given(st.lists(GRID_VALUE, min_size=12, max_size=12))
 def test_twin_sharing_matches_all_products(values):
-    # The screen forms one integer product per {x, -x} pair and negates it
-    # for the twin; the floats equal those of all 24 products bit for bit.
+    # The screen forms one product per {x, -x} pair and negates it for the
+    # twin; the floats equal those of all 24 integer products bit for bit.
     engine = _engine()
     nums, shift = _dyadic(values)
-    shared = every_vertex(engine, engine._pair_directions(nums, shift))
+    shared = every_vertex(engine, engine._directions_at([float(v) for v in values]))
     # hex tells -0.0 from 0.0
     assert [bits(d) + [ny.hex()] for d, ny in shared] == [
         bits(d) + [ny.hex()] for d, ny in all_products(engine, nums, shift)
     ]
 
 
+def on_grid(x):
+    # x rounded to the nearest multiple of 2^-DELTA_BITS, held exactly.
+    return Fraction(round(Fraction(x) * 2**DELTA_BITS), 2**DELTA_BITS)
+
+
 def vertex_screen(engine, body, rotation):
     # The 24-vertex re-targeting loop the per-pair screen replaced: each
-    # vertex from its own product, rotated and evaluated on its own, and
-    # each pair's excess the larger in magnitude of its two vertices'.
-    # Returns the screen and its number of passes.
+    # vertex from its own integer product, rotated and evaluated on its
+    # own, and each pair's excess the larger in magnitude of its two
+    # vertices'.  The pair values are exact rationals, rounded to the grid
+    # as the screen rounds them.  Returns the screen and its number of
+    # passes.
     def rotated(d):
         return d if rotation is None else _apply_transposed(rotation, d)
 
     # At rest, each pair's smaller vertex min(x, -x).
     at_rest = all_products(engine, [0] * len(engine.directions), 0)
-    nums, shift = _dyadic([
-        rho(body, rotated(at_rest[min(t, key=lambda v: engine.positions[v][2])][0]))
+    values = [
+        on_grid(rho(body, rotated(at_rest[min(t, key=lambda v: engine.positions[v][2])][0])))
         for t in engine._twins
-    ])
+    ]
     for step in range(4):
         delta_float = 0.0
         excess = {}
-        for k, (d, ny) in zip(engine.pair_of, all_products(engine, nums, shift)):
+        for k, (d, ny) in zip(engine.pair_of, all_products(engine, *_dyadic(values))):
             r_val = 1.0 + rho(body, rotated(d))
             delta_float = max(delta_float, 1.0 - engine.mu * r_val / ny)
             o = ny / (engine.mu * r_val) - 1.0
@@ -432,11 +448,9 @@ def vertex_screen(engine, body, rotation):
                 excess[k] = o
         if step == 3 or max(abs(o) for o in excess.values()) <= 2.0**-34:
             break
-        moved, by = _dyadic([excess[k] for k in range(len(nums))])
-        top = max(shift, by)
-        nums = [(n << (top - shift)) - (m << (top - by)) for n, m in zip(nums, moved)]
-        shift = top
-    return Screen(nums=nums, shift=shift, delta_float=delta_float), step + 1
+        values = [v - on_grid(excess[k]) for k, v in enumerate(values)]
+    nums = [int(v * 2**DELTA_BITS) for v in values]
+    return Screen(nums=nums, shift=DELTA_BITS, delta_float=delta_float), step + 1
 
 
 @pytest.mark.parametrize(
@@ -770,6 +784,15 @@ def test_witness_search_forms_circumradii_only_in_its_record(pair_index):
     assert calls_of(exact_cr_after, lambda: extension_witness(lat, pair_index)) == 5
 
 
+@pytest.mark.parametrize("pair_index", range(3))
+def test_witness_search_normalizes_the_map_once(pair_index):
+    # The search scales one normalized map: M = G^-1 Y once, and once more
+    # in the witness_record it accepts.
+    lat = build_anstar(3)
+    extension_witness(lat, pair_index)
+    assert calls_of(map_matrix, lambda: extension_witness(lat, pair_index)) == 2
+
+
 def test_extension_witness_redundant_dimension_errors():
     lat = build_anstar(4)
     with pytest.raises(WitnessUnavailableError):
@@ -784,7 +807,9 @@ def mixed_body(seed):
     for l in (4, 6):
         for m in sorted(rng.sample(range(-l, l + 1), 3)):
             rows.append((l, m, rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0)))
-    eps = sum(abs(a) * math.sqrt(2 * l + 1) for l, _, a in rows)
+    eps = 0.0
+    for l, _, a in rows:  # left to right, as make_body adds eps
+        eps += abs(a) * math.sqrt(2 * l + 1)
     return make_body([(l, m, a * 0.02 / eps) for l, m, a in rows])
 
 
@@ -810,9 +835,9 @@ def count_constructs(monkeypatch):
     calls = []
     construct = CoverEngine.construct
 
-    def counted(self, body, rotation=None):
+    def counted(self, body, rotation=None, screened=None):
         calls.append(rotation)
-        return construct(self, body, rotation=rotation)
+        return construct(self, body, rotation=rotation, screened=screened)
 
     monkeypatch.setattr(CoverEngine, "construct", counted)
     return calls
@@ -840,6 +865,34 @@ def test_construct_runs_once_per_scan(monkeypatch):
         calls.clear()
         rotation_scan(body, grid_size=grid)
         assert len(calls) == 1
+
+
+def test_scan_screens_each_rotation_once():
+    # The rank phase's screen serves the certification of its rotation.
+    _engine()
+    for body, grid in ((make_body([(4, 0, 0.01)]), 24), (mixed_body(11), 40)):
+        assert calls_of(CoverEngine.screen, lambda: rotation_scan(body, grid_size=grid)) == grid
+
+
+def test_screen_passes_match_the_integer_oracle(monkeypatch):
+    # On every pass of the benchmark's grid-40 scans, the pair values lie
+    # on the grid and the float directions equal the integer quotients.
+    seen = []
+    directions_at = CoverEngine._directions_at
+
+    def checked(self, values):
+        got = directions_at(self, values)
+        seen.append(values)
+        assert all(type(v) is float and v.as_integer_ratio()[1] <= 2**DELTA_BITS for v in values)
+        want = pair_directions(self, *_dyadic(values))
+        assert [bits(d) + [ny.hex()] for d, ny in got] == [bits(d) + [ny.hex()] for d, ny in want]
+        return got
+
+    monkeypatch.setattr(CoverEngine, "_directions_at", checked)
+    for body in (make_body([(4, 0, 0.02 / 3)]), make_body([(4, 0, 0.01 / 3)]), mixed_body(601)):
+        seen.clear()
+        rotation_scan(body, grid_size=40)
+        assert len(seen) >= 40
 
 
 def test_rank_key_bounds_every_certified_ratio():
@@ -885,10 +938,10 @@ def test_scan_skips_rotations_that_cannot_win(monkeypatch):
     loser = rotation_grid(24)[(best_idx + 1) % 24]
     construct = CoverEngine.construct
 
-    def failing(self, body, rotation=None):
+    def failing(self, body, rotation=None, screened=None):
         if rotation == loser:
             raise RuntimeError("contraction certification did not settle")
-        return construct(self, body, rotation=rotation)
+        return construct(self, body, rotation=rotation, screened=screened)
 
     monkeypatch.setattr(CoverEngine, "construct", failing)
     report = rotation_scan(body, grid_size=24)
